@@ -22,12 +22,11 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex
+from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members
 from .errors import DomainError, InputError, ResourceBudgetError
 from .topology import configuration, config_weight
 
@@ -55,14 +54,6 @@ DEFAULT_OP_BUDGET = 10**9
 
 def _weight_of_bits(b: int) -> int:
     return 1 if b.bit_count() & 1 else -1
-
-
-def _members_of(a) -> tuple[Simplex, ...]:
-    if isinstance(a, Complex):
-        return a.simplices
-    if isinstance(a, SimplexSubset):
-        return tuple(sorted(a.members))
-    return tuple(sorted(_coerce_simplex(s) for s in a))
 
 
 def _wm_bits(member_bits: Iterable[int], member_set: frozenset[int], m: int) -> int:
@@ -95,7 +86,7 @@ def _wm_bits(member_bits: Iterable[int], member_set: frozenset[int], m: int) -> 
 
 def w_m(a, m: int) -> int:
     """Exact m'th characteristic of a complex or an arbitrary simplex subset."""
-    members = _members_of(a)
+    members = _members(a)
     bits = [s.bits for s in members]
     return _wm_bits(bits, frozenset(bits), m)
 
@@ -172,7 +163,7 @@ def w_m_naive(
     """
     if m < 1:
         raise InputError("the arity m must be at least 1")
-    members = _members_of(a)
+    members = _members(a)
     n = len(members)
     if op_budget is not None and n > 1 and n**m > op_budget:
         raise ResourceBudgetError(
@@ -235,7 +226,7 @@ class InteractionFunction:
 
 def w_m_energized(a, h: InteractionFunction, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:
     """w_m with the default weight product replaced by an arbitrary interaction."""
-    members = _members_of(a)
+    members = _members(a)
     n = len(members)
     m = h.arity
     if op_budget is not None and n > 1 and n**m > op_budget:
@@ -285,7 +276,7 @@ def w_m_multi(slots: Sequence[SimplexSubset]) -> int:
 def fermi(a) -> int:
     """Product of the weights over all members; +1 or -1 (empty product is 1)."""
     t = 1
-    for s in _members_of(a):
+    for s in _members(a):
         t *= s.weight
     return t
 
@@ -338,22 +329,21 @@ def _ball_wm(g: Complex, m: int) -> dict[int, int]:
     return {z: _wm_of_bitset(mem, m) for z, mem in _ball_members_of(g).items()}
 
 
-@lru_cache(maxsize=1024)
-def _sphere_wm(g: Complex, m: int) -> dict[int, int]:
-    stars = _stars_of(g)
-    balls = _ball_members_of(g)
-    return {
-        z: _wm_of_bitset(balls[z] - frozenset(stars[z]), m) for z in stars
-    }
-
-
 @lru_cache(maxsize=512)
 def _sphere_sets(g: Complex) -> tuple[frozenset[int], ...]:
+    """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
     stars = _stars_of(g)
     balls = _ball_members_of(g)
     return tuple(
         balls[s.bits] - frozenset(stars[s.bits]) for s in g.simplices
     )
+
+
+@lru_cache(maxsize=1024)
+def _sphere_wm(g: Complex, m: int) -> dict[int, int]:
+    return {
+        s.bits: _wm_of_bitset(sph, m) for s, sph in zip(g.simplices, _sphere_sets(g))
+    }
 
 
 @lru_cache(maxsize=512)
@@ -382,20 +372,12 @@ def _union_weights(g: Complex, k: int) -> dict[int, int]:
     return cur
 
 
-def _energized_star_wm(g: Complex, h: InteractionFunction) -> dict[int, int]:
+def _energized_wm(
+    g: Complex, sets: Mapping[int, Iterable[int]], h: InteractionFunction
+) -> dict[int, int]:
+    """The energized w_m of each member set of a per-simplex table of g."""
     by_bits = {s.bits: s for s in g.simplices}
-    out = {}
-    for z, mem in _stars_of(g).items():
-        out[z] = w_m_energized([by_bits[b] for b in mem], h)
-    return out
-
-
-def _energized_ball_wm(g: Complex, h: InteractionFunction) -> dict[int, int]:
-    by_bits = {s.bits: s for s in g.simplices}
-    out = {}
-    for z, mem in _ball_members_of(g).items():
-        out[z] = w_m_energized([by_bits[b] for b in mem], h)
-    return out
+    return {z: w_m_energized([by_bits[b] for b in mem], h) for z, mem in sets.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +422,6 @@ def _direct_weighted_sum(
     g: Complex,
     k: int,
     table: Mapping[int, int],
-    threads: int,
     op_budget: int | None,
 ) -> int:
     """sum over all |g|^k configurations of weight(X) * table[union bits of X]."""
@@ -451,28 +432,17 @@ def _direct_weighted_sum(
         raise ResourceBudgetError(
             f"direct sum would enumerate {n}^{k} configurations, over the budget {op_budget}"
         )
-
-    def chunk_sum(first_range) -> int:
-        total = 0
-        get = table.get
-        for i0 in first_range:
-            b0 = bits[i0]
-            w0 = ws[i0]
-            for idx in itertools.product(range(n), repeat=k - 1):
-                u = b0
-                w = w0
-                for i in idx:
-                    u |= bits[i]
-                    w *= ws[i]
-                total += w * get(u, 0)
-        return total
-
-    if threads <= 1 or n == 0:
-        return chunk_sum(range(n))
-    step = max(1, n // threads)
-    ranges = [range(i, min(i + step, n)) for i in range(0, n, step)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(chunk_sum, ranges))
+    total = 0
+    get = table.get
+    for b0, w0 in zip(bits, ws):
+        for idx in itertools.product(range(n), repeat=k - 1):
+            u = b0
+            w = w0
+            for i in idx:
+                u |= bits[i]
+                w *= ws[i]
+            total += w * get(u, 0)
+    return total
 
 
 def energy_sum(
@@ -483,7 +453,6 @@ def energy_sum(
     *,
     variant: str = "star",
     method: str = "grouped",
-    threads: int = 1,
     op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> EnergyReport:
     """Check w_m(G) against the total k-point energy sum over all configurations.
@@ -491,7 +460,7 @@ def energy_sum(
     The right-hand side sums weight(X) * w_m(U(X)) over every X in G^k, with
     U(X) the intersection of the k stars; ``variant="ball"`` replaces U(X) by
     its closure B(X), which satisfies the same identity.  ``method="direct"``
-    enumerates all |G|^k configurations literally (optionally threaded);
+    enumerates all |G|^k configurations literally;
     ``grouped`` folds configurations by their union first.  Both methods are
     exact and agree.
     """
@@ -506,10 +475,9 @@ def energy_sum(
         if h.arity != m:
             raise InputError(f"interaction arity {h.arity} does not match m={m}")
         lhs = w_m_energized(g, h, op_budget=op_budget)
-        table = (
-            _energized_star_wm(g, h) if variant == "star" else _energized_ball_wm(g, h)
-        )
-    rhs = _configuration_sum(g, k, table, method, threads, op_budget)
+        sets = _stars_of(g) if variant == "star" else _ball_members_of(g)
+        table = _energized_wm(g, sets, h)
+    rhs = _configuration_sum(g, k, table, method, op_budget)
     suite = "energy" if variant == "star" else "energy-ball"
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(suite, m, k, lhs, rhs, lhs == rhs, len(g), elapsed)
@@ -520,7 +488,6 @@ def _configuration_sum(
     k: int,
     table: Mapping[int, int],
     method: str,
-    threads: int,
     op_budget: int | None,
 ) -> int:
     if method == "grouped":
@@ -532,7 +499,7 @@ def _configuration_sum(
         uw = _union_weights(g, k)
         return sum(acc * table[z] for z, acc in uw.items())
     if method == "direct":
-        return _direct_weighted_sum(g, k, table, threads, op_budget)
+        return _direct_weighted_sum(g, k, table, op_budget)
     raise InputError(f"unknown method {method!r}")
 
 
@@ -542,14 +509,13 @@ def sphere_sum(
     k: int,
     *,
     method: str = "grouped",
-    threads: int = 1,
     op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> EnergyReport:
     """Check that the weighted w_m of all configuration spheres S(X) sums to zero."""
     _check_mk(m, k)
     t0 = time.perf_counter()
     table = _sphere_wm(g, m)
-    rhs = _configuration_sum(g, k, table, method, threads, op_budget)
+    rhs = _configuration_sum(g, k, table, method, op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("sphere", m, k, 0, rhs, rhs == 0, len(g), elapsed)
 

@@ -108,10 +108,9 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
     suite, m, k = args.suite, args.m, args.k
     if suite in ("energy", "energy-ball"):
         variant = "star" if suite == "energy" else "ball"
-        return [ch.energy_sum(g, m, k, variant=variant, threads=args.threads,
-                              op_budget=args.budget)]
+        return [ch.energy_sum(g, m, k, variant=variant, op_budget=args.budget)]
     if suite == "sphere":
-        return [ch.sphere_sum(g, m, k, threads=args.threads, op_budget=args.budget)]
+        return [ch.sphere_sum(g, m, k, op_budget=args.budget)]
     if suite == "dual-sphere":
         return [ch.dual_sphere_sum(g, m, k, op_budget=args.budget)]
     if suite == "valuation":
@@ -204,43 +203,14 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     value_naive = ch.w_m_naive(g, m, assume_closed=True, op_counter=counter_naive)
     ms_naive = (time.perf_counter() - t0) * 1000.0
+    counter_local: dict = {}
     t0 = time.perf_counter()
-    # build the star lists as part of the timed local path, on raw bit masks
-    stars: dict[int, list[int]] = {s.bits: [] for s in g.simplices}
-    for y in g.simplices:
-        yb = y.bits
-        sub = yb
-        while sub:
-            lst = stars.get(sub)
-            if lst is not None:
-                lst.append(yb)
-            sub = (sub - 1) & yb
-    weight = {s.bits: s.weight for s in g.simplices}
-    value_local = 0
-    ops_local = 0
-    for z, mem in stars.items():
-        mset = frozenset(mem)
-        nm = len(mem)
-        ops_local += nm**m
-        acc = 0
-        if m == 2:
-            for bi in mem:
-                wi = weight[bi]
-                for bj in mem:
-                    if bi & bj in mset:
-                        acc += wi * weight[bj]
-        else:
-            for bi in mem:
-                wi = weight[bi]
-                for bj in mem:
-                    bij = bi & bj
-                    wij = wi * weight[bj]
-                    for bl in mem:
-                        if bij & bl in mset:
-                            acc += wij * weight[bl]
-        value_local += weight[z] * acc
+    # local path: sum of weight(z) * w_m(U(z)), each star enumerated literally
+    value_local = sum(
+        ch._weight_of_bits(z) * ch._wm_naive_bits(list(mem), m, op_counter=counter_local)
+        for z, mem in ch._stars_of(g).items()
+    )
     ms_local = (time.perf_counter() - t0) * 1000.0
-    counter_local = {"tuples": ops_local}
     out = {
         "m": m,
         "value_naive": value_naive,
@@ -377,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-closed", action="store_true",
                     help="evaluate the valuation identity on non-open sets")
     sp.add_argument("--right", default=None, help="second complex for the product suite")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility and ignored")
     sp.add_argument("--budget", type=int, default=ch.DEFAULT_OP_BUDGET)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_verify)

@@ -11,7 +11,7 @@ some open set.
 
 from __future__ import annotations
 
-from .complexes import Complex, Simplex, SimplexSubset
+from .complexes import Complex, Simplex, SimplexSubset, _members
 from .errors import DomainError
 from .linalg import rank
 
@@ -50,12 +50,6 @@ def support_kind(a) -> str:
     raise DomainError("support is neither closed nor open; no cochain complex")
 
 
-def _support_members(a) -> tuple[Simplex, ...]:
-    if isinstance(a, Complex):
-        return a.simplices
-    return tuple(sorted(a.members))
-
-
 def _by_dim(members) -> list[list[Simplex]]:
     if not members:
         return []
@@ -73,7 +67,7 @@ def coboundary(support, i: int) -> list[list[int]]:
     order; only incidences inside the support contribute.
     """
     support_kind(support)
-    levels = _by_dim(_support_members(support))
+    levels = _by_dim(_members(support))
     lo = levels[i] if 0 <= i < len(levels) else []
     hi = levels[i + 1] if 0 <= i + 1 < len(levels) else []
     return [[incidence_sign(y, x) for x in lo] for y in hi]
@@ -86,7 +80,7 @@ def betti(support) -> tuple[int, ...]:
     characteristic of the support whether it is open or closed.
     """
     support_kind(support)
-    members = _support_members(support)
+    members = _members(support)
     if not members:
         return ()
     levels = _by_dim(members)
@@ -116,7 +110,7 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
     """
     if not u.is_open_set():
         raise DomainError("betti_relative expects an open set")
-    members = tuple(sorted(u.members))
+    members = _members(u)
     if not members:
         return ()
     g = u.ambient

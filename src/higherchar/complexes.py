@@ -136,19 +136,13 @@ class Complex:
         self._index = {s.bits: i for i, s in enumerate(out)}
         self._hash = hash(tuple(s.bits for s in out))
         if not _validated:
-            self._check_closed()
-
-    def _check_closed(self) -> None:
-        bs = self._bits_set
-        for s in self.simplices:
-            if len(s.vertices) == 1:
-                continue
-            for v in s.vertices:
-                if s.bits ^ (1 << v) not in bs:
-                    raise InputError(
-                        f"not closed under subsets: {s!r} present but its face "
-                        f"without vertex {v} is missing"
-                    )
+            missing = _missing_face(out, self._bits_set)
+            if missing is not None:
+                s, v = missing
+                raise InputError(
+                    f"not closed under subsets: {s!r} present but its face "
+                    f"without vertex {v} is missing"
+                )
 
     @staticmethod
     def empty() -> "Complex":
@@ -245,17 +239,22 @@ def closure(simplices: Iterable, *, simplex_budget: int | None = None) -> Comple
     return Complex(found.values(), _validated=True)
 
 
-def is_complex(simplices: Iterable) -> bool:
-    """True iff the collection is closed under taking nonempty subsets."""
-    items = [_coerce_simplex(s) for s in simplices]
-    bs = {s.bits for s in items}
+def _missing_face(items: Iterable[Simplex], bs) -> tuple[Simplex, int] | None:
+    """(s, v) for the first member s whose face without vertex v is not in the
+    bit set bs, or None when the collection is closed under subsets."""
     for s in items:
         if len(s.vertices) == 1:
             continue
         for v in s.vertices:
             if s.bits ^ (1 << v) not in bs:
-                return False
-    return True
+                return s, v
+    return None
+
+
+def is_complex(simplices: Iterable) -> bool:
+    """True iff the collection is closed under taking nonempty subsets."""
+    items = [_coerce_simplex(s) for s in simplices]
+    return _missing_face(items, {s.bits for s in items}) is None
 
 
 def f_vector(g: Complex) -> tuple[int, ...]:
@@ -348,22 +347,23 @@ class SimplexSubset:
             raise DomainError("subsets live in different ambient complexes")
 
 
-def _subset_parts(a) -> tuple[Complex | None, tuple[Simplex, ...]]:
+def _members(a) -> tuple[Simplex, ...]:
+    """The members of a complex, a simplex subset or an iterable of simplices,
+    in canonical order."""
     if isinstance(a, Complex):
-        return a, a.simplices
+        return a.simplices
     if isinstance(a, SimplexSubset):
-        return a.ambient, tuple(sorted(a.members))
-    return None, tuple(sorted(_coerce_simplex(s) for s in a))
+        return tuple(sorted(a.members))
+    return tuple(sorted(_coerce_simplex(s) for s in a))
 
 
 def boundary_set(a) -> SimplexSubset:
     """closure(A) minus A, the topological boundary of an arbitrary collection."""
-    ambient, members = _subset_parts(a)
+    members = _members(a)
     cl = closure(members)
     member_bits = {s.bits for s in members}
     delta = [s for s in cl.simplices if s.bits not in member_bits]
-    if ambient is None:
-        ambient = cl
+    ambient = a.ambient if isinstance(a, SimplexSubset) else a if isinstance(a, Complex) else cl
     return SimplexSubset(ambient, delta)
 
 

@@ -21,8 +21,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .complexes import Complex, Simplex, closure
+from .complexes import Complex, Simplex
 from .errors import DomainError, InputError
+from .topology import star_complement, unit_sphere
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -83,29 +84,47 @@ class _Ctx:
         return self.used <= self.budget
 
 
-def _key(g: Complex):
-    return g.member_bits
+def _step(base):
+    """Make a recognizer body one budgeted, memoized step.
+
+    ``base(g, *args)`` settles trivial cases free of charge and returns None
+    otherwise.  Each evaluation of the body costs one call; a YES or NO is
+    memoized on the exact member set, UNKNOWN never is, so a later visit can
+    still decide.
+    """
+
+    def wrap(body):
+        def step(ctx: _Ctx, g: Complex, *args) -> tuple[Status, tuple]:
+            res = base(g, *args)
+            if res is not None:
+                return res
+            key = (body, g.member_bits, *args)
+            hit = ctx.memo.get(key)
+            if hit is not None:
+                return hit
+            if not ctx.charge():
+                return UNKNOWN, ()
+            res = body(ctx, g, *args)
+            if res[0] is not UNKNOWN:
+                ctx.memo[key] = res
+            return res
+
+        return step
+
+    return wrap
 
 
-def _vertex_sphere_and_rest(g: Complex, vbit: int) -> tuple[Complex, Complex]:
-    """(S(v), G minus U(v)) for a vertex given by its bit."""
-    cof = [s for s in g.simplices if s.bits & vbit]
-    rest = Complex((s for s in g.simplices if not s.bits & vbit), _validated=True)
-    b = closure(cof)
-    sph = Complex((s for s in b.simplices if not s.bits & vbit), _validated=True)
-    return sph, rest
+def _void_sphere(g: Complex, d: int):
+    if d == -1:
+        return (YES if len(g) == 0 else NO), ()
+    if len(g) == 0:
+        return NO, ()
+    return None
 
 
-def _unit_sphere(g: Complex, x: Simplex) -> Complex:
-    xb = x.bits
-    cof = [s for s in g.simplices if s.bits & xb == xb]
-    b = closure(cof)
-    return Complex((s for s in b.simplices if s.bits & xb != xb), _validated=True)
-
-
-def _minus_star(g: Complex, x: Simplex) -> Complex:
-    xb = x.bits
-    return Complex((s for s in g.simplices if s.bits & xb != xb), _validated=True)
+def _nonnegative(g: Complex, d: int):
+    if d < 0:
+        raise InputError("manifold dimension must be non-negative")
 
 
 def _vertices_by_star_size(g: Complex) -> list[int]:
@@ -119,56 +138,37 @@ def _vertices_by_star_size(g: Complex) -> list[int]:
     return sorted(count, key=lambda vb: (count[vb], vb))
 
 
-def _contractible(g: Complex, ctx: _Ctx) -> tuple[Status, tuple]:
-    n = len(g)
-    if n == 0:
-        return NO, ()
-    if n == 1:
-        return YES, ()
-    key = ("contractible", _key(g))
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
+def _every_link(ctx: _Ctx, g: Complex, d: int, test) -> tuple[Status, tuple]:
+    """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g, NO as
+    soon as one is NO, UNKNOWN otherwise."""
+    saw_unknown = False
+    for x in g.simplices:
+        st, _ = test(ctx, unit_sphere(g, x.bits), d - 1)
+        if st is NO:
+            return NO, ()
+        saw_unknown = saw_unknown or st is UNKNOWN
+    return (UNKNOWN if saw_unknown else YES), ()
+
+
+@_step(lambda g: ((YES if len(g) else NO), ()) if len(g) <= 1 else None)
+def _contractible(ctx: _Ctx, g: Complex) -> tuple[Status, tuple]:
     saw_unknown = False
     for vbit in _vertices_by_star_size(g):
-        sph, rest = _vertex_sphere_and_rest(g, vbit)
-        s1, _ = _contractible(sph, ctx)
-        if s1 is UNKNOWN:
-            saw_unknown = True
+        s1, _ = _contractible(ctx, unit_sphere(g, vbit))
+        if s1 is not YES:
+            saw_unknown = saw_unknown or s1 is UNKNOWN
             continue
-        if s1 is NO:
-            continue
-        s2, cert2 = _contractible(rest, ctx)
-        if s2 is UNKNOWN:
-            saw_unknown = True
-            continue
+        s2, cert2 = _contractible(ctx, star_complement(g, vbit))
         if s2 is YES:
-            res = (YES, (vbit.bit_length() - 1,) + cert2)
-            ctx.memo[key] = res
-            return res
-    if saw_unknown:
-        return UNKNOWN, ()
-    ctx.memo[key] = (NO, ())
-    return NO, ()
+            return YES, (vbit.bit_length() - 1,) + cert2
+        saw_unknown = saw_unknown or s2 is UNKNOWN
+    return (UNKNOWN if saw_unknown else NO), ()
 
 
-def _sphere(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
-    if d == -1:
-        return (YES if len(g) == 0 else NO), ()
-    if len(g) == 0:
-        return NO, ()
-    key = ("sphere", _key(g), d)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
-    man, _ = _manifold(g, d, ctx)
+@_step(_void_sphere)
+def _sphere(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+    man, _ = _manifold(ctx, g, d)
     if man is not YES:
-        if man is NO:
-            ctx.memo[key] = (NO, ())
         return man, ()
     saw_unknown = False
     # puncture candidates: vertices with small stars first, then everything else
@@ -176,113 +176,58 @@ def _sphere(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
     seen = {c.bits for c in candidates}
     candidates.extend(s for s in g.simplices if s.bits not in seen)
     for x in candidates:
-        st, cert = _contractible(_minus_star(g, x), ctx)
+        st, cert = _contractible(ctx, star_complement(g, x.bits))
         if st is YES:
-            res = (YES, x.vertices + cert)
-            ctx.memo[key] = res
-            return res
-        if st is UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return UNKNOWN, ()
-    ctx.memo[key] = (NO, ())
-    return NO, ()
+            return YES, x.vertices + cert
+        saw_unknown = saw_unknown or st is UNKNOWN
+    return (UNKNOWN if saw_unknown else NO), ()
 
 
-def _manifold(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
-    if d < 0:
-        raise InputError("manifold dimension must be non-negative")
-    key = ("manifold", _key(g), d)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
-    saw_unknown = False
-    for x in g.simplices:
-        st, _ = _sphere(_unit_sphere(g, x), d - 1, ctx)
-        if st is NO:
-            ctx.memo[key] = (NO, ())
-            return NO, ()
-        if st is UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return UNKNOWN, ()
-    ctx.memo[key] = (YES, ())
-    return YES, ()
+@_step(_nonnegative)
+def _manifold(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+    return _every_link(ctx, g, d, _sphere)
 
 
-def _ball(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
-    if d < 0:
-        return NO, ()
-    key = ("ball", _key(g), d)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
-    mwb, _ = _manifold_with_boundary(g, d, ctx)
+def _sphere_or_ball(ctx: _Ctx, h: Complex, d: int) -> tuple[Status, tuple]:
+    st, _ = _sphere(ctx, h, d)
+    if st is YES:
+        return YES, ()
+    bt, _ = _ball(ctx, h, d)
+    if bt is YES:
+        return YES, ()
+    return (UNKNOWN if UNKNOWN in (st, bt) else NO), ()
+
+
+@_step(_nonnegative)
+def _manifold_with_boundary(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+    return _every_link(ctx, g, d, _sphere_or_ball)
+
+
+@_step(lambda g, d: (NO, ()) if d < 0 else None)
+def _ball(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+    mwb, _ = _manifold_with_boundary(ctx, g, d)
     if mwb is not YES:
-        if mwb is NO:
-            ctx.memo[key] = (NO, ())
         return mwb, ()
-    ct, cert = _contractible(g, ctx)
+    ct, cert = _contractible(ctx, g)
     if ct is not YES:
-        if ct is NO:
-            ctx.memo[key] = (NO, ())
         return ct, ()
-    bd, st = _boundary_members(g, d, ctx)
+    bd, st = _boundary_members(ctx, g, d)
     if st is not YES:
         return st, ()
-    sb, _ = _sphere(Complex(bd, _validated=True), d - 1, ctx)
-    if sb is YES:
-        res = (YES, cert)
-        ctx.memo[key] = res
-        return res
-    if sb is NO:
-        ctx.memo[key] = (NO, ())
-    return sb, ()
+    sb, _ = _sphere(ctx, Complex(bd, _validated=True), d - 1)
+    return sb, (cert if sb is YES else ())
 
 
-def _manifold_with_boundary(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
-    if d < 0:
-        raise InputError("manifold dimension must be non-negative")
-    key = ("mwb", _key(g), d)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
-    saw_unknown = False
-    for x in g.simplices:
-        sph = _unit_sphere(g, x)
-        st, _ = _sphere(sph, d - 1, ctx)
-        if st is YES:
-            continue
-        bt, _ = _ball(sph, d - 1, ctx)
-        if bt is YES:
-            continue
-        if st is UNKNOWN or bt is UNKNOWN:
-            saw_unknown = True
-            continue
-        ctx.memo[key] = (NO, ())
-        return NO, ()
-    if saw_unknown:
-        return UNKNOWN, ()
-    ctx.memo[key] = (YES, ())
-    return YES, ()
-
-
-def _boundary_members(g: Complex, d: int, ctx: _Ctx) -> tuple[list[Simplex], Status]:
+def _boundary_members(ctx: _Ctx, g: Complex, d: int) -> tuple[list[Simplex], Status]:
     """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
     certified manifold with boundary."""
     out = []
     for x in g.simplices:
-        sph = _unit_sphere(g, x)
-        st, _ = _sphere(sph, d - 1, ctx)
+        sph = unit_sphere(g, x.bits)
+        st, _ = _sphere(ctx, sph, d - 1)
         if st is YES:
             continue
-        bt, _ = _ball(sph, d - 1, ctx)
+        bt, _ = _ball(ctx, sph, d - 1)
         if bt is YES:
             out.append(x)
             continue
@@ -290,40 +235,26 @@ def _boundary_members(g: Complex, d: int, ctx: _Ctx) -> tuple[list[Simplex], Sta
     return out, YES
 
 
-def _dehn_sommerville(g: Complex, d: int, ctx: _Ctx) -> tuple[Status, tuple]:
-    if d == -1:
-        return (YES if len(g) == 0 else NO), ()
-    if len(g) == 0:
+@_step(_void_sphere)
+def _dehn_sommerville(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+    if sum(s.weight for s in g.simplices) != 1 + (-1) ** d:
         return NO, ()
-    key = ("ds", _key(g), d)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if not ctx.charge():
-        return UNKNOWN, ()
-    chi = sum(s.weight for s in g.simplices)
-    if chi != 1 + (-1) ** d:
-        ctx.memo[key] = (NO, ())
-        return NO, ()
-    saw_unknown = False
-    for x in g.simplices:
-        st, _ = _dehn_sommerville(_unit_sphere(g, x), d - 1, ctx)
-        if st is NO:
-            ctx.memo[key] = (NO, ())
-            return NO, ()
-        if st is UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return UNKNOWN, ()
-    ctx.memo[key] = (YES, ())
-    return YES, ()
+    return _every_link(ctx, g, d, _dehn_sommerville)
+
+
+def _deep(fn, *args):
+    """fn(*args) with room for the recursion; the caller's limit is restored."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _run(fn, *args, budget: int) -> Verdict:
     ctx = _Ctx(budget)
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-    status, cert = fn(*args, ctx)
+    status, cert = _deep(fn, ctx, *args)
     return Verdict(status, cert, ctx.used)
 
 
@@ -357,24 +288,25 @@ def is_manifold_with_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) 
     return _run(_manifold_with_boundary, g, d, budget=budget)
 
 
+def _boundary(ctx: _Ctx, g: Complex, d: int) -> list[Simplex]:
+    mwb, _ = _manifold_with_boundary(ctx, g, d)
+    if mwb is not YES:
+        raise DomainError(
+            f"boundary extraction needs a manifold-with-boundary verdict of yes, got {mwb.value}"
+        )
+    members, st = _boundary_members(ctx, g, d)
+    if st is not YES:
+        raise DomainError("boundary classification ran out of budget")
+    return members
+
+
 def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Complex:
     """The closed subcomplex of simplices whose unit sphere is a ball.
 
     Requires g to be certified as a d-manifold with boundary first; the
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
-    ctx = _Ctx(budget)
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-    mwb, _ = _manifold_with_boundary(g, d, ctx)
-    if mwb is not YES:
-        raise DomainError(
-            f"boundary extraction needs a manifold-with-boundary verdict of yes, got {mwb.value}"
-        )
-    members, st = _boundary_members(g, d, ctx)
-    if st is not YES:
-        raise DomainError("boundary classification ran out of budget")
-    return Complex(members)
+    return Complex(_deep(_boundary, _Ctx(budget), g, d))
 
 
 def is_dehn_sommerville(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:

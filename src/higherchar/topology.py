@@ -24,6 +24,8 @@ __all__ = [
     "star_intersection_by_scan",
     "ball",
     "sphere",
+    "unit_sphere",
+    "star_complement",
     "dual_sphere",
     "is_open",
     "generate_topology",
@@ -84,6 +86,13 @@ def core(g: Complex, x) -> Complex:
     return closure((x,))
 
 
+def _union_bits(g: Complex, xs) -> int:
+    u = 0
+    for x in configuration(g, xs):
+        u |= x.bits
+    return u
+
+
 def star_intersection(g: Complex, xs) -> OpenSet:
     """U(X), the intersection of the stars of the points of a configuration.
 
@@ -91,10 +100,7 @@ def star_intersection(g: Complex, xs) -> OpenSet:
     union is itself a simplex of g, and is empty otherwise (a superset of a
     non-member cannot be a member of a closed family).
     """
-    X = configuration(g, xs)
-    u = 0
-    for x in X:
-        u |= x.bits
+    u = _union_bits(g, xs)
     if u not in g.member_bits:
         return OpenSet(g, (), _trusted=True)
     return OpenSet(g, (y for y in g.simplices if u & y.bits == u), _trusted=True)
@@ -117,11 +123,32 @@ def ball(g: Complex, xs) -> Complex:
 
 
 def sphere(g: Complex, xs) -> Complex:
-    """S(X) = B(X) minus U(X): the boundary of the star intersection; a complex."""
-    u = star_intersection(g, xs)
-    b = ball(g, xs)
-    ub = u.member_bits
-    return Complex((s for s in b.simplices if s.bits not in ub), _validated=True)
+    """S(X) = B(X) minus U(X): the boundary of the star intersection; a complex.
+
+    It is the unit sphere of the union of the points, and empty when that
+    union is not a simplex of g.
+    """
+    return unit_sphere(g, _union_bits(g, xs))
+
+
+def unit_sphere(g: Complex, xb: int) -> Complex:
+    """S(x) = B(x) minus U(x) for the vertex set x given by its bit mask xb.
+
+    As g is closed, a simplex s lies in the ball B(x) exactly when s ∪ x is a
+    simplex of g, and in the star U(x) when x ⊆ s.  Empty when x is not a
+    simplex of g.
+    """
+    members = g.member_bits
+    return Complex(
+        (s for s in g.simplices if s.bits & xb != xb and s.bits | xb in members),
+        _validated=True,
+    )
+
+
+def star_complement(g: Complex, xb: int) -> Complex:
+    """G minus U(x), the closed complement of the star of the vertex set x
+    given by its bit mask xb."""
+    return Complex((s for s in g.simplices if s.bits & xb != xb), _validated=True)
 
 
 def dual_sphere(g: Complex, xs) -> Complex:

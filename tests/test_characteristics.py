@@ -134,11 +134,6 @@ class TestEnergySum:
                 rep = energy_sum(g, m, k, variant="ball")
                 assert rep.passed, (g, m, k, rep)
 
-    def test_threads_do_not_change_result(self, octa):
-        a = energy_sum(octa, 2, 2, method="direct", threads=1)
-        b = energy_sum(octa, 2, 2, method="direct", threads=4)
-        assert a.rhs == b.rhs
-
     def test_random_interactions(self):
         from higherchar.generators import SplitMix64
 

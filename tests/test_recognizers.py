@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from higherchar import recognizers
 from higherchar.characteristics import w_m
 from higherchar.complexes import Complex, join
 from higherchar.errors import DomainError
@@ -9,6 +12,7 @@ from higherchar.generators import (
     simplex_complex,
     star_complex,
 )
+from higherchar.topology import barycentric
 from higherchar.recognizers import (
     is_ball,
     is_contractible,
@@ -195,3 +199,75 @@ class TestSphereTheorems:
             assert is_manifold(g, 1).is_yes
             for m in (1, 2, 3):
                 assert w_m(g, m) == 0
+
+
+# (complex, recognizer, status, certificate, calls_used) with d = dim of the
+# complex and the default budget.  The certificates and call counts pin the
+# search order and the memoization, not only the verdicts.
+PINNED = [
+    # cross_polytope(2), d = 2
+    ("cross_polytope(2)", "is_contractible", "no", (), 7),
+    ("cross_polytope(2)", "is_sphere", "yes", (1, 3, 5, 2, 4), 98),
+    ("cross_polytope(2)", "is_ball", "no", (), 102),
+    ("cross_polytope(2)", "is_manifold", "yes", (), 94),
+    ("cross_polytope(2)", "is_manifold_with_boundary", "yes", (), 94),
+    ("cross_polytope(2)", "is_dehn_sommerville", "yes", (), 39),
+    # cross_polytope(3), d = 3
+    ("cross_polytope(3)", "is_contractible", "no", (), 15),
+    ("cross_polytope(3)", "is_sphere", "yes", (1, 3, 5, 7, 2, 4, 6), 633),
+    ("cross_polytope(3)", "is_ball", "no", (), 644),
+    ("cross_polytope(3)", "is_manifold", "yes", (), 628),
+    ("cross_polytope(3)", "is_manifold_with_boundary", "yes", (), 628),
+    ("cross_polytope(3)", "is_dehn_sommerville", "yes", (), 239),
+    # simplex_complex(3), d = 2
+    ("simplex_complex(3)", "is_contractible", "yes", (1, 2), 2),
+    ("simplex_complex(3)", "is_sphere", "no", (), 6),
+    ("simplex_complex(3)", "is_ball", "yes", (1, 2), 53),
+    ("simplex_complex(3)", "is_manifold", "no", (), 5),
+    ("simplex_complex(3)", "is_manifold_with_boundary", "yes", (), 51),
+    ("simplex_complex(3)", "is_dehn_sommerville", "no", (), 1),
+    # barycentric(cross_polytope(2)), d = 2
+    ("barycentric(cross_polytope(2))", "is_contractible", "no", (), 75),
+    ("barycentric(cross_polytope(2))", "is_sphere", "yes",
+     (6, 18, 8, 14, 0, 7, 9, 19, 15, 2, 10, 20, 16, 4, 22, 12, 21, 17, 3, 24, 11, 1, 23, 5, 13),
+     770),
+    ("barycentric(cross_polytope(2))", "is_ball", "no", (), 773),
+    ("barycentric(cross_polytope(2))", "is_manifold", "yes", (), 697),
+    ("barycentric(cross_polytope(2))", "is_manifold_with_boundary", "yes", (), 697),
+    ("barycentric(cross_polytope(2))", "is_dehn_sommerville", "yes", (), 267),
+]
+
+PINNED_COMPLEXES = {
+    "cross_polytope(2)": lambda: cross_polytope(2),
+    "cross_polytope(3)": lambda: cross_polytope(3),
+    "simplex_complex(3)": lambda: simplex_complex(3),
+    "barycentric(cross_polytope(2))": lambda: barycentric(cross_polytope(2)),
+}
+
+
+class TestPinnedVerdicts:
+    @pytest.mark.parametrize("name,fn,status,certificate,calls", PINNED)
+    def test_verdict_certificate_and_calls(self, name, fn, status, certificate, calls):
+        g = PINNED_COMPLEXES[name]()
+        if fn == "is_contractible":
+            v = is_contractible(g)
+        else:
+            v = getattr(recognizers, fn)(g, g.dim)
+        assert (v.status.value, v.certificate, v.calls_used) == (status, certificate, calls)
+
+    def test_small_budget_unknown(self):
+        v = is_sphere(cross_polytope(3), 3, budget=50)
+        assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 148)
+
+
+class TestProcessState:
+    def test_recursion_limit_restored(self, tetra):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1500)  # below what the recognizers ask for
+        try:
+            assert is_sphere(cross_polytope(2), 2).is_yes
+            assert sys.getrecursionlimit() == 1500
+            manifold_boundary(tetra, 3)
+            assert sys.getrecursionlimit() == 1500
+        finally:
+            sys.setrecursionlimit(old)

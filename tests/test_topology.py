@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar.characteristics import w_m
 from higherchar.complexes import SimplexSubset, closure, is_complex
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.topology import (
+    DEFAULT_TOPOLOGY_BUDGET,
     OpenSet,
     ball,
     barycentric,
@@ -118,6 +120,21 @@ class TestBallSphere:
             assert not (ub & sb)
             assert ub | sb == b.member_bits
 
+    @given(random_complexes(max_vertices=6, max_edges=9), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sphere_matches_literal_definition(self, g, data):
+        # S(X) = closure(U(X)) minus U(X), with U(X) intersected star by star
+        vertices = [x for x in g.simplices if x.dim == 0]
+        # a pair of non-adjacent vertices has a union that is not a simplex
+        configs = list(itertools.combinations(vertices, 2))
+        points = st.sampled_from(g.simplices)
+        for k in (1, 2, 3):
+            configs += data.draw(st.lists(st.lists(points, min_size=k, max_size=k), max_size=8))
+        for X in configs:
+            u = star_intersection_by_scan(g, X).members
+            literal = closure(u).member_bits - {x.bits for x in u}
+            assert sphere(g, X).member_bits == literal
+
     @given(random_complexes())
     @settings(max_examples=20, deadline=None)
     def test_spheres_and_balls_are_complexes(self, g):
@@ -194,7 +211,7 @@ class TestPatching:
     @given(random_complexes(max_vertices=6, max_edges=9))
     @settings(max_examples=15, deadline=None)
     def test_intersection_in_two_opens_forces_points_in(self, g):
-        tops = generate_topology(g, budget=4000)
+        tops = generate_topology(g, budget=DEFAULT_TOPOLOGY_BUDGET)
         opens = [t for t in tops if len(t)][:8]
         for u, v in itertools.combinations(opens, 2):
             uv = u.members & v.members
