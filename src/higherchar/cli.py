@@ -230,30 +230,27 @@ def cmd_bench(args) -> int:
     return 0 if value_naive == value_local else 1
 
 
-def cmd_generate(args) -> int:
-    spec = GeneratorSpec(kind=args.kind, n=args.n, edges=args.edges, d=args.d,
-                         seed=args.seed)
-    g = generate(spec)
+def _write_facets(g: Complex, output) -> int:
+    """Write g in facet format to the file ``output``, or to stdout."""
     text = format_facets(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_generate(args) -> int:
+    spec = GeneratorSpec(kind=args.kind, n=args.n, edges=args.edges, d=args.d,
+                         seed=args.seed)
+    return _write_facets(generate(spec), args.output)
 
 
 def cmd_product(args) -> int:
     left = load_complex(args.left)
     right = load_complex(args.right)
-    gh = topological_product(left, right)
-    text = format_facets(gh)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_facets(topological_product(left, right), args.output)
 
 
 def cmd_betti(args) -> int:
@@ -414,13 +411,7 @@ def main(argv=None) -> int:
         note = f" (partial: {exc.partial})" if exc.partial is not None else ""
         print(f"resource budget exceeded: {exc}{note}", file=sys.stderr)
         return 2
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HigherCharError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (HigherCharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -60,6 +60,28 @@ def _by_dim(members) -> list[list[Simplex]]:
     return out
 
 
+def _coboundary(lo: list[Simplex], hi: list[Simplex]) -> list[list[int]]:
+    """Rows are the simplices y of hi, columns those of lo; row y holds the
+    incidence signs of the codimension-one faces of y that lie in lo."""
+    col = {x.bits: j for j, x in enumerate(lo)}
+    out = []
+    for y in hi:
+        row = [0] * len(lo)
+        for p, v in enumerate(y.vertices):
+            j = col.get(y.bits ^ (1 << v))
+            if j is not None:
+                row[j] = -1 if p & 1 else 1
+        out.append(row)
+    return out
+
+
+def _betti_vector(counts: list[int], ranks: list[int]) -> tuple[int, ...]:
+    """b_i = counts[i] - rank D_i - rank D_{i-1}, given the ranks of
+    D_0..D_{d-1}; D_d maps into nothing."""
+    ranks = [0, *ranks, 0]
+    return tuple(c - ranks[i] - ranks[i + 1] for i, c in enumerate(counts))
+
+
 def coboundary(support, i: int) -> list[list[int]]:
     """The matrix of d: i-cochains -> (i+1)-cochains on the support.
 
@@ -70,7 +92,7 @@ def coboundary(support, i: int) -> list[list[int]]:
     levels = _by_dim(_members(support))
     lo = levels[i] if 0 <= i < len(levels) else []
     hi = levels[i + 1] if 0 <= i + 1 < len(levels) else []
-    return [[incidence_sign(y, x) for x in lo] for y in hi]
+    return _coboundary(lo, hi)
 
 
 def betti(support) -> tuple[int, ...]:
@@ -80,24 +102,10 @@ def betti(support) -> tuple[int, ...]:
     characteristic of the support whether it is open or closed.
     """
     support_kind(support)
-    members = _members(support)
-    if not members:
-        return ()
-    levels = _by_dim(members)
-    d = len(levels) - 1
-    ranks = []
-    for i in range(d):
-        lo, hi = levels[i], levels[i + 1]
-        if lo and hi:
-            ranks.append(rank([[incidence_sign(y, x) for x in lo] for y in hi]))
-        else:
-            ranks.append(0)
-    ranks.append(0)  # D_d maps into nothing
-    out = []
-    for i in range(d + 1):
-        below = ranks[i - 1] if i > 0 else 0
-        out.append(len(levels[i]) - ranks[i] - below)
-    return tuple(out)
+    levels = _by_dim(_members(support))
+    ranks = [rank(_coboundary(lo, hi)) if lo and hi else 0
+             for lo, hi in zip(levels, levels[1:])]
+    return _betti_vector([len(lv) for lv in levels], ranks)
 
 
 def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
@@ -110,15 +118,11 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
     """
     if not u.is_open_set():
         raise DomainError("betti_relative expects an open set")
-    members = _members(u)
-    if not members:
-        return ()
-    g = u.ambient
-    glevels = _by_dim(g.simplices)
+    levels = _by_dim(_members(u))
+    glevels = _by_dim(u.ambient.simplices)
     keep = u.member_bits
-    d = max(s.dim for s in members)
     ranks = []
-    for i in range(d):
+    for i in range(len(levels) - 1):
         lo_all = glevels[i] if i < len(glevels) else []
         hi_all = glevels[i + 1] if i + 1 < len(glevels) else []
         full = [[incidence_sign(y, x) for x in lo_all] for y in hi_all]
@@ -126,12 +130,4 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
         cols = [c for c, x in enumerate(lo_all) if x.bits in keep]
         sub = [[full[r][c] for c in cols] for r in rows]
         ranks.append(rank(sub) if sub and cols else 0)
-    ranks.append(0)
-    counts = [0] * (d + 1)
-    for s in members:
-        counts[s.dim] += 1
-    out = []
-    for i in range(d + 1):
-        below = ranks[i - 1] if i > 0 else 0
-        out.append(counts[i] - ranks[i] - below)
-    return tuple(out)
+    return _betti_vector([len(lv) for lv in levels], ranks)

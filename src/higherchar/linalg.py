@@ -1,8 +1,11 @@
-"""Exact integer matrices: connection and Green matrices, fraction-free
-determinants, exact inverses, characteristic polynomials and ranks.
+"""Exact integer matrices: connection and Green matrices, determinants,
+inverses, characteristic polynomials and ranks.
 
-All arithmetic is over Python's arbitrary-precision integers (rationals only
-as exact bookkeeping inside the inverse); nothing here ever rounds.
+Determinant, rank and inverse share one fraction-free (Bareiss)
+elimination, so all arithmetic is over Python's arbitrary-precision
+integers.  The only rational step is the final division of d * M^-1 by
+d = det M inside ``inverse``, and only when |d| != 1; nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -129,66 +132,81 @@ def green_matrix(g: Complex) -> list[list[int]]:
     return out
 
 
+def _eliminate(
+    rows: list[list[int]], ncols: int, *, full: bool = False, skip: bool = False
+) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer ``rows``, in place.
+
+    Pivots are taken column by column over the first ``ncols`` columns.  A
+    column with no pivot is skipped when ``skip``; otherwise elimination
+    stops there, since a square left block is then singular, which is all
+    that det and inverse need to know.  After a pivot p in column c, each row
+    below it (each other row when ``full``) becomes
+    (p * row - row[c] * pivot row) / previous pivot.  Every entry is then a
+    minor of the input up to sign, so every division is exact.  With
+    ``full`` and full rank on a square left block, [M | B] ends as
+    [d * I | d * M^-1 B], d the last pivot.  Returns the number of pivots
+    (the rank, unless it stopped early), the sign of the row swaps and the
+    last pivot; sign * last pivot is det M at full rank.
+    """
+    _check_size(len(rows))
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise DomainError("exact elimination needs integer entries")
+    n = len(rows)
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            if skip:
+                continue
+            break
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(0 if full else r + 1, n):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            # rows below the pivot are zero before column c; rows above are not
+            lo = c if i > r else 0
+            if f:
+                row[lo:] = [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+            elif p != prev:
+                row[lo:] = [p * x // prev for x in row[lo:]]
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
 def det(mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of an integer matrix by Bareiss elimination."""
     n = _check_square(mat)
-    _check_size(n)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row = a[i]
-            top = a[k]
-            aik = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - aik * top[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rk, sign, last = _eliminate([list(row) for row in mat], n)
+    return sign * last if rk == n else 0
 
 
 def inverse(mat) -> list[list[int]] | list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan with rational bookkeeping.
+    """Exact inverse of an integer matrix.
 
-    Returns an integer matrix when every entry is integral (always the case
-    when det = +-1); otherwise the exact rational inverse.  Raises on
-    singular input.
+    Bareiss elimination of [M | I] leaves [d * I | d * M^-1]; each entry is
+    then divided once by d.  Returns an integer matrix when every entry is
+    integral (always the case when det = +-1); otherwise the exact rational
+    inverse.  Raises on singular input.
     """
     n = _check_square(mat)
-    _check_size(n)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    rk, _, d = _eliminate(a, n, full=True)
+    if rk < n:
+        raise SingularMatrixError("matrix is singular")
     inv = [row[n:] for row in a]
-    if all(x.denominator == 1 for row in inv for x in row):
-        return [[int(x) for x in row] for row in inv]
-    return inv
+    if all(x % d == 0 for row in inv for x in row):
+        return [[x // d for x in row] for row in inv]
+    return [[Fraction(x, d) for x in row] for row in inv]
 
 
 def char_poly(mat) -> list[int]:
@@ -218,27 +236,6 @@ def char_poly(mat) -> list[int]:
 
 
 def rank(mat) -> int:
-    """Exact rank over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Exact rank of an integer matrix."""
+    rows = [list(row) for row in mat if any(row)]
+    return _eliminate(rows, len(rows[0]), skip=True)[0] if rows else 0

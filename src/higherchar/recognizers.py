@@ -10,7 +10,8 @@ makes contractible; a d-ball is recognized as a contractible d-manifold with
 boundary whose boundary is a (d-1)-sphere.
 
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
-returned only when the call budget runs out before the search is exhausted.
+returned only when the call budget runs out before the search is exhausted;
+a spent budget ends the whole search at once.
 Results are memoized on the exact labeled complex (no isomorphism
 canonicalization), so repeated sub-complexes are checked once per query.
 """
@@ -69,6 +70,10 @@ class Verdict:
         return self.status is UNKNOWN
 
 
+class _OutOfBudget(Exception):
+    """The call budget of one query is spent."""
+
+
 class _Ctx:
     __slots__ = ("budget", "used", "memo")
 
@@ -79,18 +84,18 @@ class _Ctx:
         self.used = 0
         self.memo: dict = {}
 
-    def charge(self) -> bool:
+    def charge(self) -> None:
         self.used += 1
-        return self.used <= self.budget
+        if self.used > self.budget:
+            raise _OutOfBudget
 
 
 def _step(base):
     """Make a recognizer body one budgeted, memoized step.
 
     ``base(g, *args)`` settles trivial cases free of charge and returns None
-    otherwise.  Each evaluation of the body costs one call; a YES or NO is
-    memoized on the exact member set, UNKNOWN never is, so a later visit can
-    still decide.
+    otherwise.  Each evaluation of the body costs one call, and its YES or NO
+    is memoized on the exact member set.
     """
 
     def wrap(body):
@@ -102,11 +107,8 @@ def _step(base):
             hit = ctx.memo.get(key)
             if hit is not None:
                 return hit
-            if not ctx.charge():
-                return UNKNOWN, ()
-            res = body(ctx, g, *args)
-            if res[0] is not UNKNOWN:
-                ctx.memo[key] = res
+            ctx.charge()
+            res = ctx.memo[key] = body(ctx, g, *args)
             return res
 
         return step
@@ -139,38 +141,28 @@ def _vertices_by_star_size(g: Complex) -> list[int]:
 
 
 def _every_link(ctx: _Ctx, g: Complex, d: int, test) -> tuple[Status, tuple]:
-    """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g, NO as
-    soon as one is NO, UNKNOWN otherwise."""
-    saw_unknown = False
+    """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g."""
     for x in g.simplices:
-        st, _ = test(ctx, unit_sphere(g, x.bits), d - 1)
-        if st is NO:
+        if test(ctx, unit_sphere(g, x.bits), d - 1)[0] is NO:
             return NO, ()
-        saw_unknown = saw_unknown or st is UNKNOWN
-    return (UNKNOWN if saw_unknown else YES), ()
+    return YES, ()
 
 
 @_step(lambda g: ((YES if len(g) else NO), ()) if len(g) <= 1 else None)
 def _contractible(ctx: _Ctx, g: Complex) -> tuple[Status, tuple]:
-    saw_unknown = False
     for vbit in _vertices_by_star_size(g):
-        s1, _ = _contractible(ctx, unit_sphere(g, vbit))
-        if s1 is not YES:
-            saw_unknown = saw_unknown or s1 is UNKNOWN
+        if _contractible(ctx, unit_sphere(g, vbit))[0] is not YES:
             continue
         s2, cert2 = _contractible(ctx, star_complement(g, vbit))
         if s2 is YES:
             return YES, (vbit.bit_length() - 1,) + cert2
-        saw_unknown = saw_unknown or s2 is UNKNOWN
-    return (UNKNOWN if saw_unknown else NO), ()
+    return NO, ()
 
 
 @_step(_void_sphere)
 def _sphere(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
-    man, _ = _manifold(ctx, g, d)
-    if man is not YES:
-        return man, ()
-    saw_unknown = False
+    if _manifold(ctx, g, d)[0] is NO:
+        return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
     candidates = [Simplex.from_bits(vb) for vb in _vertices_by_star_size(g)]
     seen = {c.bits for c in candidates}
@@ -179,8 +171,7 @@ def _sphere(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
         st, cert = _contractible(ctx, star_complement(g, x.bits))
         if st is YES:
             return YES, x.vertices + cert
-        saw_unknown = saw_unknown or st is UNKNOWN
-    return (UNKNOWN if saw_unknown else NO), ()
+    return NO, ()
 
 
 @_step(_nonnegative)
@@ -189,13 +180,9 @@ def _manifold(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
 
 
 def _sphere_or_ball(ctx: _Ctx, h: Complex, d: int) -> tuple[Status, tuple]:
-    st, _ = _sphere(ctx, h, d)
-    if st is YES:
+    if _sphere(ctx, h, d)[0] is YES or _ball(ctx, h, d)[0] is YES:
         return YES, ()
-    bt, _ = _ball(ctx, h, d)
-    if bt is YES:
-        return YES, ()
-    return (UNKNOWN if UNKNOWN in (st, bt) else NO), ()
+    return NO, ()
 
 
 @_step(_nonnegative)
@@ -205,34 +192,26 @@ def _manifold_with_boundary(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tupl
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
 def _ball(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
-    mwb, _ = _manifold_with_boundary(ctx, g, d)
-    if mwb is not YES:
-        return mwb, ()
+    if _manifold_with_boundary(ctx, g, d)[0] is NO:
+        return NO, ()
     ct, cert = _contractible(ctx, g)
-    if ct is not YES:
-        return ct, ()
-    bd, st = _boundary_members(ctx, g, d)
-    if st is not YES:
-        return st, ()
-    sb, _ = _sphere(ctx, Complex(bd, _validated=True), d - 1)
+    if ct is NO:
+        return NO, ()
+    bd = Complex(_boundary_members(ctx, g, d), _validated=True)
+    sb, _ = _sphere(ctx, bd, d - 1)
     return sb, (cert if sb is YES else ())
 
 
-def _boundary_members(ctx: _Ctx, g: Complex, d: int) -> tuple[list[Simplex], Status]:
+def _boundary_members(ctx: _Ctx, g: Complex, d: int) -> list[Simplex]:
     """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
-    certified manifold with boundary."""
+    certified manifold with boundary, where every unit sphere is a
+    (d-1)-sphere or a (d-1)-ball."""
     out = []
     for x in g.simplices:
         sph = unit_sphere(g, x.bits)
-        st, _ = _sphere(ctx, sph, d - 1)
-        if st is YES:
-            continue
-        bt, _ = _ball(ctx, sph, d - 1)
-        if bt is YES:
+        if _sphere(ctx, sph, d - 1)[0] is NO and _ball(ctx, sph, d - 1)[0] is YES:
             out.append(x)
-            continue
-        return [], (UNKNOWN if UNKNOWN in (st, bt) else NO)
-    return out, YES
+    return out
 
 
 @_step(_void_sphere)
@@ -254,7 +233,10 @@ def _deep(fn, *args):
 
 def _run(fn, *args, budget: int) -> Verdict:
     ctx = _Ctx(budget)
-    status, cert = _deep(fn, ctx, *args)
+    try:
+        status, cert = _deep(fn, ctx, *args)
+    except _OutOfBudget:
+        return Verdict(UNKNOWN, (), ctx.used)
     return Verdict(status, cert, ctx.used)
 
 
@@ -289,15 +271,11 @@ def is_manifold_with_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) 
 
 
 def _boundary(ctx: _Ctx, g: Complex, d: int) -> list[Simplex]:
-    mwb, _ = _manifold_with_boundary(ctx, g, d)
-    if mwb is not YES:
+    if _manifold_with_boundary(ctx, g, d)[0] is NO:
         raise DomainError(
-            f"boundary extraction needs a manifold-with-boundary verdict of yes, got {mwb.value}"
+            "boundary extraction needs a manifold-with-boundary verdict of yes, got no"
         )
-    members, st = _boundary_members(ctx, g, d)
-    if st is not YES:
-        raise DomainError("boundary classification ran out of budget")
-    return members
+    return _boundary_members(ctx, g, d)
 
 
 def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Complex:
@@ -306,7 +284,10 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
     Requires g to be certified as a d-manifold with boundary first; the
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
-    return Complex(_deep(_boundary, _Ctx(budget), g, d))
+    try:
+        return Complex(_deep(_boundary, _Ctx(budget), g, d))
+    except _OutOfBudget:
+        raise DomainError("boundary classification ran out of budget") from None
 
 
 def is_dehn_sommerville(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:

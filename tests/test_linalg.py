@@ -1,13 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar.characteristics import fermi
 from higherchar.complexes import Complex
-from higherchar.errors import DomainError, SingularMatrixError
+from higherchar.errors import DomainError, ResourceBudgetError, SingularMatrixError
 from higherchar.generators import simplex_complex
 from higherchar.linalg import (
+    MAX_DENSE_SIZE,
     char_poly,
     connection_matrix,
     connection_matrix_via_cores,
@@ -150,12 +153,13 @@ class TestCharPoly:
 
 class TestSizeCap:
     def test_dense_cap_enforced(self):
-        from higherchar.errors import ResourceBudgetError
-        from higherchar.linalg import MAX_DENSE_SIZE
-
         big = [[0] * (MAX_DENSE_SIZE + 1)] * (MAX_DENSE_SIZE + 1)
         with pytest.raises(ResourceBudgetError):
             det(big)
+
+    def test_rank_cap_enforced(self):
+        with pytest.raises(ResourceBudgetError):
+            rank([[1]] * (MAX_DENSE_SIZE + 1))
 
 
 class TestRank:
@@ -167,3 +171,63 @@ class TestRank:
 
     def test_rectangular(self):
         assert rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+
+    def test_integer_entries_only(self):
+        with pytest.raises(DomainError):
+            rank([[Fraction(1, 2), 1]])
+
+
+# Literal oracles for the one elimination behind det, rank and inverse.
+
+def laplace_det(m) -> int:
+    """Cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def minor_rank(m) -> int:
+    """The largest k such that some k x k minor is nonzero."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                if laplace_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+# mostly zeros, so rank-deficient and singular matrices are common
+ENTRIES = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=5))
+    return [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+
+
+class TestEliminationAgainstOracles:
+    @given(int_matrices(square=True))
+    @settings(max_examples=300, deadline=None)
+    def test_det_is_laplace(self, m):
+        assert det(m) == laplace_det(m)
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_is_largest_nonzero_minor(self, m):
+        assert rank(m) == minor_rank(m)
+
+    @given(int_matrices(square=True))
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_or_singular(self, m):
+        if laplace_det(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            return
+        inv = inverse(m)
+        assert mat_mul(m, inv) == identity_matrix(len(m))
+        integral = all(Fraction(x).denominator == 1 for row in inv for x in row)
+        assert all(type(x) is int for row in inv for x in row) == integral

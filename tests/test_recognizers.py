@@ -256,8 +256,14 @@ class TestPinnedVerdicts:
         assert (v.status.value, v.certificate, v.calls_used) == (status, certificate, calls)
 
     def test_small_budget_unknown(self):
+        # the refused 51st call ends the search
         v = is_sphere(cross_polytope(3), 3, budget=50)
-        assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 148)
+        assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 51)
+
+    def test_spent_budget_ends_search(self):
+        g = barycentric(barycentric(cross_polytope(2)))
+        v = is_ball(g, 2, budget=50)
+        assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 51)
 
 
 class TestProcessState:
