@@ -7,12 +7,23 @@ The m'th characteristic of a collection A of simplices is
 
 with weight(x) = (-1)^dim(x).  m=1 is the Euler characteristic, m=2 the Wu
 characteristic.  The production evaluator regroups the tuple sum over the
-poset of faces: with N(p) = sum of weights of members containing p, the sum
-of weights over tuples whose intersection contains p is N(p)^m, and an
-inclusion-exclusion down the face poset isolates the tuples whose
-intersection is exactly p.  That turns the |A|^m enumeration into a few
-passes linear in the number of faces.  ``w_m_naive`` keeps the literal
-definition; it is the oracle in tests and the global path of the benchmark.
+poset of faces.  With N(q) the sum of the weights of the members that
+contain the face q, N(q)^m is the weighted count of the tuples whose
+intersection contains q; Möbius inversion on the Boolean lattice isolates
+the tuples whose intersection is exactly p, and summing over p in A gives
+
+    w_m(A) = sum over faces q of members of A of  c(q) * N(q)^m,
+    c(q)   = sum over p in A with p ⊆ q of  (-1)^(|q|-|p|).
+
+N and c do not depend on m, so ``_face_terms_of`` computes them once per
+set, in two passes over the faces of the members, and keeps them grouped by
+N as (N, Σc) pairs; w_m for any m is then one short sum.  The per-complex
+star, ball and sphere tables cache these terms per complex.  The k-point
+configuration sums fold the |G|^k configurations by their union with a
+zeta transform and a Möbius inversion on the faces of each simplex
+(``_union_weights``).  ``w_m_naive`` keeps the literal definition, and
+``method="direct"`` the literal configuration sum; they are the oracles in
+tests, and ``w_m_naive`` is the global path of the benchmark.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -56,44 +66,50 @@ def _weight_of_bits(b: int) -> int:
     return 1 if b.bit_count() & 1 else -1
 
 
-def _wm_bits(member_bits: Iterable[int], member_set: frozenset[int], m: int) -> int:
-    """Face-poset evaluation of w_m over a collection given by bit masks."""
-    if m < 1:
-        raise InputError("the arity m must be at least 1")
+def _face_terms_of(member_bits: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The m-independent face terms of a collection of distinct bit masks.
+
+    Returns (N, C) pairs with w_m = sum of C * N**m for every m >= 1, where
+    C sums c(q) over the faces q with N(q) = N (see the module docstring).
+    Faces with N(q) = 0 are left out, since they add 0 for every m >= 1.
+    """
+    weights = {b: 1 if b.bit_count() & 1 else -1 for b in member_bits}
     counts: dict[int, int] = {}
-    for b in member_bits:
-        w = _weight_of_bits(b)
+    for b, w in weights.items():
         sub = b
         while sub:
             counts[sub] = counts.get(sub, 0) + w
             sub = (sub - 1) & b
-    if not counts:
-        return 0
-    faces = sorted(counts, key=int.bit_count, reverse=True)
-    excess: dict[int, int] = {}
-    total = 0
-    for p in faces:
-        e = counts[p] ** m - excess.get(p, 0)
-        if e:
-            if p in member_set:
-                total += e
-            sub = (p - 1) & p
-            while sub:
-                excess[sub] = excess.get(sub, 0) + e
-                sub = (sub - 1) & p
-    return total
+    get = weights.get
+    grouped: dict[int, int] = {}
+    for q, n in counts.items():
+        if not n:
+            continue
+        # (-1)^(|q|-|p|) = weight(q) * weight(p)
+        t = 0
+        sub = q
+        while sub:
+            t += get(sub, 0)
+            sub = (sub - 1) & q
+        if t:
+            grouped[n] = grouped.get(n, 0) + (t if q.bit_count() & 1 else -t)
+    return tuple((n, c) for n, c in grouped.items() if c)
+
+
+def _eval_terms(terms: Iterable[tuple[int, int]], m: int) -> int:
+    return sum(c * n**m for n, c in terms)
 
 
 def w_m(a, m: int) -> int:
     """Exact m'th characteristic of a complex or an arbitrary simplex subset."""
-    members = _members(a)
-    bits = [s.bits for s in members]
-    return _wm_bits(bits, frozenset(bits), m)
+    if m < 1:
+        raise InputError("the arity m must be at least 1")
+    return _eval_terms(_face_terms_of(s.bits for s in _members(a)), m)
 
 
 @lru_cache(maxsize=65536)
 def _wm_of_bitset(member_set: frozenset[int], m: int) -> int:
-    return _wm_bits(member_set, member_set, m)
+    return _eval_terms(_face_terms_of(member_set), m)
 
 
 def _wm_naive_bits(
@@ -317,16 +333,14 @@ def _ball_members_of(g: Complex) -> dict[int, frozenset[int]]:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _star_wm(g: Complex, m: int) -> dict[int, int]:
-    return {
-        z: _wm_bits(mem, frozenset(mem), m) for z, mem in _stars_of(g).items()
-    }
+@lru_cache(maxsize=512)
+def _star_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
+    return {z: _face_terms_of(mem) for z, mem in _stars_of(g).items()}
 
 
-@lru_cache(maxsize=1024)
-def _ball_wm(g: Complex, m: int) -> dict[int, int]:
-    return {z: _wm_of_bitset(mem, m) for z, mem in _ball_members_of(g).items()}
+@lru_cache(maxsize=512)
+def _ball_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
+    return {z: _face_terms_of(mem) for z, mem in _ball_members_of(g).items()}
 
 
 @lru_cache(maxsize=512)
@@ -339,37 +353,67 @@ def _sphere_sets(g: Complex) -> tuple[frozenset[int], ...]:
     )
 
 
+@lru_cache(maxsize=512)
+def _sphere_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
+    return {
+        s.bits: _face_terms_of(sph) for s, sph in zip(g.simplices, _sphere_sets(g))
+    }
+
+
+@lru_cache(maxsize=1024)
+def _star_wm(g: Complex, m: int) -> dict[int, int]:
+    return {z: _eval_terms(t, m) for z, t in _star_terms(g).items()}
+
+
+@lru_cache(maxsize=1024)
+def _ball_wm(g: Complex, m: int) -> dict[int, int]:
+    return {z: _eval_terms(t, m) for z, t in _ball_terms(g).items()}
+
+
 @lru_cache(maxsize=1024)
 def _sphere_wm(g: Complex, m: int) -> dict[int, int]:
-    return {
-        s.bits: _wm_of_bitset(sph, m) for s, sph in zip(g.simplices, _sphere_sets(g))
-    }
+    return {z: _eval_terms(t, m) for z, t in _sphere_terms(g).items()}
+
+
+def _union_cost(g: Complex, k: int) -> int:
+    """Steps of ``_union_weights(g, k)``: both subset passes, plus the powers,
+    charged k per simplex since the bit length of a k'th power grows with k."""
+    return sum(2 << len(s) for s in g.simplices) + k * len(g)
 
 
 @lru_cache(maxsize=512)
 def _union_weights(g: Complex, k: int) -> dict[int, int]:
-    """Weighted count of k-tuples by their union, pruned to unions inside g.
+    """Weighted count of the k-tuples of g by their union, for unions in g.
 
-    Tuples whose running union leaves the complex can never rejoin it (a
-    superset of a non-member is a non-member), and they contribute nothing to
-    any star-based sum, so they are dropped as soon as they die.  Costs
-    (k-1) * |g|^2 dictionary updates.
+    Zeta pass: F(z) = (sum of weight(x) over the faces x of z)^k is the
+    weighted count of the k-tuples whose union lies inside z; every face of
+    z is in g, as g is closed.  Möbius pass over the faces of z:
+    sum of (-1)^(|z|-|y|) * F(y) over y ⊆ z counts the tuples whose union is
+    exactly z.  Tuples whose union is not a simplex of g have an empty star
+    intersection and add nothing to any star-based sum, so they are not
+    counted.  Entries that come out 0 are left out.  Costs
+    ``_union_cost(g, k)`` steps, O(sum over z of 2^|z|) for fixed k.
     """
-    bits = [s.bits for s in g.simplices]
-    ws = [s.weight for s in g.simplices]
-    members = g.member_bits
-    cur: dict[int, int] = {}
-    for b, w in zip(bits, ws):
-        cur[b] = w
-    for _ in range(k - 1):
-        nxt: dict[int, int] = {}
-        for u, acc in cur.items():
-            for b, w in zip(bits, ws):
-                ub = u | b
-                if ub in members:
-                    nxt[ub] = nxt.get(ub, 0) + acc * w
-        cur = nxt
-    return cur
+    ws = {s.bits: s.weight for s in g.simplices}
+    # weight(y) * F(y), since (-1)^(|z|-|y|) = weight(z) * weight(y)
+    signed: dict[int, int] = {}
+    for z, wz in ws.items():
+        t = 0
+        sub = z
+        while sub:
+            t += ws[sub]
+            sub = (sub - 1) & z
+        signed[z] = wz * t**k
+    out: dict[int, int] = {}
+    for z, wz in ws.items():
+        u = 0
+        sub = z
+        while sub:
+            u += signed[sub]
+            sub = (sub - 1) & z
+        if u:
+            out[z] = wz * u
+    return out
 
 
 def _energized_wm(
@@ -491,11 +535,12 @@ def _configuration_sum(
     op_budget: int | None,
 ) -> int:
     if method == "grouped":
-        if op_budget is not None and (k - 1) * len(g) ** 2 > op_budget:
-            raise ResourceBudgetError(
-                f"grouped sum would take {(k - 1) * len(g)**2} updates, "
-                f"over the budget {op_budget}"
-            )
+        if op_budget is not None:
+            cost = _union_cost(g, k)
+            if cost > op_budget:
+                raise ResourceBudgetError(
+                    f"grouped sum would take {cost} steps, over the budget {op_budget}"
+                )
         uw = _union_weights(g, k)
         return sum(acc * table[z] for z, acc in uw.items())
     if method == "direct":
@@ -556,9 +601,12 @@ def dual_sphere_sum(
             w = 1
             for i in combo:
                 w *= ws[i]
+            # k! / prod(c!) over the runs of equal indices in the sorted combo
             mult = kfact
-            for c in Counter(combo).values():
-                mult //= math.factorial(c)
+            run = 1
+            for a, b in zip(combo, combo[1:]):
+                run = run + 1 if a == b else 1
+                mult //= run
             total += mult * w * val
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("dual-sphere", m, k, 0, total, total == 0, len(g), elapsed)

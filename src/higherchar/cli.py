@@ -1,8 +1,9 @@
 """Command line surface.
 
 Exit codes: 0 pass, 1 identity failure (or a NO verdict), 2 resource budget
-exceeded, 3 input error.  Every run is fully determined by its flags; with
-``--json`` all reports are machine readable JSON, one object per line.
+exceeded (also on MemoryError and RecursionError), 3 input error.  Every run
+is fully determined by its flags; with ``--json`` all reports are machine
+readable JSON, one object per line.
 """
 
 from __future__ import annotations
@@ -410,6 +411,12 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         note = f" (partial: {exc.partial})" if exc.partial is not None else ""
         print(f"resource budget exceeded: {exc}{note}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource limit exceeded: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("resource limit exceeded: recursion too deep", file=sys.stderr)
         return 2
     except (HigherCharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

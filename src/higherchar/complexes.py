@@ -99,7 +99,7 @@ class Simplex:
     def __lt__(self, other):
         if not isinstance(other, Simplex):
             return NotImplemented
-        return (len(self.vertices), self.vertices) < (len(other.vertices), other.vertices)
+        return _canonical_key(self) < _canonical_key(other)
 
     def __le__(self, other):
         if not isinstance(other, Simplex):
@@ -114,6 +114,11 @@ def _coerce_simplex(s) -> Simplex:
     return s if isinstance(s, Simplex) else Simplex(s)
 
 
+def _canonical_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical order; the same order as ``Simplex.__lt__``."""
+    return (len(s.vertices), s.vertices)
+
+
 class Complex:
     """An immutable simplicial complex.
 
@@ -126,7 +131,7 @@ class Complex:
     __slots__ = ("simplices", "_bits_set", "_index", "_hash")
 
     def __init__(self, simplices: Iterable = (), *, _validated: bool = False):
-        ss = sorted(_coerce_simplex(s) for s in simplices)
+        ss = sorted(map(_coerce_simplex, simplices), key=_canonical_key)
         out: list[Simplex] = []
         for s in ss:
             if not out or s.bits != out[-1].bits:
@@ -353,8 +358,8 @@ def _members(a) -> tuple[Simplex, ...]:
     if isinstance(a, Complex):
         return a.simplices
     if isinstance(a, SimplexSubset):
-        return tuple(sorted(a.members))
-    return tuple(sorted(_coerce_simplex(s) for s in a))
+        return tuple(sorted(a.members, key=_canonical_key))
+    return tuple(sorted(map(_coerce_simplex, a), key=_canonical_key))
 
 
 def boundary_set(a) -> SimplexSubset:

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar.characteristics import (
     InteractionFunction,
+    _ball_wm,
+    _sphere_wm,
+    _star_wm,
+    _union_weights,
     curvature_profile,
     dual_sphere_sum,
     energy_sum,
@@ -23,9 +28,25 @@ from higherchar.characteristics import (
 from higherchar.complexes import Complex, Simplex, SimplexSubset, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.generators import random_whitney
-from higherchar.topology import star
+from higherchar.topology import ball, star, star_intersection_by_scan, unit_sphere
 
 from strategies import random_complexes
+
+
+def _union_weights_by_pairwise_fold(g, k):
+    """Oracle for _union_weights: fold k-tuples pairwise by their running
+    union, dropping a tuple once its union leaves g, in (k-1) * |g|^2 steps."""
+    members = g.member_bits
+    cur = {s.bits: s.weight for s in g.simplices}
+    for _ in range(k - 1):
+        nxt = {}
+        for u, acc in cur.items():
+            for s in g.simplices:
+                ub = u | s.bits
+                if ub in members:
+                    nxt[ub] = nxt.get(ub, 0) + acc * s.weight
+        cur = nxt
+    return cur
 
 
 class TestWm:
@@ -71,9 +92,46 @@ class TestWm:
             for m in (1, 2, 3):
                 assert w_m(u, m) == w_m_naive(u, m)
 
+    @given(random_complexes(max_vertices=6, max_edges=9), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_open_and_arbitrary_subsets_match_naive(self, g, data):
+        from higherchar.cli import random_open_set
+        from higherchar.generators import SplitMix64
+
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        mask = data.draw(st.integers(min_value=0, max_value=2 ** len(g) - 1))
+        arbitrary = SimplexSubset(
+            g, [s for i, s in enumerate(g.simplices) if mask >> i & 1]
+        )
+        for u in (random_open_set(g, SplitMix64(seed)), arbitrary):
+            for m in (1, 2, 3, 4):
+                assert w_m(u, m) == w_m_naive(u, m)
+
     def test_naive_budget(self, octa):
         with pytest.raises(ResourceBudgetError):
             w_m_naive(octa, 8, op_budget=10**6)
+
+
+class TestFaceTermTables:
+    """The cached per-complex tables against w_m_naive of U(z), B(z) and S(z)
+    built through topology, and the union weights against a pairwise fold."""
+
+    @given(random_complexes(max_vertices=6, max_edges=10))
+    @settings(max_examples=50, deadline=None)
+    def test_star_ball_sphere_tables_match_naive(self, g):
+        for m in (1, 2, 3, 4):
+            stars, balls, spheres = _star_wm(g, m), _ball_wm(g, m), _sphere_wm(g, m)
+            for z in g.simplices:
+                assert stars[z.bits] == w_m_naive(star_intersection_by_scan(g, [z]), m)
+                assert balls[z.bits] == w_m_naive(ball(g, [z]), m)
+                assert spheres[z.bits] == w_m_naive(unit_sphere(g, z.bits), m)
+
+    @given(random_complexes())
+    @settings(max_examples=30, deadline=None)
+    def test_union_weights_match_pairwise_fold(self, g):
+        for k in (1, 2, 3, 4):
+            fold = _union_weights_by_pairwise_fold(g, k)
+            assert _union_weights(g, k) == {z: v for z, v in fold.items() if v}
 
 
 class TestEnergized:

@@ -107,6 +107,19 @@ class TestVerify:
                    "--budget", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_memory_and_recursion_exit_2(self, capsys, monkeypatch, octa_file, exc):
+        import higherchar.cli as cli
+
+        def boom(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "cmd_info", boom)
+        assert main(["info", octa_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit exceeded: ")
+        assert err.count("\n") == 1
+
 
 class TestBench:
     def test_values_agree_and_figures_reported(self, capsys, tmp_path):
