@@ -133,6 +133,12 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         return [ch.EnergyReport("valuation", m, 2, args.pairs, passed,
                                 passed == args.pairs, len(g), elapsed)]
     if suite == "local-valuation":
+        n = len(g)
+        # n^k >= 2^k > budget once k reaches the budget's bit length
+        if n > 1 and (k >= args.budget.bit_length() or n**k > args.budget):
+            raise ResourceBudgetError(
+                f"local-valuation would walk {n}^{k} configurations, over the budget {args.budget}"
+            )
         t0 = time.perf_counter()
         total = passed = 0
         import itertools
@@ -147,17 +153,19 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
     if suite == "green-inverse":
         t0 = time.perf_counter()
         n = len(g)
-        prod = linalg.mat_mul(linalg.connection_matrix(g), linalg.green_matrix(g))
+        prod = linalg.mat_mul_via_faces(g, linalg.connection_matrix(g), linalg.green_matrix(g),
+                                        op_budget=args.budget)
+        # entries of L * g that differ from the identity, from its sparse rows
         mismatches = sum(
-            1 for i in range(n) for j in range(n)
-            if prod[i][j] != (1 if i == j else 0)
+            sum(1 for j, x in row.items() if x != (i == j)) + (i not in row)
+            for i, row in enumerate(prod)
         )
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("green-inverse", m, k, 0, mismatches,
                                 mismatches == 0, n, elapsed)]
     if suite == "det-fermi":
         t0 = time.perf_counter()
-        lhs = linalg.det(linalg.connection_matrix(g))
+        lhs = linalg.det_via_faces(g, linalg.connection_matrix(g), op_budget=args.budget)
         rhs = ch.fermi(g)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("det-fermi", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]
@@ -347,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--right", default=None, help="second complex for the product suite")
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility and ignored")
-    sp.add_argument("--budget", type=int, default=ch.DEFAULT_OP_BUDGET)
+    sp.add_argument("--budget", type=int, default=ch.DEFAULT_OP_BUDGET,
+                    help="operation budget; a suite whose cost is over it exits 2")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_verify)
 

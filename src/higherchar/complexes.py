@@ -227,10 +227,20 @@ class Complex:
 
 
 def closure(simplices: Iterable, *, simplex_budget: int | None = None) -> Complex:
-    """Smallest complex containing every given simplex; idempotent."""
+    """Smallest complex containing every given simplex; idempotent.
+
+    With a ``simplex_budget``, a simplex whose 2^|s| - 1 faces alone exceed
+    it is refused before any of them is built.
+    """
     found: dict[int, Simplex] = {}
     for s in simplices:
         s = _coerce_simplex(s)
+        if simplex_budget is not None and (1 << len(s.vertices)) - 1 > simplex_budget:
+            raise ResourceBudgetError(
+                f"a simplex with {len(s.vertices)} vertices has {(1 << len(s.vertices)) - 1}"
+                f" faces, over the budget of {simplex_budget} simplices",
+                partial=len(found),
+            )
         sub = s.bits
         while sub:
             if sub not in found:

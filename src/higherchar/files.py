@@ -3,7 +3,8 @@
 Facet format: UTF-8 text, one facet per line, vertices as base-10 integers
 separated by whitespace, ``#`` starts a comment line; the complex is the
 closure of the facets.  Edge-list format: first meaningful line ``graph``,
-then one ``u v`` pair per line; the complex is the clique complex.
+then one ``u v`` pair per line; the complex is the clique complex.  Either
+complex is built under a budget of MAX_SIMPLICES simplices.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .complexes import Complex, closure, whitney
 from .errors import InputError
 
 __all__ = [
+    "MAX_SIMPLICES",
     "parse_facets",
     "parse_edge_list",
     "parse_complex",
@@ -21,6 +23,9 @@ __all__ = [
     "format_facets",
     "save_complex",
 ]
+
+# simplices a complex read from text may hold; a 17-vertex simplex fits
+MAX_SIMPLICES = 1 << 17
 
 
 def _meaningful_lines(text: str):
@@ -39,7 +44,7 @@ def parse_facets(text: str) -> Complex:
             raise InputError(f"expected integers, got {line!r}", lineno=lineno) from exc
         if facets[-1] and min(facets[-1]) < 0:
             raise InputError("negative vertex id", lineno=lineno)
-    return closure(facets)
+    return closure(facets, simplex_budget=MAX_SIMPLICES)
 
 
 def parse_edge_list(text: str) -> Complex:
@@ -58,7 +63,7 @@ def parse_edge_list(text: str) -> Complex:
             raise InputError(f"expected integers, got {line!r}", lineno=lineno) from exc
         vertices.update((u, v))
         edges.append((u, v))
-    return whitney(vertices, edges)
+    return whitney(vertices, edges, simplex_budget=MAX_SIMPLICES)
 
 
 def parse_complex(text: str) -> Complex:

@@ -107,6 +107,76 @@ class TestVerify:
                    "--budget", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "suite,extra",
+        [("det-fermi", []), ("green-inverse", []), ("local-valuation", ["-k", "2"]),
+         ("local-valuation", ["-k", "1000000000"])],
+    )
+    def test_tiny_budget_exit_2(self, capsys, octa_file, suite, extra):
+        rc = main(["verify", suite, octa_file, "--budget", "1"] + extra)
+        assert rc == 2
+        assert "over the budget 1" in capsys.readouterr().err
+
+    def test_local_valuation_charges_configurations(self, capsys, octa_file):
+        # the octahedron has 26 simplices: 26^2 = 676 configurations
+        assert main(["verify", "local-valuation", octa_file, "-k", "2",
+                     "--budget", "675"]) == 2
+        assert main(["verify", "local-valuation", octa_file, "-k", "2",
+                     "--budget", "676"]) == 0
+
+    def test_det_fermi_reads_the_matrix_it_is_given(self, capsys, monkeypatch, octa_file):
+        # Flip one off-diagonal entry of L where g(j, i) != 0, which moves
+        # det L by +-g(j, i); the suite must report the flipped determinant.
+        import higherchar.linalg as linalg
+        from higherchar.characteristics import fermi
+
+        octa = cross_polytope(2)
+        green = linalg.green_matrix(octa)
+        j = next(j for j in range(1, len(octa)) if green[j][0])
+        build = linalg.connection_matrix
+
+        def flipped(g):
+            mat = build(g)
+            mat[0][j] = 1 - mat[0][j]
+            return mat
+
+        monkeypatch.setattr(linalg, "connection_matrix", flipped)
+        rc, out = run(capsys, ["verify", "det-fermi", octa_file, "--json"])
+        d = json.loads(out)
+        assert d["lhs"] == linalg.det(flipped(octa))
+        assert d["lhs"] != fermi(octa) == d["rhs"]
+        assert rc == 1
+
+    def test_green_inverse_counts_dense_mismatches(self, capsys, monkeypatch, octa_file):
+        import higherchar.linalg as linalg
+
+        octa = cross_polytope(2)
+        build = linalg.green_matrix
+
+        def corrupted(g):
+            mat = build(g)
+            mat[3][5] += 2
+            return mat
+
+        monkeypatch.setattr(linalg, "green_matrix", corrupted)
+        prod = linalg.mat_mul(linalg.connection_matrix(octa), corrupted(octa))
+        want = sum(1 for i, row in enumerate(prod) for j, x in enumerate(row)
+                   if x != (i == j))
+        rc, out = run(capsys, ["verify", "green-inverse", octa_file, "--json"])
+        d = json.loads(out)
+        assert want > 0 and d["rhs"] == want and d["lhs"] == 0
+        assert rc == 1
+
+    def test_huge_facet_exit_2_at_once(self, capsys, tmp_path):
+        import time
+
+        p = tmp_path / "big.facets"
+        p.write_text(" ".join(map(str, range(24))) + "\n")
+        t0 = time.perf_counter()
+        assert main(["info", str(p)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "faces, over the budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
     def test_memory_and_recursion_exit_2(self, capsys, monkeypatch, octa_file, exc):
         import higherchar.cli as cli

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar.characteristics import w_m
 from higherchar.cohomology import (
@@ -119,6 +120,18 @@ class TestBetti:
             assert sum((-1) ** i * b for i, b in enumerate(bv)) == w_m(u, 1)
             if len(u):
                 assert betti_relative(u) == bv
+
+
+    @given(random_complexes(max_vertices=7, max_edges=12),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_relative_route_on_random_open_sets(self, g, seed):
+        from higherchar.cli import random_open_set
+        from higherchar.generators import SplitMix64
+
+        u = random_open_set(g, SplitMix64(seed))
+        if len(u):
+            assert betti_relative(u) == betti(u)
 
 
 class TestSupportKind:

@@ -74,6 +74,11 @@ class TestClosure:
         with pytest.raises(ResourceBudgetError):
             closure([range(1, 12)], simplex_budget=100)
 
+    def test_budget_refuses_a_large_simplex_before_building(self):
+        with pytest.raises(ResourceBudgetError) as exc:
+            closure([[1, 2], range(40)], simplex_budget=10**6)
+        assert exc.value.partial == 3
+
 
 class TestComplex:
     def test_validation(self):

@@ -1,7 +1,8 @@
 import pytest
 
-from higherchar.errors import InputError
+from higherchar.errors import InputError, ResourceBudgetError
 from higherchar.files import (
+    MAX_SIMPLICES,
     format_facets,
     load_complex,
     parse_complex,
@@ -24,6 +25,17 @@ class TestFacets:
     def test_empty_file_is_void(self):
         assert len(parse_facets("")) == 0
 
+    def test_simplex_budget(self):
+        # a 17-vertex facet has 2^17 - 1 faces and fits; 18 vertices do not
+        assert (1 << 17) - 1 <= MAX_SIMPLICES < (1 << 18) - 1
+        with pytest.raises(ResourceBudgetError):
+            parse_facets(" ".join(map(str, range(18))))
+
+    def test_large_complexes_still_load(self):
+        g = random_whitney(60, 900, 1)
+        assert len(g) == 23270
+        assert parse_facets(format_facets(g)) == g
+
     def test_error_carries_line_number(self):
         with pytest.raises(InputError) as exc:
             parse_facets("1 2\nx\n")
@@ -45,6 +57,12 @@ class TestEdgeList:
     def test_basic(self):
         g = parse_edge_list("graph\n1 2\n2 3\n1 3\n")
         assert g.f_vector == (3, 3, 1)
+
+    def test_simplex_budget(self):
+        # the complete graph on 24 vertices spans a 24-vertex clique
+        edges = "".join(f"{u} {v}\n" for u in range(24) for v in range(u + 1, 24))
+        with pytest.raises(ResourceBudgetError):
+            parse_edge_list("graph\n" + edges)
 
     def test_header_required(self):
         with pytest.raises(InputError):

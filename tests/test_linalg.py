@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,10 +16,12 @@ from higherchar.linalg import (
     connection_matrix,
     connection_matrix_via_cores,
     det,
+    det_via_faces,
     green_matrix,
     identity_matrix,
     inverse,
     mat_mul,
+    mat_mul_via_faces,
     rank,
 )
 
@@ -231,3 +234,132 @@ class TestEliminationAgainstOracles:
         assert mat_mul(m, inv) == identity_matrix(len(m))
         integral = all(Fraction(x).denominator == 1 for row in inv for x in row)
         assert all(type(x) is int for row in inv for x in row) == integral
+
+
+# -- the face-poset route against Bareiss det and mat_mul ------------------
+
+def densify(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def mismatches(prod) -> int:
+    return sum(1 for i, row in enumerate(prod) for j, x in enumerate(row) if x != (i == j))
+
+
+@st.composite
+def complex_and_matrix(draw):
+    """A small random complex and a square integer matrix indexed by its
+    simplices."""
+    g = draw(random_complexes(max_vertices=5, max_edges=7))
+    return g, [[draw(ENTRIES) for _ in g.simplices] for _ in g.simplices]
+
+
+class TestFaceRoutes:
+    def test_k2_worked_example(self, k2):
+        assert det_via_faces(k2, K2_L) == -1
+        assert densify(mat_mul_via_faces(k2, K2_L, K2_G), 3) == identity_matrix(3)
+
+    def test_budget_charges_the_face_passes(self, octa):
+        # one pass: 12 edges with 2 vertices and 8 triangles with 3
+        one = 12 * 2 + 8 * 3
+        L, G = connection_matrix(octa), green_matrix(octa)
+        assert det_via_faces(octa, L, op_budget=2 * one) == 1
+        with pytest.raises(ResourceBudgetError):
+            det_via_faces(octa, L, op_budget=2 * one - 1)
+        mat_mul_via_faces(octa, L, G, op_budget=4 * one)
+        with pytest.raises(ResourceBudgetError):
+            mat_mul_via_faces(octa, L, G, op_budget=4 * one - 1)
+
+    def test_wrong_shape_rejected(self, k2):
+        with pytest.raises(DomainError):
+            det_via_faces(k2, identity_matrix(2))
+        with pytest.raises(DomainError):
+            mat_mul_via_faces(k2, K2_L, identity_matrix(2))
+        with pytest.raises(DomainError):
+            mat_mul_via_faces(k2, K2_L, [[1, 0], [0, 1], [1]])
+
+    def test_integer_entries_only(self, k2):
+        with pytest.raises(DomainError):
+            det_via_faces(k2, [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_input_left_unchanged(self, octa):
+        L = connection_matrix(octa)
+        G = green_matrix(octa)
+        copies = [list(r) for r in L], [list(r) for r in G]
+        det_via_faces(octa, L)
+        mat_mul_via_faces(octa, L, G)
+        assert (L, G) == copies
+
+    @given(random_complexes(max_vertices=7, max_edges=12))
+    @settings(max_examples=60, deadline=None)
+    def test_det_of_connection_matrix_is_bareiss(self, g):
+        L = connection_matrix(g)
+        assert det_via_faces(g, L) == det(L)
+
+    @given(complex_and_matrix())
+    @settings(max_examples=120, deadline=None)
+    def test_det_of_any_integer_matrix_is_bareiss(self, gm):
+        g, a = gm
+        assert det_via_faces(g, a) == det(a)
+
+    @given(complex_and_matrix(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_product_of_any_integer_matrices_is_mat_mul(self, gm, m, seed):
+        g, a = gm
+        rng = random.Random(seed)
+        b = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(m)] for _ in a]
+        assert densify(mat_mul_via_faces(g, a, b), m) == mat_mul(a, b)
+
+    @given(random_complexes(max_vertices=7, max_edges=12), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_connection_matrix_times_random_factor(self, g, m, seed):
+        L = connection_matrix(g)
+        rng = random.Random(seed)
+        b = [[rng.randint(-4, 4) for _ in range(m)] for _ in L]
+        assert densify(mat_mul_via_faces(g, L, b), m) == mat_mul(L, b)
+
+    @given(random_complexes(max_vertices=7, max_edges=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_green_mismatches_as_dense(self, g, data):
+        n = len(g)
+        L, G = connection_matrix(g), green_matrix(g)
+        assert densify(mat_mul_via_faces(g, L, G), n) == identity_matrix(n)
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        j = data.draw(st.integers(min_value=0, max_value=n - 1))
+        G[i][j] += data.draw(st.sampled_from((-2, -1, 1, 5)))
+        prod = densify(mat_mul_via_faces(g, L, G), n)
+        assert prod == mat_mul(L, G)
+        assert mismatches(prod) > 0
+
+
+class TestSparseRank:
+    def test_dependent_rows_with_common_factors(self):
+        m = [[2, 4, 6], [3, 6, 9], [4, 0, 2], [6, 4, 8]]
+        assert rank(m) == minor_rank(m) == 2
+
+    @given(random_complexes(max_vertices=8, max_edges=18))
+    @settings(max_examples=40, deadline=None)
+    def test_coboundary_ranks_match_rational_elimination(self, g):
+        from higherchar.cohomology import coboundary
+
+        for i in range(g.dim):
+            d = coboundary(g, i)
+            assert rank(d) == fraction_rank(d)
+
+
+def fraction_rank(m) -> int:
+    """Textbook Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
