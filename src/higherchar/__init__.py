@@ -69,6 +69,7 @@ from .topology import (
     dual_sphere,
     generate_topology,
     is_open,
+    open_hull,
     open_refinement,
     sphere,
     star,

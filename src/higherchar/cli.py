@@ -16,11 +16,11 @@ import time
 from . import characteristics as ch
 from . import cohomology, linalg, recognizers
 from .complexes import Complex, Simplex, SimplexSubset, closure
-from .errors import DomainError, HigherCharError, InputError, ResourceBudgetError
+from .errors import HigherCharError, InputError, ResourceBudgetError
 from .files import format_facets, load_complex
 from .generators import GeneratorSpec, SplitMix64, generate
 from .product import topological_product
-from .topology import OpenSet, barycentric, star
+from .topology import OpenSet, barycentric, core, open_hull
 
 VERIFY_SUITES = (
     "energy",
@@ -59,17 +59,11 @@ def parse_set_token(g: Complex, token: str) -> SimplexSubset:
     if token == "none":
         return SimplexSubset(g, (), _trusted=True)
     if token.startswith("star:"):
+        return open_hull(g, map(_parse_simplex_token, token[5:].split(",")))
+    if token.startswith("core:"):
         members: set = set()
         for tok in token[5:].split(","):
-            members |= set(star(g, _parse_simplex_token(tok)).members)
-        return OpenSet(g, members, _trusted=True)
-    if token.startswith("core:"):
-        members = set()
-        for tok in token[5:].split(","):
-            x = _parse_simplex_token(tok)
-            if x not in g:
-                raise DomainError(f"{x!r} is not a simplex of the complex")
-            members |= set(closure([x]).simplices)
+            members |= set(core(g, _parse_simplex_token(tok)).simplices)
         return SimplexSubset(g, members, _trusted=True)
     raise InputError(f"bad set token {token!r}; expected all, none, star:... or core:...")
 
@@ -77,17 +71,12 @@ def parse_set_token(g: Complex, token: str) -> SimplexSubset:
 def random_open_set(g: Complex, rng: SplitMix64) -> OpenSet:
     """Union of the stars of a random sub-collection of simplices."""
     n = len(g)
-    if n == 0:
-        return OpenSet(g, (), _trusted=True)
     idx = list(range(n))
-    t = rng.below(n + 1)
+    t = rng.below(n + 1) if n else 0
     for i in range(t):
         j = i + rng.below(n - i)
         idx[i], idx[j] = idx[j], idx[i]
-    members: set = set()
-    for i in idx[:t]:
-        members |= set(star(g, g.simplices[i]).members)
-    return OpenSet(g, members, _trusted=True)
+    return open_hull(g, (g.simplices[i] for i in idx[:t]))
 
 
 def cmd_info(args) -> int:

@@ -113,8 +113,7 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
 
     Builds the full coboundaries of the ambient complex and restricts rows
     and columns to the open support (the cochains vanishing on the closed
-    complement).  Shipped as an independent route; it must agree with
-    ``betti``.
+    complement).  Shipped as a second route; it must agree with ``betti``.
     """
     if not u.is_open_set():
         raise DomainError("betti_relative expects an open set")
@@ -125,7 +124,7 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
     for i in range(len(levels) - 1):
         lo_all = glevels[i] if i < len(glevels) else []
         hi_all = glevels[i + 1] if i + 1 < len(glevels) else []
-        full = [[incidence_sign(y, x) for x in lo_all] for y in hi_all]
+        full = _coboundary(lo_all, hi_all)
         rows = [r for r, y in enumerate(hi_all) if y.bits in keep]
         cols = [c for c, x in enumerate(lo_all) if x.bits in keep]
         sub = [[full[r][c] for c in cols] for r in rows]

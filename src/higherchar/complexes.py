@@ -128,7 +128,7 @@ class Complex:
     taking nonempty subsets unless the caller guarantees it.
     """
 
-    __slots__ = ("simplices", "_bits_set", "_index", "_hash")
+    __slots__ = ("simplices", "_bits_set")
 
     def __init__(self, simplices: Iterable = (), *, _validated: bool = False):
         ss = sorted(map(_coerce_simplex, simplices), key=_canonical_key)
@@ -138,8 +138,6 @@ class Complex:
                 out.append(s)
         self.simplices: tuple[Simplex, ...] = tuple(out)
         self._bits_set = frozenset(s.bits for s in out)
-        self._index = {s.bits: i for i, s in enumerate(out)}
-        self._hash = hash(tuple(s.bits for s in out))
         if not _validated:
             missing = _missing_face(out, self._bits_set)
             if missing is not None:
@@ -176,7 +174,8 @@ class Complex:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        # CPython caches a frozenset's hash
+        return hash(self._bits_set)
 
     def __repr__(self) -> str:
         return f"Complex({len(self.simplices)} simplices, dim {self.dim})"
@@ -202,18 +201,6 @@ class Complex:
     @property
     def member_bits(self) -> frozenset[int]:
         return self._bits_set
-
-    def index_of(self, s: Simplex) -> int:
-        try:
-            return self._index[s.bits]
-        except KeyError:
-            raise DomainError(f"{s!r} is not a simplex of this complex") from None
-
-    def simplex_for_bits(self, bits: int) -> Simplex:
-        try:
-            return self.simplices[self._index[bits]]
-        except KeyError:
-            raise DomainError(f"no simplex with vertex set {vertices_of(bits)}") from None
 
     def facets(self) -> tuple[Simplex, ...]:
         """Locally maximal simplices: members contained in no strictly larger one."""
@@ -284,7 +271,7 @@ class SimplexSubset:
     star topology of the ambient complex.
     """
 
-    __slots__ = ("ambient", "members", "_member_bits", "_hash")
+    __slots__ = ("ambient", "members", "_member_bits")
 
     def __init__(self, ambient: Complex, members: Iterable, *, _trusted: bool = False):
         ms = frozenset(_coerce_simplex(s) for s in members)
@@ -295,7 +282,6 @@ class SimplexSubset:
         self.ambient = ambient
         self.members = ms
         self._member_bits = frozenset(s.bits for s in ms)
-        self._hash = hash((ambient._hash, self._member_bits))
 
     @property
     def member_bits(self) -> frozenset[int]:
@@ -321,7 +307,7 @@ class SimplexSubset:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ambient, self._member_bits))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.members)} of {len(self.ambient)} simplices)"
@@ -332,13 +318,13 @@ class SimplexSubset:
     def is_open_set(self) -> bool:
         """True iff upward closed: every member's coface is again a member."""
         mb = self._member_bits
+        # the ambient is closed: a member inside a non-member forces such a codim-one pair
         for y in self.ambient.simplices:
-            if y.bits in mb:
-                continue
             yb = y.bits
-            for b in mb:
-                if b & yb == b:
-                    return False
+            if yb not in mb:
+                for v in y.vertices:
+                    if yb ^ (1 << v) in mb:
+                        return False
         return True
 
     def complement(self) -> "SimplexSubset":

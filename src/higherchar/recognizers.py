@@ -12,7 +12,9 @@ boundary whose boundary is a (d-1)-sphere.
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
-Results are memoized on the exact labeled complex (no isomorphism
+A sub-complex is the tuple of its members' bit masks in canonical order; a
+link or a puncture is a filter of it, so it stays canonical unsorted.  Results
+are memoized on that tuple, the exact labeled complex (no isomorphism
 canonicalization), so repeated sub-complexes are checked once per query.
 """
 
@@ -22,9 +24,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .complexes import Complex, Simplex
+from .complexes import Complex, Simplex, vertices_of
 from .errors import DomainError, InputError
-from .topology import star_complement, unit_sphere
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -95,15 +96,15 @@ def _step(base):
 
     ``base(g, *args)`` settles trivial cases free of charge and returns None
     otherwise.  Each evaluation of the body costs one call, and its YES or NO
-    is memoized on the exact member set.
+    is memoized on g, the canonical tuple of member bit masks.
     """
 
     def wrap(body):
-        def step(ctx: _Ctx, g: Complex, *args) -> tuple[Status, tuple]:
+        def step(ctx: _Ctx, g: tuple[int, ...], *args) -> tuple[Status, tuple]:
             res = base(g, *args)
             if res is not None:
                 return res
-            key = (body, g.member_bits, *args)
+            key = (body, g, *args)
             hit = ctx.memo.get(key)
             if hit is not None:
                 return hit
@@ -116,23 +117,32 @@ def _step(base):
     return wrap
 
 
-def _void_sphere(g: Complex, d: int):
+def _unit_sphere(g: tuple[int, ...], members: set[int], xb: int) -> tuple[int, ...]:
+    """S(x) as a filter of g: s is not in U(x) and s ∪ x is a member."""
+    return tuple(s for s in g if s & xb != xb and s | xb in members)
+
+
+def _minus_star(g: tuple[int, ...], xb: int) -> tuple[int, ...]:
+    """G minus U(x), a filter of g."""
+    return tuple(s for s in g if s & xb != xb)
+
+
+def _void_sphere(g: tuple[int, ...], d: int):
     if d == -1:
-        return (YES if len(g) == 0 else NO), ()
-    if len(g) == 0:
+        return (NO if g else YES), ()
+    if not g:
         return NO, ()
     return None
 
 
-def _nonnegative(g: Complex, d: int):
+def _nonnegative(g: tuple[int, ...], d: int):
     if d < 0:
         raise InputError("manifold dimension must be non-negative")
 
 
-def _vertices_by_star_size(g: Complex) -> list[int]:
+def _vertices_by_star_size(g: tuple[int, ...]) -> list[int]:
     count: dict[int, int] = {}
-    for s in g.simplices:
-        b = s.bits
+    for b in g:
         while b:
             low = b & -b
             count[low] = count.get(low, 0) + 1
@@ -140,83 +150,85 @@ def _vertices_by_star_size(g: Complex) -> list[int]:
     return sorted(count, key=lambda vb: (count[vb], vb))
 
 
-def _every_link(ctx: _Ctx, g: Complex, d: int, test) -> tuple[Status, tuple]:
+def _every_link(ctx: _Ctx, g: tuple[int, ...], d: int, test) -> tuple[Status, tuple]:
     """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g."""
-    for x in g.simplices:
-        if test(ctx, unit_sphere(g, x.bits), d - 1)[0] is NO:
+    members = set(g)
+    for xb in g:
+        if test(ctx, _unit_sphere(g, members, xb), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
 
 
-@_step(lambda g: ((YES if len(g) else NO), ()) if len(g) <= 1 else None)
-def _contractible(ctx: _Ctx, g: Complex) -> tuple[Status, tuple]:
+@_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
+def _contractible(ctx: _Ctx, g: tuple[int, ...]) -> tuple[Status, tuple]:
+    members = set(g)
     for vbit in _vertices_by_star_size(g):
-        if _contractible(ctx, unit_sphere(g, vbit))[0] is not YES:
+        if _contractible(ctx, _unit_sphere(g, members, vbit))[0] is not YES:
             continue
-        s2, cert2 = _contractible(ctx, star_complement(g, vbit))
+        s2, cert2 = _contractible(ctx, _minus_star(g, vbit))
         if s2 is YES:
             return YES, (vbit.bit_length() - 1,) + cert2
     return NO, ()
 
 
 @_step(_void_sphere)
-def _sphere(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+def _sphere(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if _manifold(ctx, g, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
-    candidates = [Simplex.from_bits(vb) for vb in _vertices_by_star_size(g)]
-    seen = {c.bits for c in candidates}
-    candidates.extend(s for s in g.simplices if s.bits not in seen)
-    for x in candidates:
-        st, cert = _contractible(ctx, star_complement(g, x.bits))
+    candidates = _vertices_by_star_size(g)
+    seen = set(candidates)
+    candidates.extend(s for s in g if s not in seen)
+    for xb in candidates:
+        st, cert = _contractible(ctx, _minus_star(g, xb))
         if st is YES:
-            return YES, x.vertices + cert
+            return YES, vertices_of(xb) + cert
     return NO, ()
 
 
 @_step(_nonnegative)
-def _manifold(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+def _manifold(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     return _every_link(ctx, g, d, _sphere)
 
 
-def _sphere_or_ball(ctx: _Ctx, h: Complex, d: int) -> tuple[Status, tuple]:
+def _sphere_or_ball(ctx: _Ctx, h: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if _sphere(ctx, h, d)[0] is YES or _ball(ctx, h, d)[0] is YES:
         return YES, ()
     return NO, ()
 
 
 @_step(_nonnegative)
-def _manifold_with_boundary(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+def _manifold_with_boundary(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     return _every_link(ctx, g, d, _sphere_or_ball)
 
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
-def _ball(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
+def _ball(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if _manifold_with_boundary(ctx, g, d)[0] is NO:
         return NO, ()
     ct, cert = _contractible(ctx, g)
     if ct is NO:
         return NO, ()
-    bd = Complex(_boundary_members(ctx, g, d), _validated=True)
-    sb, _ = _sphere(ctx, bd, d - 1)
+    sb, _ = _sphere(ctx, _boundary_members(ctx, g, d), d - 1)
     return sb, (cert if sb is YES else ())
 
 
-def _boundary_members(ctx: _Ctx, g: Complex, d: int) -> list[Simplex]:
+def _boundary_members(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
     certified manifold with boundary, where every unit sphere is a
     (d-1)-sphere or a (d-1)-ball."""
+    members = set(g)
     out = []
-    for x in g.simplices:
-        sph = unit_sphere(g, x.bits)
+    for xb in g:
+        sph = _unit_sphere(g, members, xb)
         if _sphere(ctx, sph, d - 1)[0] is NO and _ball(ctx, sph, d - 1)[0] is YES:
-            out.append(x)
-    return out
+            out.append(xb)
+    return tuple(out)
 
 
 @_step(_void_sphere)
-def _dehn_sommerville(ctx: _Ctx, g: Complex, d: int) -> tuple[Status, tuple]:
-    if sum(s.weight for s in g.simplices) != 1 + (-1) ** d:
+def _dehn_sommerville(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
+    if sum(1 if s.bit_count() & 1 else -1 for s in g) != 1 + (-1) ** d:
         return NO, ()
     return _every_link(ctx, g, d, _dehn_sommerville)
 
@@ -231,10 +243,10 @@ def _deep(fn, *args):
         sys.setrecursionlimit(limit)
 
 
-def _run(fn, *args, budget: int) -> Verdict:
+def _run(fn, g: Complex, *args, budget: int) -> Verdict:
     ctx = _Ctx(budget)
     try:
-        status, cert = _deep(fn, ctx, *args)
+        status, cert = _deep(fn, ctx, tuple(s.bits for s in g.simplices), *args)
     except _OutOfBudget:
         return Verdict(UNKNOWN, (), ctx.used)
     return Verdict(status, cert, ctx.used)
@@ -270,7 +282,7 @@ def is_manifold_with_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) 
     return _run(_manifold_with_boundary, g, d, budget=budget)
 
 
-def _boundary(ctx: _Ctx, g: Complex, d: int) -> list[Simplex]:
+def _boundary(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
     if _manifold_with_boundary(ctx, g, d)[0] is NO:
         raise DomainError(
             "boundary extraction needs a manifold-with-boundary verdict of yes, got no"
@@ -285,9 +297,10 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
     try:
-        return Complex(_deep(_boundary, _Ctx(budget), g, d))
+        bd = _deep(_boundary, _Ctx(budget), tuple(s.bits for s in g.simplices), d)
     except _OutOfBudget:
         raise DomainError("boundary classification ran out of budget") from None
+    return Complex(map(Simplex.from_bits, bd))
 
 
 def is_dehn_sommerville(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:

@@ -2,7 +2,8 @@
 
 The stars U(x) = {y : x is a face of y} form the base of a non-Hausdorff
 topology on the set of simplices.  Closed sets are exactly the subcomplexes;
-an arbitrary union of stars is open.  Balls, spheres, dual spheres, topology
+an arbitrary union of stars is open, and ``open_hull`` builds one in a
+single pass over the complex.  Balls, spheres, dual spheres, topology
 generation and the refinement of complexes and open sets live here.
 """
 
@@ -19,13 +20,13 @@ __all__ = [
     "configuration",
     "config_weight",
     "star",
+    "open_hull",
     "core",
     "star_intersection",
     "star_intersection_by_scan",
     "ball",
     "sphere",
     "unit_sphere",
-    "star_complement",
     "dual_sphere",
     "is_open",
     "generate_topology",
@@ -52,10 +53,7 @@ def configuration(g: Complex, xs) -> tuple[Simplex, ...]:
     X = tuple(_coerce_simplex(x) for x in xs)
     if not X:
         raise InputError("a configuration needs at least one point (k >= 1)")
-    for x in X:
-        if x.bits not in g.member_bits:
-            raise DomainError(f"{x!r} is not a simplex of the complex")
-    return X
+    return tuple(_require_member(g, x) for x in X)
 
 
 def config_weight(xs: Sequence[Simplex]) -> int:
@@ -78,6 +76,27 @@ def star(g: Complex, x) -> OpenSet:
     x = _require_member(g, x)
     xb = x.bits
     return OpenSet(g, (y for y in g.simplices if xb & y.bits == xb), _trusted=True)
+
+
+def open_hull(g: Complex, xs) -> OpenSet:
+    """The smallest open set holding every simplex of xs: the union of their stars.
+
+    One pass over g in canonical order, faces before cofaces: y is kept when it
+    is one of xs or when one of its codimension-one faces was kept.
+    """
+    kept = {_require_member(g, x).bits for x in xs}
+    out = []
+    for y in g.simplices:
+        yb = y.bits
+        if yb in kept:
+            out.append(y)
+            continue
+        for v in y.vertices:
+            if yb ^ (1 << v) in kept:
+                kept.add(yb)
+                out.append(y)
+                break
+    return OpenSet(g, out, _trusted=True)
 
 
 def core(g: Complex, x) -> Complex:
@@ -145,20 +164,10 @@ def unit_sphere(g: Complex, xb: int) -> Complex:
     )
 
 
-def star_complement(g: Complex, xb: int) -> Complex:
-    """G minus U(x), the closed complement of the star of the vertex set x
-    given by its bit mask xb."""
-    return Complex((s for s in g.simplices if s.bits & xb != xb), _validated=True)
-
-
 def dual_sphere(g: Complex, xs) -> Complex:
     """Intersection of the unit spheres S(x_j) of the points of a configuration."""
-    X = configuration(g, xs)
-    members = None
-    for x in X:
-        s = frozenset(sphere(g, (x,)).simplices)
-        members = s if members is None else members & s
-    return Complex(members, _validated=True)
+    spheres = (frozenset(unit_sphere(g, x.bits)) for x in configuration(g, xs))
+    return Complex(frozenset.intersection(*spheres), _validated=True)
 
 
 def is_open(g: Complex, a) -> bool:

@@ -2,10 +2,34 @@ import json
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from higherchar.cli import main, parse_set_token, random_open_set
 from higherchar.complexes import closure
+from higherchar.errors import DomainError
 from higherchar.files import save_complex
 from higherchar.generators import SplitMix64, cross_polytope, path3, random_whitney
+from higherchar.topology import star
+
+from strategies import random_complexes
+
+
+def random_open_set_by_stars(g, rng):
+    """The same draws as random_open_set, then the union of the chosen stars,
+    one scan of g per chosen simplex."""
+    n = len(g)
+    if n == 0:
+        return frozenset()
+    idx = list(range(n))
+    t = rng.below(n + 1)
+    for i in range(t):
+        j = i + rng.below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    members = set()
+    for i in idx[:t]:
+        members |= star(g, g.simplices[i]).members
+    return frozenset(members)
 
 
 @pytest.fixture
@@ -295,6 +319,21 @@ class TestSetTokens:
         assert len(parse_set_token(g, "core:1-2")) == 3
         with pytest.raises(Exception):
             parse_set_token(g, "bogus")
+
+    def test_star_token_is_union_of_stars(self):
+        g = cross_polytope(2)
+        u = parse_set_token(g, "star:1,2-3")
+        assert u.members == star(g, [1]).members | star(g, [2, 3]).members
+        with pytest.raises(DomainError):
+            parse_set_token(g, "star:1,99")
+
+    @given(random_complexes(), st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_open_set_matches_per_star_loop(self, g, seed):
+        rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(3):
+            assert random_open_set(g, rng).members == random_open_set_by_stars(g, oracle_rng)
+            assert rng.state == oracle_rng.state
 
     def test_random_open_set_is_open(self):
         g = random_whitney(6, 9, seed=1)

@@ -12,6 +12,7 @@ from higherchar.cohomology import (
 )
 from higherchar.complexes import Complex, Simplex, SimplexSubset
 from higherchar.errors import DomainError
+from higherchar.linalg import rank
 from higherchar.topology import OpenSet
 
 from strategies import random_complexes
@@ -26,6 +27,23 @@ def _mat_mul_is_zero(d_hi, d_lo):
             if sum(d_hi[r][t] * d_lo[t][c] for t in range(mid)) != 0:
                 return False
     return True
+
+
+def betti_relative_by_incidence(u):
+    """The literal relative route: every entry of the ambient coboundaries
+    from ``incidence_sign``, then the rows and columns of u."""
+    g, keep = u.ambient, u.member_bits
+    top = max(s.dim for s in u.members)
+    levels = [[s for s in g.simplices if s.dim == i] for i in range(top + 1)]
+    ranks = [0]
+    for lo, hi in zip(levels, levels[1:]):
+        full = [[incidence_sign(y, x) for x in lo] for y in hi]
+        sub = [[e for x, e in zip(lo, row) if x.bits in keep]
+               for y, row in zip(hi, full) if y.bits in keep]
+        ranks.append(rank(sub) if sub and sub[0] else 0)
+    ranks.append(0)
+    counts = [sum(1 for s in lv if s.bits in keep) for lv in levels]
+    return tuple(c - ranks[i] - ranks[i + 1] for i, c in enumerate(counts))
 
 
 class TestIncidenceSign:
@@ -132,6 +150,18 @@ class TestBetti:
         u = random_open_set(g, SplitMix64(seed))
         if len(u):
             assert betti_relative(u) == betti(u)
+
+
+    @given(random_complexes(max_vertices=7, max_edges=12),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_relative_route_matches_incidence_sign_oracle(self, g, seed):
+        from higherchar.cli import random_open_set
+        from higherchar.generators import SplitMix64
+
+        u = random_open_set(g, SplitMix64(seed))
+        if len(u):
+            assert betti_relative(u) == betti_relative_by_incidence(u)
 
 
 class TestSupportKind:

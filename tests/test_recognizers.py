@@ -235,6 +235,23 @@ PINNED = [
     ("barycentric(cross_polytope(2))", "is_manifold", "yes", (), 697),
     ("barycentric(cross_polytope(2))", "is_manifold_with_boundary", "yes", (), 697),
     ("barycentric(cross_polytope(2))", "is_dehn_sommerville", "yes", (), 267),
+    # the heavy recognizer queries of the benchmark's corpus workload
+    # (cross_polytope(3), is_ball is pinned above)
+    ("cross_polytope(4)", "is_sphere", "yes", (1, 3, 5, 7, 9, 2, 4, 6, 8), 4498),
+    ("cross_polytope(4)", "is_contractible", "no", (), 31),
+    ("barycentric(barycentric(cross_polytope(2)))", "is_sphere", "yes",
+     (26, 98, 30, 74, 6, 42, 75, 99, 31, 114, 46, 115, 47, 102, 28, 78,
+      8, 58, 79, 103, 32, 130, 62, 18, 90, 118, 44, 131, 63, 134, 60, 14,
+      91, 119, 48, 135, 64, 100, 27, 76, 0, 29, 33, 101, 77, 7, 50, 104,
+      80, 105, 81, 9, 66, 122, 54, 20, 94, 123, 55, 126, 52, 136, 61, 16,
+      95, 127, 56, 137, 65, 4, 59, 132, 86, 133, 87, 12, 36, 110, 38, 22,
+      82, 106, 34, 111, 40, 24, 84, 108, 35, 116, 43, 10, 83, 107, 39, 117,
+      49, 2, 45, 120, 92, 19, 138, 70, 121, 93, 15, 142, 68, 124, 51, 11,
+      85, 109, 41, 1, 37, 112, 88, 23, 143, 72, 113, 89, 13, 140, 67, 125,
+      57, 3, 53, 128, 96, 21, 139, 71, 129, 97, 17, 144, 69, 5, 141, 25,
+      73),
+     4696),
+    ("barycentric(barycentric(cross_polytope(2)))", "is_dehn_sommerville", "yes", (), 1587),
 ]
 
 PINNED_COMPLEXES = {
@@ -242,6 +259,9 @@ PINNED_COMPLEXES = {
     "cross_polytope(3)": lambda: cross_polytope(3),
     "simplex_complex(3)": lambda: simplex_complex(3),
     "barycentric(cross_polytope(2))": lambda: barycentric(cross_polytope(2)),
+    "cross_polytope(4)": lambda: cross_polytope(4),
+    "barycentric(barycentric(cross_polytope(2)))":
+        lambda: barycentric(barycentric(cross_polytope(2))),
 }
 
 

@@ -17,6 +17,7 @@ from higherchar.topology import (
     dual_sphere,
     generate_topology,
     is_open,
+    open_hull,
     open_refinement,
     sphere,
     star,
@@ -174,6 +175,59 @@ class TestIsOpen:
     def test_openset_constructor_validates(self, k2):
         with pytest.raises(DomainError):
             OpenSet(k2, [{1}])
+
+
+def upward_closed(g, member_bits):
+    """The literal definition of an open set: every coface in g of a member
+    is a member."""
+    return all(y.bits in member_bits
+               for b in member_bits for y in g.simplices if b & y.bits == b)
+
+
+def union_of_stars(g, xs):
+    members = set()
+    for x in xs:
+        members |= star(g, x).members
+    return members
+
+
+class TestOpenHull:
+    def test_k2(self, k2):
+        assert members_of(open_hull(k2, [{1}])) == [(1,), (1, 2)]
+        assert members_of(open_hull(k2, [{1}, {2}])) == [(1,), (1, 2), (2,)]
+        assert len(open_hull(k2, [])) == 0
+
+    def test_requires_membership(self, k2):
+        with pytest.raises(DomainError):
+            open_hull(k2, [{1}, {3}])
+
+    @given(random_complexes(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_union_of_stars(self, g, data):
+        xs = data.draw(st.lists(st.sampled_from(g.simplices), max_size=4))
+        u = open_hull(g, xs)
+        assert isinstance(u, OpenSet) and u.ambient == g
+        assert u.members == union_of_stars(g, xs)
+
+
+class TestIsOpenSetLiteral:
+    @given(random_complexes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unions_of_stars_and_their_punctures(self, g, data):
+        xs = data.draw(st.lists(st.sampled_from(g.simplices), min_size=1, max_size=3))
+        union = union_of_stars(g, xs)
+        assert SimplexSubset(g, union).is_open_set()
+        for y in sorted(union):
+            rest = union - {y}
+            assert SimplexSubset(g, rest).is_open_set() == upward_closed(
+                g, {s.bits for s in rest})
+
+    @given(random_complexes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_subsets(self, g, data):
+        sub = data.draw(st.sets(st.sampled_from(g.simplices)))
+        assert SimplexSubset(g, sub).is_open_set() == upward_closed(
+            g, {s.bits for s in sub})
 
 
 class TestGenerateTopology:
