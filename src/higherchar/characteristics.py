@@ -21,7 +21,20 @@ N as (N, Σc) pairs; w_m for any m is then one short sum.  The per-complex
 star, ball and sphere tables cache these terms per complex.  The k-point
 configuration sums fold the |G|^k configurations by their union with a
 zeta transform and a Möbius inversion on the faces of each simplex
-(``_union_weights``).  ``w_m_naive`` keeps the literal definition, and
+(``_union_weights``).
+
+The dual-sphere sum over D(X) = S(x_1) ∩ ... ∩ S(x_k) exchanges the order of
+summation instead.  Writing w_m(D(X)) as its tuple sum and swapping the sums
+over X and Y gives
+
+    sum over X in G^k of w(X) * w_m(D(X))
+      = sum over Y in G^m with p = ∩Y nonempty of  w(Y) * F(Y)^k,
+    F(Y) = sum of w(x) over the x with y_1, ..., y_m, p all in S(x),
+
+so the walk runs over the m-tuples of simplices that share a unit sphere,
+not over the k-tuples of configurations; p in S(x) is tested, so no closure
+of the sets is assumed.  At k = 1, D(x) = S(x) and the sum is read off the
+sphere table.  ``w_m_naive`` keeps the literal definition, and
 ``method="direct"`` the literal configuration sum; they are the oracles in
 tests, and ``w_m_naive`` is the global path of the benchmark.
 """
@@ -105,11 +118,6 @@ def w_m(a, m: int) -> int:
     if m < 1:
         raise InputError("the arity m must be at least 1")
     return _eval_terms(_face_terms_of(s.bits for s in _members(a)), m)
-
-
-@lru_cache(maxsize=65536)
-def _wm_of_bitset(member_set: frozenset[int], m: int) -> int:
-    return _eval_terms(_face_terms_of(member_set), m)
 
 
 def _wm_naive_bits(
@@ -565,6 +573,55 @@ def sphere_sum(
     return EnergyReport("sphere", m, k, 0, rhs, rhs == 0, len(g), elapsed)
 
 
+def _dual_sphere_total(
+    sph: Sequence[Iterable[int]], ws: Sequence[int], m: int, k: int
+) -> int:
+    """The exchanged dual-sphere sum (module docstring) over the sphere sets
+    ``sph`` and the weights ``ws`` of the simplices x, indexed alike.
+
+    I(y) = {x : y in S(x)} is a bitset over the indices of x, so F(Y) is a
+    weighted popcount of M = I(y_1) & ... & I(y_m) & I(p).  Y runs over the
+    nondecreasing m-tuples of the L simplices that lie in some S(x), at most
+    C(L+m-1, m) of them, with multiplicity m! / prod(c!) over the runs of
+    equal entries; a prefix is dropped once its intersection or its mask is
+    empty.  No closure or sphere property of the sets is used.
+    """
+    inc: dict[int, int] = {}
+    odd = 0
+    for x, (members, w) in enumerate(zip(sph, ws)):
+        bit = 1 << x
+        if w > 0:
+            odd |= bit
+        for y in members:
+            inc[y] = inc.get(y, 0) | bit
+    items = [(y, iy, _weight_of_bits(y)) for y, iy in inc.items()]
+    n = len(items)
+    get = inc.get
+    total = 0
+
+    def walk(lo: int, prev: int, run: int, left: int, p: int, mask: int, w: int, mult: int):
+        nonlocal total
+        for i in range(lo, n):
+            y, iy, wy = items[i]
+            q = p & y
+            if not q:
+                continue
+            mq = mask & iy
+            if not mq:
+                continue
+            r = run + 1 if i == prev else 1
+            if left > 1:
+                walk(i, i, r, left - 1, q, mq, w * wy, mult // r)
+                continue
+            mq &= get(q, 0)
+            if mq:
+                f = 2 * (mq & odd).bit_count() - mq.bit_count()
+                total += mult // r * w * wy * f**k
+
+    walk(0, -1, 0, m, -1, -1, 1, math.factorial(m))
+    return total
+
+
 def dual_sphere_sum(
     g: Complex,
     m: int,
@@ -574,40 +631,36 @@ def dual_sphere_sum(
 ) -> EnergyReport:
     """Check that the weighted w_m of all dual spheres S(x_1) ∩ ... ∩ S(x_k) is zero.
 
-    Unlike S(X), the dual sphere is a plain set intersection of the unit
-    spheres, so configurations are walked as multisets with a permutation
-    multiplicity.
+    Writing w_m(D(X)) of the dual sphere D(X) as its tuple sum and
+    exchanging the two sums gives
+
+        sum over X in G^k of w(X) * w_m(D(X))
+          = sum over Y in G^m with p = ∩Y nonempty of  w(Y) * F(Y)^k,
+
+    F(Y) the weighted count of the x whose unit sphere holds y_1, ..., y_m
+    and p (``_dual_sphere_total``), so the m-tuples of simplices that share
+    unit spheres are enumerated instead of the k-tuples of configurations.
+    At k = 1, D(x) = S(x), and the sum is read off the cached sphere table.
+    ``op_budget`` is charged |G| at k = 1 and C(L+m-1, m) otherwise, L the
+    number of simplices that lie in some unit sphere.
     """
     _check_mk(m, k)
     t0 = time.perf_counter()
-    sph = _sphere_sets(g)
-    ws = [s.weight for s in g.simplices]
-    n = len(sph)
-    n_multisets = math.comb(n + k - 1, k) if n else 0
-    if op_budget is not None and n_multisets > op_budget:
+    if k == 1:
+        cost = len(g)
+    else:
+        sph = _sphere_sets(g)
+        n_covered = len(frozenset().union(*sph))
+        cost = math.comb(n_covered + m - 1, m)
+    if op_budget is not None and cost > op_budget:
         raise ResourceBudgetError(
-            f"dual sphere sum would walk {n_multisets} multisets, over the budget {op_budget}"
+            f"dual sphere sum would visit {cost} tuples, over the budget {op_budget}"
         )
-    kfact = math.factorial(k)
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        inter = sph[combo[0]]
-        for i in combo[1:]:
-            if not inter:
-                break
-            inter = inter & sph[i]
-        val = _wm_of_bitset(inter, m) if inter else 0
-        if val:
-            w = 1
-            for i in combo:
-                w *= ws[i]
-            # k! / prod(c!) over the runs of equal indices in the sorted combo
-            mult = kfact
-            run = 1
-            for a, b in zip(combo, combo[1:]):
-                run = run + 1 if a == b else 1
-                mult //= run
-            total += mult * w * val
+    if k == 1:
+        table = _sphere_wm(g, m)
+        total = sum(s.weight * table[s.bits] for s in g.simplices)
+    else:
+        total = _dual_sphere_total(sph, [s.weight for s in g.simplices], m, k)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("dual-sphere", m, k, 0, total, total == 0, len(g), elapsed)
 

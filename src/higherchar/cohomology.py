@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .complexes import Complex, Simplex, SimplexSubset, _members
 from .errors import DomainError
-from .linalg import rank
+from .linalg import _sparse_rank
 
 __all__ = [
     "incidence_sign",
@@ -60,13 +60,13 @@ def _by_dim(members) -> list[list[Simplex]]:
     return out
 
 
-def _coboundary(lo: list[Simplex], hi: list[Simplex]) -> list[list[int]]:
-    """Rows are the simplices y of hi, columns those of lo; row y holds the
-    incidence signs of the codimension-one faces of y that lie in lo."""
+def _coboundary(lo: list[Simplex], hi: list[Simplex]) -> list[dict[int, int]]:
+    """Sparse rows, one per simplex y of hi, mapping the column index in lo
+    of each codimension-one face of y that lies in lo to its incidence sign."""
     col = {x.bits: j for j, x in enumerate(lo)}
     out = []
     for y in hi:
-        row = [0] * len(lo)
+        row = {}
         for p, v in enumerate(y.vertices):
             j = col.get(y.bits ^ (1 << v))
             if j is not None:
@@ -92,7 +92,7 @@ def coboundary(support, i: int) -> list[list[int]]:
     levels = _by_dim(_members(support))
     lo = levels[i] if 0 <= i < len(levels) else []
     hi = levels[i + 1] if 0 <= i + 1 < len(levels) else []
-    return _coboundary(lo, hi)
+    return [[row.get(j, 0) for j in range(len(lo))] for row in _coboundary(lo, hi)]
 
 
 def betti(support) -> tuple[int, ...]:
@@ -103,15 +103,14 @@ def betti(support) -> tuple[int, ...]:
     """
     support_kind(support)
     levels = _by_dim(_members(support))
-    ranks = [rank(_coboundary(lo, hi)) if lo and hi else 0
-             for lo, hi in zip(levels, levels[1:])]
+    ranks = [_sparse_rank(_coboundary(lo, hi)) for lo, hi in zip(levels, levels[1:])]
     return _betti_vector([len(lv) for lv in levels], ranks)
 
 
 def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
     """Betti vector of an open set via the ambient complex.
 
-    Builds the full coboundaries of the ambient complex and restricts rows
+    Builds the sparse coboundaries of the ambient complex and restricts rows
     and columns to the open support (the cochains vanishing on the closed
     complement).  Shipped as a second route; it must agree with ``betti``.
     """
@@ -124,9 +123,8 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
     for i in range(len(levels) - 1):
         lo_all = glevels[i] if i < len(glevels) else []
         hi_all = glevels[i + 1] if i + 1 < len(glevels) else []
-        full = _coboundary(lo_all, hi_all)
-        rows = [r for r, y in enumerate(hi_all) if y.bits in keep]
-        cols = [c for c, x in enumerate(lo_all) if x.bits in keep]
-        sub = [[full[r][c] for c in cols] for r in rows]
-        ranks.append(rank(sub) if sub and cols else 0)
+        cols = {c for c, x in enumerate(lo_all) if x.bits in keep}
+        sub = [{c: e for c, e in row.items() if c in cols}
+               for y, row in zip(hi_all, _coboundary(lo_all, hi_all)) if y.bits in keep]
+        ranks.append(_sparse_rank(sub))
     return _betti_vector([len(lv) for lv in levels], ranks)

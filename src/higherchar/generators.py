@@ -3,6 +3,10 @@
 Random kinds use splitmix64, a fixed 64-bit mixing generator with published
 constants, so the same spec yields byte-identical complexes on every
 platform.  Vertices are numbered from 1.
+
+``generate`` builds under the same cap as text input: it compares the
+closed-form simplex count of a kind (for random_whitney, its edge universe)
+with ``files.MAX_SIMPLICES`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, closure, whitney
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
+from .files import MAX_SIMPLICES
 
 __all__ = [
     "GeneratorSpec",
@@ -121,9 +126,14 @@ def path3() -> Complex:
 
 def random_whitney(n: int, m_edges: int, seed: int) -> Complex:
     """Clique complex of a seeded random graph with exactly m_edges edges."""
+    return _random_whitney(n, m_edges, seed, None)
+
+
+def _random_whitney(n: int, m_edges: int, seed: int, simplex_budget: int | None) -> Complex:
     if n < 1:
         raise InputError("random complex needs n >= 1 vertices")
-    return whitney(range(1, n + 1), random_graph_edges(n, m_edges, seed))
+    return whitney(range(1, n + 1), random_graph_edges(n, m_edges, seed),
+                   simplex_budget=simplex_budget)
 
 
 @dataclass(frozen=True)
@@ -137,22 +147,36 @@ class GeneratorSpec:
     seed: int | None = None
 
 
+def _check_count(what: str, count: int) -> None:
+    if count > MAX_SIMPLICES:
+        raise ResourceBudgetError(
+            f"{what} is {count}, over the cap of {MAX_SIMPLICES} simplices"
+        )
+
+
 def generate(spec: GeneratorSpec) -> Complex:
+    """Build the complex of a spec; over ``files.MAX_SIMPLICES`` it raises
+    ResourceBudgetError before building."""
     kind = spec.kind
     if kind == "simplex":
         _need(spec, "n")
+        # exponents are clipped at 64, far over the cap, before the power
+        _check_count("the simplex count of simplex", 2 ** min(spec.n, 64) - 1)
         return simplex_complex(spec.n)
     if kind == "cycle":
         _need(spec, "n")
+        _check_count("the simplex count of cycle", 2 * spec.n)
         return cycle(spec.n)
     if kind == "cross_polytope":
         if spec.d is None:
             raise InputError("cross_polytope needs d")
+        _check_count("the simplex count of cross_polytope", 3 ** min(spec.d + 1, 64) - 1)
         return cross_polytope(spec.d)
     if kind == "octahedron":
         return octahedron()
     if kind == "star":
         _need(spec, "n")
+        _check_count("the simplex count of star", 2 * spec.n - 1)
         return star_complex(spec.n)
     if kind == "path3":
         return path3()
@@ -162,7 +186,8 @@ def generate(spec: GeneratorSpec) -> Complex:
             raise InputError("random_whitney needs edges")
         if spec.seed is None:
             raise InputError("random_whitney needs seed")
-        return random_whitney(spec.n, spec.edges, spec.seed)
+        _check_count("the edge universe of random_whitney", spec.n * (spec.n - 1) // 2)
+        return _random_whitney(spec.n, spec.edges, spec.seed, MAX_SIMPLICES)
     raise InputError(f"unknown generator kind {kind!r}")
 
 

@@ -328,13 +328,18 @@ def char_poly(mat) -> list[int]:
     return coeffs
 
 
+def _sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank of integer rows given as dicts column -> entry; the rows
+    are eliminated in place."""
+    rows = [row for row in rows if row]
+    _check_size(len(rows))
+    _check_integer(row.values() for row in rows)
+    return len(_sparse_eliminate(rows)[0])
+
+
 def rank(mat) -> int:
     """Exact rank of an integer matrix, by sparse fraction-free elimination."""
-    rows = [row for row in mat if any(row)]
-    _check_size(len(rows))
-    _check_integer(rows)
-    sparse = [{j: row[j] for j in compress(range(len(row)), row)} for row in rows]
-    return len(_sparse_eliminate(sparse)[0])
+    return _sparse_rank([{j: row[j] for j in compress(range(len(row)), row)} for row in mat])
 
 
 # -- the face-poset route: M = K^-1 A K^-T, K(x, z) = [z ⊆ x] -------------

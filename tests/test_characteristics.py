@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,10 @@ from hypothesis import strategies as st
 from higherchar.characteristics import (
     InteractionFunction,
     _ball_wm,
+    _dual_sphere_total,
+    _eval_terms,
+    _face_terms_of,
+    _sphere_sets,
     _sphere_wm,
     _star_wm,
     _union_weights,
@@ -284,6 +290,22 @@ class TestSphereSum:
             assert sphere_sum(octa, m, k).rhs == sphere_sum(octa, m, k, method="direct").rhs
 
 
+def _dual_sphere_walk(sph, ws, m, k):
+    """Oracle for _dual_sphere_total: every multiset of k sphere indices, the
+    w_m of the intersection of its sets, times the weight and k!/prod(c!)."""
+    total = 0
+    for combo in itertools.combinations_with_replacement(range(len(sph)), k):
+        inter = frozenset(sph[combo[0]]).intersection(*(sph[i] for i in combo[1:]))
+        if not inter:
+            continue
+        mult = math.factorial(k)
+        for c in Counter(combo).values():
+            mult //= math.factorial(c)
+        w = math.prod(ws[i] for i in combo)
+        total += mult * w * _eval_terms(_face_terms_of(inter), m)
+    return total
+
+
 class TestDualSphereSum:
     def test_k1_identical_to_sphere_sum(self, small_corpus):
         for g in small_corpus:
@@ -303,6 +325,37 @@ class TestDualSphereSum:
                 for X in itertools.product(g.simplices, repeat=k):
                     total += config_weight(X) * w_m(dual_sphere(g, X), m)
                 assert dual_sphere_sum(g, m, k).rhs == total == 0
+
+    @given(random_complexes())
+    @settings(max_examples=30, deadline=None)
+    def test_exchanged_sum_equals_walk(self, g):
+        sph = _sphere_sets(g)
+        ws = [s.weight for s in g.simplices]
+        for m in (1, 2, 3):
+            for k in (1, 2, 3):
+                assert dual_sphere_sum(g, m, k).rhs == _dual_sphere_walk(sph, ws, m, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corrupted_spheres(self, seed):
+        # every other member dropped: the sets are no longer closed and the
+        # totals are no longer 0, but the exchanged sum tests p in S(x)
+        g = random_whitney(8, 14, seed)
+        sph = [frozenset(sorted(s)[::2]) for s in _sphere_sets(g)]
+        ws = [s.weight for s in g.simplices]
+        for m in (1, 2):
+            for k in (2, 3):
+                total = _dual_sphere_walk(sph, ws, m, k)
+                assert total != 0, (m, k)
+                assert _dual_sphere_total(sph, ws, m, k) == total
+
+    def test_budget_charges_covered_tuples(self, octa):
+        # 18 of the 26 simplices (vertices and edges) lie in a unit sphere
+        with pytest.raises(ResourceBudgetError):
+            dual_sphere_sum(octa, 2, 2, op_budget=math.comb(19, 2) - 1)
+        assert dual_sphere_sum(octa, 2, 2, op_budget=math.comb(19, 2)).passed
+        with pytest.raises(ResourceBudgetError):
+            dual_sphere_sum(octa, 3, 1, op_budget=len(octa) - 1)
+        assert dual_sphere_sum(octa, 3, 1, op_budget=len(octa)).passed
 
 
 class TestValuation:

@@ -131,6 +131,12 @@ class TestVerify:
                    "--budget", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("budget,rc", [(17, 2), (18, 0)])
+    def test_dual_sphere_budget_boundary(self, capsys, octa_file, budget, rc):
+        # C(L+m-1, m) tuples, with L = 18 octahedron simplices in a unit sphere
+        assert main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "2",
+                     "--budget", str(budget)]) == rc
+
     @pytest.mark.parametrize(
         "suite,extra",
         [("det-fermi", []), ("green-inverse", []), ("local-valuation", ["-k", "2"]),
@@ -247,6 +253,16 @@ class TestGenerateAndProduct:
 
     def test_generate_bad_params_exit_3(self, capsys):
         assert main(["generate", "--kind", "cycle", "--n", "2"]) == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--kind", "cross_polytope", "--d", "13"],
+         ["--kind", "simplex", "--n", "21"],
+         ["--kind", "random_whitney", "--n", "100000", "--edges", "1", "--seed", "1"]],
+    )
+    def test_generate_over_cap_exit_2(self, capsys, args):
+        assert main(["generate"] + args) == 2
+        assert "over the cap" in capsys.readouterr().err
 
     def test_product_command(self, capsys, tmp_path):
         k2 = tmp_path / "k2.facets"

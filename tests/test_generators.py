@@ -2,8 +2,8 @@ import pytest
 
 from higherchar.characteristics import w_m
 from higherchar.complexes import is_complex
-from higherchar.errors import InputError
-from higherchar.files import format_facets
+from higherchar.errors import InputError, ResourceBudgetError
+from higherchar.files import MAX_SIMPLICES, format_facets
 from higherchar.generators import (
     GeneratorSpec,
     SplitMix64,
@@ -69,6 +69,19 @@ class TestKinds:
             random_whitney(4, 99, seed=0)
         with pytest.raises(InputError):
             simplex_complex(0)
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GeneratorSpec("simplex", n=18), GeneratorSpec("simplex", n=10**9),
+         GeneratorSpec("cross_polytope", d=10),
+         GeneratorSpec("cycle", n=MAX_SIMPLICES // 2 + 1),
+         GeneratorSpec("star", n=MAX_SIMPLICES // 2 + 1),
+         GeneratorSpec("random_whitney", n=513, edges=1, seed=0)],
+    )
+    def test_generate_refuses_over_cap_before_building(self, spec):
+        with pytest.raises(ResourceBudgetError, match="over the cap"):
+            generate(spec)
 
 
 class TestDeterminism:
