@@ -574,17 +574,24 @@ def sphere_sum(
 
 
 def _dual_sphere_total(
-    sph: Sequence[Iterable[int]], ws: Sequence[int], m: int, k: int
+    sph: Sequence[Iterable[int]],
+    ws: Sequence[int],
+    m: int,
+    k: int,
+    op_budget: int | None = None,
 ) -> int:
     """The exchanged dual-sphere sum (module docstring) over the sphere sets
     ``sph`` and the weights ``ws`` of the simplices x, indexed alike.
 
     I(y) = {x : y in S(x)} is a bitset over the indices of x, so F(Y) is a
     weighted popcount of M = I(y_1) & ... & I(y_m) & I(p).  Y runs over the
-    nondecreasing m-tuples of the L simplices that lie in some S(x), at most
-    C(L+m-1, m) of them, with multiplicity m! / prod(c!) over the runs of
-    equal entries; a prefix is dropped once its intersection or its mask is
-    empty.  No closure or sphere property of the sets is used.
+    nondecreasing m-tuples of the L simplices that lie in some S(x), with
+    multiplicity m! / prod(c!) over the runs of equal entries, built up one
+    entry at a time; a prefix is dropped once its intersection or its mask is
+    empty.  The walk visits at most C(L+m, m) - 1 prefixes.  The w(Y) are
+    summed per value of F(Y), and each of the at most 2|G| nonzero values is
+    raised to the k'th power once, charged k as its bit length grows with k.
+    No closure or sphere property of the sets is used.
     """
     inc: dict[int, int] = {}
     odd = 0
@@ -594,13 +601,18 @@ def _dual_sphere_total(
             odd |= bit
         for y in members:
             inc[y] = inc.get(y, 0) | bit
+    cost = math.comb(len(inc) + m, m) - 1 + 2 * k * len(ws)
+    if op_budget is not None and cost > op_budget:
+        raise ResourceBudgetError(
+            f"dual sphere sum would cost {cost} steps, over the budget {op_budget}"
+        )
     items = [(y, iy, _weight_of_bits(y)) for y, iy in inc.items()]
     n = len(items)
     get = inc.get
-    total = 0
+    by_f: dict[int, int] = {}
 
-    def walk(lo: int, prev: int, run: int, left: int, p: int, mask: int, w: int, mult: int):
-        nonlocal total
+    def walk(lo: int, prev: int, run: int, j: int, p: int, mask: int, w: int, mult: int):
+        # j entries are chosen; mult = j! / prod(c!) over their runs
         for i in range(lo, n):
             y, iy, wy = items[i]
             q = p & y
@@ -610,16 +622,17 @@ def _dual_sphere_total(
             if not mq:
                 continue
             r = run + 1 if i == prev else 1
-            if left > 1:
-                walk(i, i, r, left - 1, q, mq, w * wy, mult // r)
+            if j + 1 < m:
+                walk(i, i, r, j + 1, q, mq, w * wy, mult * (j + 1) // r)
                 continue
             mq &= get(q, 0)
             if mq:
                 f = 2 * (mq & odd).bit_count() - mq.bit_count()
-                total += mult // r * w * wy * f**k
+                if f:
+                    by_f[f] = by_f.get(f, 0) + mult * m // r * w * wy
 
-    walk(0, -1, 0, m, -1, -1, 1, math.factorial(m))
-    return total
+    walk(0, -1, 0, 0, -1, -1, 1, 1)
+    return sum(c * f**k for f, c in by_f.items())
 
 
 def dual_sphere_sum(
@@ -641,26 +654,21 @@ def dual_sphere_sum(
     and p (``_dual_sphere_total``), so the m-tuples of simplices that share
     unit spheres are enumerated instead of the k-tuples of configurations.
     At k = 1, D(x) = S(x), and the sum is read off the cached sphere table.
-    ``op_budget`` is charged |G| at k = 1 and C(L+m-1, m) otherwise, L the
-    number of simplices that lie in some unit sphere.
+    ``op_budget`` is charged |G| at k = 1 and C(L+m, m) - 1 + 2k|G|
+    otherwise, L the number of simplices that lie in some unit sphere.
     """
     _check_mk(m, k)
     t0 = time.perf_counter()
     if k == 1:
-        cost = len(g)
-    else:
-        sph = _sphere_sets(g)
-        n_covered = len(frozenset().union(*sph))
-        cost = math.comb(n_covered + m - 1, m)
-    if op_budget is not None and cost > op_budget:
-        raise ResourceBudgetError(
-            f"dual sphere sum would visit {cost} tuples, over the budget {op_budget}"
-        )
-    if k == 1:
+        if op_budget is not None and len(g) > op_budget:
+            raise ResourceBudgetError(
+                f"dual sphere sum would cost {len(g)} steps, over the budget {op_budget}"
+            )
         table = _sphere_wm(g, m)
         total = sum(s.weight * table[s.bits] for s in g.simplices)
     else:
-        total = _dual_sphere_total(sph, [s.weight for s in g.simplices], m, k)
+        ws = [s.weight for s in g.simplices]
+        total = _dual_sphere_total(_sphere_sets(g), ws, m, k, op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("dual-sphere", m, k, 0, total, total == 0, len(g), elapsed)
 

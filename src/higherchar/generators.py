@@ -126,14 +126,9 @@ def path3() -> Complex:
 
 def random_whitney(n: int, m_edges: int, seed: int) -> Complex:
     """Clique complex of a seeded random graph with exactly m_edges edges."""
-    return _random_whitney(n, m_edges, seed, None)
-
-
-def _random_whitney(n: int, m_edges: int, seed: int, simplex_budget: int | None) -> Complex:
     if n < 1:
         raise InputError("random complex needs n >= 1 vertices")
-    return whitney(range(1, n + 1), random_graph_edges(n, m_edges, seed),
-                   simplex_budget=simplex_budget)
+    return whitney(range(1, n + 1), random_graph_edges(n, m_edges, seed))
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,11 @@ def generate(spec: GeneratorSpec) -> Complex:
             raise InputError("random_whitney needs edges")
         if spec.seed is None:
             raise InputError("random_whitney needs seed")
+        if spec.n < 1:
+            raise InputError("random complex needs n >= 1 vertices")
         _check_count("the edge universe of random_whitney", spec.n * (spec.n - 1) // 2)
-        return _random_whitney(spec.n, spec.edges, spec.seed, MAX_SIMPLICES)
+        return whitney(range(1, spec.n + 1), random_graph_edges(spec.n, spec.edges, spec.seed),
+                       simplex_budget=MAX_SIMPLICES)
     raise InputError(f"unknown generator kind {kind!r}")
 
 

@@ -339,7 +339,10 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
 
 def rank(mat) -> int:
     """Exact rank of an integer matrix, by sparse fraction-free elimination."""
-    return _sparse_rank([{j: row[j] for j in compress(range(len(row)), row)} for row in mat])
+    rows = [row for row in mat if any(row)]
+    _check_size(len(rows))
+    _check_integer(rows)
+    return _sparse_rank([{j: row[j] for j in compress(range(len(row)), row)} for row in rows])
 
 
 # -- the face-poset route: M = K^-1 A K^-T, K(x, z) = [z ⊆ x] -------------

@@ -342,20 +342,27 @@ class TestDualSphereSum:
         g = random_whitney(8, 14, seed)
         sph = [frozenset(sorted(s)[::2]) for s in _sphere_sets(g)]
         ws = [s.weight for s in g.simplices]
-        for m in (1, 2):
+        for m in (1, 2, 3):
             for k in (2, 3):
                 total = _dual_sphere_walk(sph, ws, m, k)
                 assert total != 0, (m, k)
                 assert _dual_sphere_total(sph, ws, m, k) == total
 
     def test_budget_charges_covered_tuples(self, octa):
-        # 18 of the 26 simplices (vertices and edges) lie in a unit sphere
+        # 18 of the 26 simplices (vertices and edges) lie in a unit sphere:
+        # C(18+2, 2) - 1 prefixes, plus 2k per simplex for the powers
+        cost = math.comb(20, 2) - 1 + 4 * len(octa)
         with pytest.raises(ResourceBudgetError):
-            dual_sphere_sum(octa, 2, 2, op_budget=math.comb(19, 2) - 1)
-        assert dual_sphere_sum(octa, 2, 2, op_budget=math.comb(19, 2)).passed
+            dual_sphere_sum(octa, 2, 2, op_budget=cost - 1)
+        assert dual_sphere_sum(octa, 2, 2, op_budget=cost).passed
         with pytest.raises(ResourceBudgetError):
             dual_sphere_sum(octa, 3, 1, op_budget=len(octa) - 1)
         assert dual_sphere_sum(octa, 3, 1, op_budget=len(octa)).passed
+
+    def test_huge_m_without_covered_simplices(self):
+        # a point has an empty unit sphere, so L = 0 and the walk has nothing
+        # to visit; the multiplicities are built per entry, not from m!
+        assert dual_sphere_sum(Complex([[1]]), 10**9, 2).rhs == 0
 
 
 class TestValuation:

@@ -131,11 +131,17 @@ class TestVerify:
                    "--budget", "10"])
         assert rc == 2
 
-    @pytest.mark.parametrize("budget,rc", [(17, 2), (18, 0)])
+    @pytest.mark.parametrize("budget,rc", [(121, 2), (122, 0)])
     def test_dual_sphere_budget_boundary(self, capsys, octa_file, budget, rc):
-        # C(L+m-1, m) tuples, with L = 18 octahedron simplices in a unit sphere
+        # C(L+m, m) - 1 = 18 prefixes, with L = 18 octahedron simplices in a
+        # unit sphere, plus 2k = 4 per simplex for the powers: 18 + 4 * 26
         assert main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "2",
                      "--budget", str(budget)]) == rc
+
+    def test_dual_sphere_huge_k_exit_2(self, capsys, octa_file):
+        # the powers F(Y)^k are charged k each, so a huge k is refused up front
+        assert main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "1000000000"]) == 2
+        assert "over the budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "suite,extra",
