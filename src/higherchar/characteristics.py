@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members
+from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members, closure
 from .errors import DomainError, InputError, ResourceBudgetError
-from .topology import configuration, config_weight
+from .topology import configuration, config_weight, star_intersection, unit_sphere
 
 __all__ = [
     "DEFAULT_OP_BUDGET",
@@ -280,12 +280,9 @@ def w_m_multi(slots: Sequence[SimplexSubset]) -> int:
     for s in slots[1:]:
         if s.ambient != ambient:
             raise DomainError("all slots must share one ambient complex")
-    pairs0 = [(s.bits, s.weight) for s in slots[0].members]
-    cur: dict[int, int] = {}
-    for b, w in pairs0:
-        cur[b] = cur.get(b, 0) + w
+    cur = {b: _weight_of_bits(b) for b in slots[0].member_bits}
     for slot in slots[1:]:
-        pairs = [(s.bits, s.weight) for s in slot.members]
+        pairs = [(b, _weight_of_bits(b)) for b in slot.member_bits]
         nxt: dict[int, int] = {}
         for p, acc in cur.items():
             for b, w in pairs:
@@ -712,15 +709,21 @@ def valuation_check(
 
 
 def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
-    """Check w_m(B(X)) = w_m(U(X)) - (-1)^m * w_m(S(X)) for a configuration."""
-    from .topology import ball, sphere, star_intersection
+    """Check w_m(B(X)) = w_m(U(X)) - (-1)^m * w_m(S(X)) for a configuration.
 
+    U(X) is built once; B(X) is its closure and S(X) the unit sphere of the
+    union of the points.
+    """
     X = configuration(g, xs)
     if m < 1:
         raise InputError("the arity m must be at least 1")
     t0 = time.perf_counter()
-    lhs = w_m(ball(g, X), m)
-    rhs = w_m(star_intersection(g, X), m) - (-1) ** m * w_m(sphere(g, X), m)
+    u = star_intersection(g, X)
+    xb = 0
+    for x in X:
+        xb |= x.bits
+    lhs = w_m(closure(_members(u)), m)
+    rhs = w_m(u, m) - (-1) ** m * w_m(unit_sphere(g, xb), m)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(
         "local-valuation", m, len(X), lhs, rhs, lhs == rhs, len(g), elapsed
@@ -734,8 +737,6 @@ def green(
     h: InteractionFunction | None = None,
 ) -> int:
     """The k-point potential weight(X) * w_m(U(X)); zero when U(X) is empty."""
-    from .topology import star_intersection
-
     X = configuration(g, xs)
     u = star_intersection(g, X)
     if h is None:

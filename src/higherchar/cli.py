@@ -1,7 +1,8 @@
 """Command line surface.
 
 Exit codes: 0 pass, 1 identity failure (or a NO verdict), 2 resource budget
-exceeded (also on MemoryError and RecursionError), 3 input error.  Every run
+exceeded (also on MemoryError, RecursionError and a result with more digits
+than the interpreter converts to text), 3 input error.  Every run
 is fully determined by its flags; with ``--json`` all reports are machine
 readable JSON, one object per line.
 """
@@ -9,6 +10,7 @@ readable JSON, one object per line.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -36,11 +38,19 @@ VERIFY_SUITES = (
 )
 
 
+class _DigitLimitError(Exception):
+    """An output integer has more digits than the interpreter converts to text."""
+
+
 def _emit(obj: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(obj))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in obj.items()))
+    try:
+        line = json.dumps(obj) if as_json else " ".join(f"{k}={v}" for k, v in obj.items())
+    except ValueError as exc:  # int-to-str over the digit limit, the one a report can raise
+        raise _DigitLimitError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's int-to-str limit"
+        ) from exc
+    print(line)
 
 
 def _parse_simplex_token(tok: str) -> Simplex:
@@ -55,16 +65,16 @@ def parse_set_token(g: Complex, token: str) -> SimplexSubset:
     each simplex written as hyphen-joined vertex ids (star of a vertex: star:3;
     closure of an edge: core:1-2)."""
     if token == "all":
-        return SimplexSubset(g, g.simplices, _trusted=True)
+        return SimplexSubset._of_bits(g, g.member_bits)
     if token == "none":
-        return SimplexSubset(g, (), _trusted=True)
+        return SimplexSubset._of_bits(g, ())
     if token.startswith("star:"):
         return open_hull(g, map(_parse_simplex_token, token[5:].split(",")))
     if token.startswith("core:"):
-        members: set = set()
+        bits: set[int] = set()
         for tok in token[5:].split(","):
-            members |= set(core(g, _parse_simplex_token(tok)).simplices)
-        return SimplexSubset(g, members, _trusted=True)
+            bits |= core(g, _parse_simplex_token(tok)).member_bits
+        return SimplexSubset._of_bits(g, bits)
     raise InputError(f"bad set token {token!r}; expected all, none, star:... or core:...")
 
 
@@ -130,8 +140,6 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
             )
         t0 = time.perf_counter()
         total = passed = 0
-        import itertools
-
         for X in itertools.product(g.simplices, repeat=k):
             total += 1
             if ch.local_valuation_check(g, X, m).passed:
@@ -415,6 +423,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("resource limit exceeded: recursion too deep", file=sys.stderr)
+        return 2
+    except _DigitLimitError as exc:
+        print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return 2
     except (HigherCharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

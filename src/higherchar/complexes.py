@@ -267,57 +267,67 @@ def f_vector(g: Complex) -> tuple[int, ...]:
 class SimplexSubset:
     """An arbitrary sub-collection of an ambient complex's simplices.
 
-    Carries no closure requirement: it may be open, closed, or neither in the
-    star topology of the ambient complex.
+    Held as the frozenset ``member_bits`` of the members' vertex bit masks;
+    ``members`` and iteration are derived from the ambient's simplices, so
+    they come in canonical order without sorting.  Carries no closure
+    requirement: it may be open, closed, or neither in the star topology of
+    the ambient complex.
     """
 
-    __slots__ = ("ambient", "members", "_member_bits")
+    __slots__ = ("ambient", "member_bits")
 
-    def __init__(self, ambient: Complex, members: Iterable, *, _trusted: bool = False):
-        ms = frozenset(_coerce_simplex(s) for s in members)
-        if not _trusted:
-            for s in ms:
-                if s.bits not in ambient._bits_set:
-                    raise DomainError(f"{s!r} is not a simplex of the ambient complex")
+    def __init__(self, ambient: Complex, members: Iterable):
+        mb = frozenset(_coerce_simplex(s).bits for s in members)
+        if not mb <= ambient._bits_set:
+            b = next(b for b in mb if b not in ambient._bits_set)
+            raise DomainError(f"{Simplex.from_bits(b)!r} is not a simplex of the ambient complex")
         self.ambient = ambient
-        self.members = ms
-        self._member_bits = frozenset(s.bits for s in ms)
+        self.member_bits = mb
+
+    @classmethod
+    def _of_bits(cls, ambient: Complex, masks: Iterable[int]) -> "SimplexSubset":
+        """A subset from masks that are simplices of ambient (and, for a
+        subclass, satisfy its condition) by construction; nothing is checked."""
+        s = object.__new__(cls)
+        s.ambient = ambient
+        s.member_bits = frozenset(masks)
+        return s
 
     @property
-    def member_bits(self) -> frozenset[int]:
-        return self._member_bits
+    def members(self) -> frozenset[Simplex]:
+        return frozenset(_members(self))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.member_bits)
 
     def __iter__(self) -> Iterator[Simplex]:
-        return iter(sorted(self.members))
+        return iter(_members(self))
 
     def __contains__(self, s) -> bool:
         if isinstance(s, Simplex):
-            return s in self.members
+            return s.bits in self.member_bits
         try:
-            return bits_of(s) in self._member_bits
+            return bits_of(s) in self.member_bits
         except TypeError:
             return False
 
     def __eq__(self, other):
         if isinstance(other, SimplexSubset):
-            return self.ambient == other.ambient and self._member_bits == other._member_bits
+            return self.ambient == other.ambient and self.member_bits == other.member_bits
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self._member_bits))
+        return hash((self.ambient, self.member_bits))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.members)} of {len(self.ambient)} simplices)"
+        return f"{type(self).__name__}({len(self.member_bits)} of {len(self.ambient)} simplices)"
 
     def is_closed_set(self) -> bool:
-        return is_complex(self.members)
+        return _missing_face(_members(self), self.member_bits) is None
 
     def is_open_set(self) -> bool:
         """True iff upward closed: every member's coface is again a member."""
-        mb = self._member_bits
+        mb = self.member_bits
         # the ambient is closed: a member inside a non-member forces such a codim-one pair
         for y in self.ambient.simplices:
             yb = y.bits
@@ -328,20 +338,15 @@ class SimplexSubset:
         return True
 
     def complement(self) -> "SimplexSubset":
-        mb = self._member_bits
-        return SimplexSubset(
-            self.ambient,
-            (s for s in self.ambient.simplices if s.bits not in mb),
-            _trusted=True,
-        )
+        return SimplexSubset._of_bits(self.ambient, self.ambient._bits_set - self.member_bits)
 
     def union(self, other: "SimplexSubset") -> "SimplexSubset":
         self._require_same_ambient(other)
-        return SimplexSubset(self.ambient, self.members | other.members, _trusted=True)
+        return SimplexSubset._of_bits(self.ambient, self.member_bits | other.member_bits)
 
     def intersection(self, other: "SimplexSubset") -> "SimplexSubset":
         self._require_same_ambient(other)
-        return SimplexSubset(self.ambient, self.members & other.members, _trusted=True)
+        return SimplexSubset._of_bits(self.ambient, self.member_bits & other.member_bits)
 
     def _require_same_ambient(self, other: "SimplexSubset") -> None:
         if self.ambient != other.ambient:
@@ -354,7 +359,8 @@ def _members(a) -> tuple[Simplex, ...]:
     if isinstance(a, Complex):
         return a.simplices
     if isinstance(a, SimplexSubset):
-        return tuple(sorted(a.members, key=_canonical_key))
+        mb = a.member_bits
+        return tuple(s for s in a.ambient.simplices if s.bits in mb)
     return tuple(sorted(map(_coerce_simplex, a), key=_canonical_key))
 
 
@@ -362,10 +368,8 @@ def boundary_set(a) -> SimplexSubset:
     """closure(A) minus A, the topological boundary of an arbitrary collection."""
     members = _members(a)
     cl = closure(members)
-    member_bits = {s.bits for s in members}
-    delta = [s for s in cl.simplices if s.bits not in member_bits]
     ambient = a.ambient if isinstance(a, SimplexSubset) else a if isinstance(a, Complex) else cl
-    return SimplexSubset(ambient, delta)
+    return SimplexSubset._of_bits(ambient, cl.member_bits - {s.bits for s in members})
 
 
 def _maximal_cliques(adj: dict[int, int], verts: list[int]) -> list[int]:

@@ -21,7 +21,6 @@ __all__ = [
     "complex_from_ring",
     "topological_product",
     "topological_product_via_ring",
-    "product_vertex_pairs",
 ]
 
 Monomial = frozenset
@@ -59,16 +58,12 @@ def complex_from_ring(monomials: Iterable) -> Complex:
     return whitney(range(n), edges)
 
 
-def product_vertex_pairs(g: Complex, h: Complex) -> list[tuple[int, int]]:
-    """The vertex id of pair (i-th simplex of g, j-th simplex of h) is
-    i * len(h) + j; this list maps ids back to index pairs."""
-    return [(i, j) for i in range(len(g)) for j in range(len(h))]
-
-
 def topological_product(g: Complex, h: Complex) -> Complex:
     """G * H built directly on the pair order: (x,y) <= (x',y') iff both
     components are faces; the product is the clique complex of the
-    comparability graph.  Vertex count is always |G| * |H|."""
+    comparability graph.  Vertex count is always |G| * |H|: the pair
+    (i-th simplex of g, j-th simplex of h), in canonical order, is vertex
+    i * |H| + j."""
     gs = g.simplices
     hs = h.simplices
     ng, nh = len(gs), len(hs)

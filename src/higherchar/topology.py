@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, closure, whitney
+from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members, closure, whitney
 from .errors import DomainError, InputError, ResourceBudgetError
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "open_hull",
     "core",
     "star_intersection",
-    "star_intersection_by_scan",
     "ball",
     "sphere",
     "unit_sphere",
@@ -40,9 +39,9 @@ DEFAULT_TOPOLOGY_BUDGET = 10**6
 class OpenSet(SimplexSubset):
     """A SimplexSubset that is upward closed in its ambient complex."""
 
-    def __init__(self, ambient: Complex, members: Iterable, *, _trusted: bool = False):
-        super().__init__(ambient, members, _trusted=_trusted)
-        if not _trusted and not self.is_open_set():
+    def __init__(self, ambient: Complex, members: Iterable):
+        super().__init__(ambient, members)
+        if not self.is_open_set():
             raise DomainError("the given simplices do not form an open set")
 
 
@@ -73,9 +72,7 @@ def _require_member(g: Complex, x) -> Simplex:
 
 def star(g: Complex, x) -> OpenSet:
     """U(x): all simplices having x as a face; the smallest open set containing x."""
-    x = _require_member(g, x)
-    xb = x.bits
-    return OpenSet(g, (y for y in g.simplices if xb & y.bits == xb), _trusted=True)
+    return star_intersection(g, (x,))
 
 
 def open_hull(g: Complex, xs) -> OpenSet:
@@ -85,18 +82,15 @@ def open_hull(g: Complex, xs) -> OpenSet:
     is one of xs or when one of its codimension-one faces was kept.
     """
     kept = {_require_member(g, x).bits for x in xs}
-    out = []
     for y in g.simplices:
         yb = y.bits
         if yb in kept:
-            out.append(y)
             continue
         for v in y.vertices:
             if yb ^ (1 << v) in kept:
                 kept.add(yb)
-                out.append(y)
                 break
-    return OpenSet(g, out, _trusted=True)
+    return OpenSet._of_bits(g, kept)
 
 
 def core(g: Complex, x) -> Complex:
@@ -115,30 +109,17 @@ def _union_bits(g: Complex, xs) -> int:
 def star_intersection(g: Complex, xs) -> OpenSet:
     """U(X), the intersection of the stars of the points of a configuration.
 
-    Fast path: U(X) equals the star of the union of the points whenever that
-    union is itself a simplex of g, and is empty otherwise (a superset of a
-    non-member cannot be a member of a closed family).
+    U(X) is the star of the union of the points: the members that contain
+    it.  It is empty when that union is not a simplex of g, as a superset of
+    a non-member cannot be a member of a closed family.
     """
     u = _union_bits(g, xs)
-    if u not in g.member_bits:
-        return OpenSet(g, (), _trusted=True)
-    return OpenSet(g, (y for y in g.simplices if u & y.bits == u), _trusted=True)
-
-
-def star_intersection_by_scan(g: Complex, xs) -> OpenSet:
-    """Reference path for U(X): literally intersect the member sets of the stars."""
-    X = configuration(g, xs)
-    members = None
-    for x in X:
-        s = frozenset(star(g, x).members)
-        members = s if members is None else members & s
-    return OpenSet(g, members, _trusted=True)
+    return OpenSet._of_bits(g, (b for b in g.member_bits if u & b == u))
 
 
 def ball(g: Complex, xs) -> Complex:
     """B(X): the closure of the star intersection U(X); a complex."""
-    u = star_intersection(g, xs)
-    return closure(u.members)
+    return closure(_members(star_intersection(g, xs)))
 
 
 def sphere(g: Complex, xs) -> Complex:
@@ -172,10 +153,8 @@ def dual_sphere(g: Complex, xs) -> Complex:
 
 def is_open(g: Complex, a) -> bool:
     """True iff the sub-collection is upward closed in g."""
-    if isinstance(a, SimplexSubset):
-        if a.ambient == g:
-            return a.is_open_set()
-        a = a.members
+    if isinstance(a, SimplexSubset) and a.ambient == g:
+        return a.is_open_set()
     return SimplexSubset(g, a).is_open_set()
 
 
@@ -186,7 +165,6 @@ def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tupl
     sets have been found the enumeration aborts with a resource error that
     carries the partial count.
     """
-    by_bits = {s.bits: s for s in g.simplices}
     base: list[frozenset[int]] = []
     seen_base: set[frozenset[int]] = set()
     for s in g.simplices:
@@ -214,9 +192,7 @@ def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tupl
                     )
                 queue.append(u)
     ordered = sorted(found, key=lambda fs: (len(fs), sorted(fs)))
-    return tuple(
-        OpenSet(g, (by_bits[b] for b in fs), _trusted=True) for fs in ordered
-    )
+    return tuple(OpenSet._of_bits(g, fs) for fs in ordered)
 
 
 def barycentric(g: Complex, *, simplex_budget: int | None = None) -> Complex:
@@ -256,6 +232,4 @@ def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:
     for i, s in enumerate(g.simplices):
         if s.bits not in ub:
             closed_mask |= 1 << i
-    return OpenSet(
-        g1, (s for s in g1.simplices if s.bits & ~closed_mask), _trusted=True
-    )
+    return OpenSet._of_bits(g1, (b for b in g1.member_bits if b & ~closed_mask))

@@ -34,8 +34,9 @@ from higherchar.characteristics import (
 from higherchar.complexes import Complex, Simplex, SimplexSubset, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.generators import random_whitney
-from higherchar.topology import ball, star, star_intersection_by_scan, unit_sphere
+from higherchar.topology import ball, star, unit_sphere
 
+from oracles import star_intersection_by_scan
 from strategies import random_complexes
 
 

@@ -226,6 +226,26 @@ class TestVerify:
         assert err.startswith("resource limit exceeded: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_digit_limit_exit_2(self, capsys, tmp_path, fmt):
+        # w_10000 of random_whitney(12, 30, 1) has 4771 digits, more than
+        # Python's default int-to-str limit of 4300
+        p = tmp_path / "rw.facets"
+        save_complex(random_whitney(12, 30, seed=1), p)
+        assert main(["verify", "energy", str(p), "-m", "10000", "-k", "1"] + fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit exceeded: ")
+        assert captured.err.count("\n") == 1
+
+    def test_value_under_digit_limit_printed(self, capsys, tmp_path):
+        p = tmp_path / "rw.facets"
+        save_complex(random_whitney(12, 30, seed=1), p)
+        rc, out = run(capsys, ["verify", "energy", str(p), "-m", "8000", "-k", "1", "--json"])
+        d = json.loads(out)
+        assert rc == 0 and d["pass"] is True
+        assert d["lhs"] == d["rhs"] and len(str(abs(d["lhs"]))) == 3817
+
 
 class TestBench:
     def test_values_agree_and_figures_reported(self, capsys, tmp_path):
@@ -270,6 +290,15 @@ class TestGenerateAndProduct:
         assert main(["generate"] + args) == 2
         assert "over the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,lines",
+        [(["--kind", "cross_polytope", "--d", "1"], ["1 3", "1 4", "2 3", "2 4"]),
+         (["--kind", "star", "--n", "4"], ["1 2", "1 3", "1 4"])],
+    )
+    def test_generate_to_stdout(self, capsys, args, lines):
+        rc, out = run(capsys, ["generate"] + args)
+        assert rc == 0 and out.splitlines() == lines
+
     def test_product_command(self, capsys, tmp_path):
         k2 = tmp_path / "k2.facets"
         main(["generate", "--kind", "simplex", "--n", "2", "-o", str(k2)])
@@ -295,6 +324,16 @@ class TestBetti:
                                "--relative", "--json"])
         assert rc == 0 and json.loads(out) == [0, 0, 1]
 
+    def test_empty_support(self, capsys, octa_file):
+        rc, out = run(capsys, ["betti", octa_file, "--support", "none", "--json"])
+        assert rc == 0 and json.loads(out) == []
+        rc, out = run(capsys, ["betti", octa_file, "--support", "none"])
+        assert rc == 0 and out == "(empty)"
+
+    def test_core_support(self, capsys, octa_file):
+        rc, out = run(capsys, ["betti", octa_file, "--support", "core:1-3", "--json"])
+        assert rc == 0 and json.loads(out) == [1, 0]
+
 
 class TestRecognize:
     def test_sphere_yes(self, capsys, octa_file):
@@ -314,6 +353,15 @@ class TestRecognize:
                                "--budget", "2", "--json"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "what,verdict,rc",
+        [("ball", "no", 1), ("manifold-with-boundary", "yes", 0),
+         ("dehn-sommerville", "yes", 0)],
+    )
+    def test_octahedron_verdicts(self, capsys, octa_file, what, verdict, rc):
+        got, out = run(capsys, ["recognize", octa_file, "--what", what, "--d", "2", "--json"])
+        assert got == rc and json.loads(out)["verdict"] == verdict
+
 
 class TestMatrix:
     def test_connection_dump(self, capsys, tmp_path):
@@ -330,6 +378,18 @@ class TestMatrix:
         assert rc == 0
         d = json.loads(out)
         assert d["equal"] is False  # reported, not an error
+
+    @pytest.mark.parametrize(
+        "which,want",
+        [("green", [[0, -1, 1], [-1, 0, 1], [1, 1, -1]]),
+         ("charpoly-connection", [1, -3, 1, 1]),
+         ("charpoly-green", [1, 1, -3, 1])],
+    )
+    def test_k2_dumps(self, capsys, tmp_path, which, want):
+        p = tmp_path / "k2.facets"
+        main(["generate", "--kind", "simplex", "--n", "2", "-o", str(p)])
+        rc, out = run(capsys, ["matrix", str(p), "--which", which])
+        assert rc == 0 and json.loads(out) == want
 
 
 class TestSetTokens:

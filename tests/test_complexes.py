@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar.complexes import (
     Complex,
@@ -22,6 +23,16 @@ from strategies import random_complexes
 
 def verts(g):
     return [s.vertices for s in g]
+
+
+def literal_is_closed(members: frozenset) -> bool:
+    """Every nonempty proper face of every member is again a member."""
+    return all(
+        Simplex(f) in members
+        for s in members
+        for r in range(1, len(s))
+        for f in itertools.combinations(s.vertices, r)
+    )
 
 
 class TestSimplex:
@@ -239,3 +250,26 @@ class TestSimplexSubset:
         assert len(c) == 2
         assert len(a.union(c)) == 3
         assert len(a.intersection(c)) == 0
+
+    @given(random_complexes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_frozenset_oracle(self, g, data):
+        # the oracle holds fresh Simplex objects, not the ambient's
+        universe = frozenset(Simplex(s.vertices) for s in g.simplices)
+        draw = st.frozensets(st.sampled_from(sorted(universe)))
+        a, b = data.draw(draw), data.draw(draw)
+        u, v = SimplexSubset(g, a), SimplexSubset(g, b)
+        for sub, lit in (
+            (u, a),
+            (v, b),
+            (u.union(v), a | b),
+            (u.intersection(v), a & b),
+            (u.complement(), universe - a),
+        ):
+            assert sub.members == lit
+            assert list(sub) == sorted(lit)
+            assert len(sub) == len(lit)
+            assert sub.is_closed_set() == literal_is_closed(lit)
+            for s in universe:
+                assert (s in sub) == (s in lit) == (s.vertices in sub)
+        assert Simplex([99]) not in u and "x" not in u

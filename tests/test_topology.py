@@ -22,9 +22,9 @@ from higherchar.topology import (
     sphere,
     star,
     star_intersection,
-    star_intersection_by_scan,
 )
 
+from oracles import star_intersection_by_scan
 from strategies import random_complexes
 
 
