@@ -17,8 +17,25 @@ the tuples whose intersection is exactly p, and summing over p in A gives
 
 N and c do not depend on m, so ``_face_terms_of`` computes them once per
 set, in two passes over the faces of the members, and keeps them grouped by
-N as (N, Σc) pairs; w_m for any m is then one short sum.  The per-complex
-star, ball and sphere tables cache these terms per complex.  The k-point
+N as (N, Σc) pairs; w_m for any m is then one short sum.  It serves
+arbitrary subsets only.  A complex G is closed, so c(q) = w(q) there, and
+w_m(G) = sum of w(z) * N(z)^m with the star weights N(z) = sum of w(y) over
+the y ⊇ z in G, from one subset pass.  The per-simplex star, ball and sphere
+tables need N alone:
+
+    w_m(U(z)) = N(z)^m,
+    w_m(B(z)) = T_m(z) = sum over y ⊇ z of  w(y) * N(y)^m,
+    w_m(S(z)) = (-1)^m * (N(z)^m - T_m(z)).
+
+Every tuple of U(z) meets in a simplex that contains z, so all N(z)^m of
+them count.  B(z) = z̄ ∗ lk(z) is closed, and the members of it above a ⊔ b
+(a ⊆ z, b in lk(z) or empty) are the a' ⊔ b' with a ⊆ a' ⊆ z, b ⊆ b', so
+N_B(a ⊔ b) carries the factor sum of (-1)^|a'| over a ⊆ a' ⊆ z, which is 0
+unless a = z; for q ⊇ z, N_B(q) = N(q).  S(z) = ∂z ∗ lk(z) then follows
+from the local identity w_m(B) = w_m(U) - (-1)^m * w_m(S).  T_m is one
+superset-sum pass per m, and each distinct N(z) is raised to the m'th power
+once.  The member lists of B(z) and S(z), which the dual-sphere walk and the
+energized tables read, are listed as the same joins (``_joins``).  The k-point
 configuration sums fold the |G|^k configurations by their union with a
 zeta transform and a Möbius inversion on the faces of each simplex
 (``_union_weights``).
@@ -113,11 +130,36 @@ def _eval_terms(terms: Iterable[tuple[int, int]], m: int) -> int:
     return sum(c * n**m for n, c in terms)
 
 
+def _star_weights(g: Complex) -> dict[int, int]:
+    """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g, in one subset
+    pass; every face of a member is a member, as g is closed."""
+    out = {s.bits: 0 for s in g.simplices}
+    for y in g.simplices:
+        yb = y.bits
+        w = y.weight
+        sub = yb
+        while sub:
+            out[sub] += w
+            sub = (sub - 1) & yb
+    return out
+
+
 def w_m(a, m: int) -> int:
-    """Exact m'th characteristic of a complex or an arbitrary simplex subset."""
+    """Exact m'th characteristic of a complex or an arbitrary simplex subset.
+
+    On a complex it is the sum of w(z) * N(z)^m, computed afresh on every call:
+    a cached table would keep every transient complex (products, refinements,
+    local-valuation closures) alive.
+    """
     if m < 1:
         raise InputError("the arity m must be at least 1")
-    return _eval_terms(_face_terms_of(s.bits for s in _members(a)), m)
+    if not isinstance(a, Complex):
+        return _eval_terms(_face_terms_of(s.bits for s in _members(a)), m)
+    grouped: dict[int, int] = {}
+    for z, n in _star_weights(a).items():
+        if n:
+            grouped[n] = grouped.get(n, 0) + _weight_of_bits(z)
+    return _eval_terms(grouped.items(), m)
 
 
 def _wm_naive_bits(
@@ -321,63 +363,74 @@ def _stars_of(g: Complex) -> dict[int, tuple[int, ...]]:
     return {b: tuple(v) for b, v in out.items()}
 
 
-@lru_cache(maxsize=512)
-def _ball_members_of(g: Complex) -> dict[int, frozenset[int]]:
-    """Member bits of B(z) = closure(U(z)) for every z of g."""
-    stars = _stars_of(g)
+def _joins(g: Complex, proper: bool) -> dict[int, tuple[int, ...]]:
+    """Member bits of z̄ ∗ lk(z) = B(z), or with ``proper`` of ∂z ∗ lk(z) = S(z),
+    for every z of g: the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y in U(z),
+    except the empty set.  a = member & z and b = member & ~z, so each member
+    arises once."""
     out = {}
-    for z, members in stars.items():
-        faces: set[int] = set()
-        for b in members:
-            sub = b
-            while sub:
-                if sub not in faces:
-                    faces.add(sub)
-                sub = (sub - 1) & b
-        out[z] = frozenset(faces)
+    for z, star in _stars_of(g).items():
+        faces = []
+        sub = (z - 1) & z if proper else z
+        while sub:
+            faces.append(sub)
+            sub = (sub - 1) & z
+        link = [y ^ z for y in star if y != z]
+        out[z] = (*faces, *link, *[a | b for a in faces for b in link])
     return out
 
 
 @lru_cache(maxsize=512)
-def _star_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
-    return {z: _face_terms_of(mem) for z, mem in _stars_of(g).items()}
+def _ball_members_of(g: Complex) -> dict[int, tuple[int, ...]]:
+    """Member bits of B(z) = closure(U(z)) for every z of g."""
+    return _joins(g, False)
 
 
 @lru_cache(maxsize=512)
-def _ball_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
-    return {z: _face_terms_of(mem) for z, mem in _ball_members_of(g).items()}
-
-
-@lru_cache(maxsize=512)
-def _sphere_sets(g: Complex) -> tuple[frozenset[int], ...]:
+def _sphere_sets(g: Complex) -> tuple[tuple[int, ...], ...]:
     """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
-    stars = _stars_of(g)
-    balls = _ball_members_of(g)
-    return tuple(
-        balls[s.bits] - frozenset(stars[s.bits]) for s in g.simplices
-    )
+    return tuple(_joins(g, True).values())
 
 
-@lru_cache(maxsize=512)
-def _sphere_terms(g: Complex) -> dict[int, tuple[tuple[int, int], ...]]:
-    return {
-        s.bits: _face_terms_of(sph) for s, sph in zip(g.simplices, _sphere_sets(g))
-    }
+_star_weight_table = lru_cache(maxsize=512)(_star_weights)
 
 
 @lru_cache(maxsize=1024)
 def _star_wm(g: Complex, m: int) -> dict[int, int]:
-    return {z: _eval_terms(t, m) for z, t in _star_terms(g).items()}
+    """w_m(U(z)) = N(z)^m for every z of g."""
+    n = _star_weight_table(g)
+    pw = {v: v**m for v in set(n.values())}
+    return {z: pw[v] for z, v in n.items()}
 
 
 @lru_cache(maxsize=1024)
 def _ball_wm(g: Complex, m: int) -> dict[int, int]:
-    return {z: _eval_terms(t, m) for z, t in _ball_terms(g).items()}
+    """w_m(B(z)) = T_m(z) = sum of w(y) * N(y)^m over y ⊇ z, for every z of g,
+    by one superset-sum pass."""
+    n = _star_weight_table(g)
+    pw = {v: v**m for v in set(n.values())}
+    out = dict.fromkeys(n, 0)
+    for y in g.simplices:
+        yb = y.bits
+        t = pw[n[yb]]
+        if not t:
+            continue
+        if y.weight < 0:
+            t = -t
+        sub = yb
+        while sub:
+            out[sub] += t
+            sub = (sub - 1) & yb
+    return out
 
 
 @lru_cache(maxsize=1024)
 def _sphere_wm(g: Complex, m: int) -> dict[int, int]:
-    return {z: _eval_terms(t, m) for z, t in _sphere_terms(g).items()}
+    """w_m(S(z)) = (-1)^m * (N(z)^m - T_m(z)) for every z of g."""
+    balls = _ball_wm(g, m)
+    if m & 1:
+        return {z: balls[z] - t for z, t in _star_wm(g, m).items()}
+    return {z: t - balls[z] for z, t in _star_wm(g, m).items()}
 
 
 def _union_cost(g: Complex, k: int) -> int:
@@ -583,9 +636,13 @@ def _dual_sphere_total(
     I(y) = {x : y in S(x)} is a bitset over the indices of x, so F(Y) is a
     weighted popcount of M = I(y_1) & ... & I(y_m) & I(p).  Y runs over the
     nondecreasing m-tuples of the L simplices that lie in some S(x), with
-    multiplicity m! / prod(c!) over the runs of equal entries, built up one
-    entry at a time; a prefix is dropped once its intersection or its mask is
-    empty.  The walk visits at most C(L+m, m) - 1 prefixes.  The w(Y) are
+    multiplicity m! / prod(c!) over the runs of equal entries.  The walk
+    takes each simplex with a run length c >= 1 and recurses once per simplex,
+    not per entry, so its depth is at most L + 1; the multiplicity gains the
+    factor C(j+c, c) over the j entries before the run.  A prefix is dropped
+    once its intersection or its mask is empty, and since both depend on the
+    simplex and not on c, so is every longer run of it.  The walk visits at
+    most C(L+m, m) - 1 prefixes.  The w(Y) are
     summed per value of F(Y), and each of the at most 2|G| nonzero values is
     raised to the k'th power once, charged k as its bit length grows with k.
     No closure or sphere property of the sets is used.
@@ -608,7 +665,7 @@ def _dual_sphere_total(
     get = inc.get
     by_f: dict[int, int] = {}
 
-    def walk(lo: int, prev: int, run: int, j: int, p: int, mask: int, w: int, mult: int):
+    def walk(lo: int, j: int, p: int, mask: int, w: int, mult: int):
         # j entries are chosen; mult = j! / prod(c!) over their runs
         for i in range(lo, n):
             y, iy, wy = items[i]
@@ -618,17 +675,17 @@ def _dual_sphere_total(
             mq = mask & iy
             if not mq:
                 continue
-            r = run + 1 if i == prev else 1
-            if j + 1 < m:
-                walk(i, i, r, j + 1, q, mq, w * wy, mult * (j + 1) // r)
-                continue
-            mq &= get(q, 0)
-            if mq:
-                f = 2 * (mq & odd).bit_count() - mq.bit_count()
-                if f:
-                    by_f[f] = by_f.get(f, 0) + mult * m // r * w * wy
+            full = mq & get(q, 0)
+            f = 2 * (full & odd).bit_count() - full.bit_count()
+            ways, wc = mult, w
+            for c in range(1, m - j):
+                ways = ways * (j + c) // c
+                wc *= wy
+                walk(i + 1, j + c, q, mq, wc, ways)
+            if f:
+                by_f[f] = by_f.get(f, 0) + ways * m // (m - j) * wc * wy
 
-    walk(0, -1, 0, 0, -1, -1, 1, 1)
+    walk(0, 0, -1, -1, 1, 1)
     return sum(c * f**k for f, c in by_f.items())
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from higherchar.characteristics import (
     InteractionFunction,
+    _ball_members_of,
     _ball_wm,
     _dual_sphere_total,
     _eval_terms,
@@ -87,6 +88,14 @@ class TestWm:
             assert w_m(g, m) == expected
             assert w_m_naive(g, m, assume_closed=True) == expected
 
+    @given(random_complexes(max_vertices=5, max_edges=5))
+    @settings(max_examples=25, deadline=None)
+    def test_closed_form_matches_face_terms_and_naive(self, g):
+        # on a complex w_m is the sum of w(z) * N(z)^m, not the face terms
+        terms = _face_terms_of(s.bits for s in g.simplices)
+        for m in (1, 2, 3, 4, 5):
+            assert w_m(g, m) == _eval_terms(terms, m) == w_m_naive(g, m, assume_closed=True)
+
     @given(random_complexes(max_vertices=6, max_edges=9))
     @settings(max_examples=20, deadline=None)
     def test_subset_evaluation_matches_naive(self, g):
@@ -132,6 +141,27 @@ class TestFaceTermTables:
                 assert stars[z.bits] == w_m_naive(star_intersection_by_scan(g, [z]), m)
                 assert balls[z.bits] == w_m_naive(ball(g, [z]), m)
                 assert spheres[z.bits] == w_m_naive(unit_sphere(g, z.bits), m)
+
+    @given(random_complexes())
+    @settings(max_examples=40, deadline=None)
+    def test_join_sets_match_topology(self, g):
+        # the joins list each member of B(z) and S(z) once, without a dedupe set
+        balls = _ball_members_of(g)
+        for z, sph in zip(g.simplices, _sphere_sets(g)):
+            b = balls[z.bits]
+            assert len(set(b)) == len(b) and set(b) == ball(g, [z]).member_bits
+            assert len(set(sph)) == len(sph)
+            assert set(sph) == unit_sphere(g, z.bits).member_bits
+
+    def test_huge_m_tables_match_face_terms(self):
+        g = random_whitney(12, 30, 1)
+        for m in (8000, 8001):
+            balls, spheres = _ball_wm(g, m), _sphere_wm(g, m)
+            for z in g.simplices:
+                b = ball(g, [z]).member_bits
+                s = unit_sphere(g, z.bits).member_bits
+                assert balls[z.bits] == _eval_terms(_face_terms_of(b), m)
+                assert spheres[z.bits] == _eval_terms(_face_terms_of(s), m)
 
     @given(random_complexes())
     @settings(max_examples=30, deadline=None)
@@ -359,6 +389,14 @@ class TestDualSphereSum:
         with pytest.raises(ResourceBudgetError):
             dual_sphere_sum(octa, 3, 1, op_budget=len(octa) - 1)
         assert dual_sphere_sum(octa, 3, 1, op_budget=len(octa)).passed
+
+    def test_huge_m_recursion_depth(self):
+        # the walk recurses once per covered simplex, not once per entry of Y
+        g = closure([[1, 2]])
+        sph = _sphere_sets(g)
+        ws = [s.weight for s in g.simplices]
+        for m in (5000, 5001):
+            assert dual_sphere_sum(g, m, 2).rhs == _dual_sphere_walk(sph, ws, m, 2) == 0
 
     def test_huge_m_without_covered_simplices(self):
         # a point has an empty unit sphere, so L = 0 and the walk has nothing

@@ -143,6 +143,14 @@ class TestVerify:
         assert main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "1000000000"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
+    def test_dual_sphere_huge_m_on_an_edge(self, capsys, tmp_path):
+        # L = 2 covered simplices, so the walk is at most three levels deep at any m
+        p = tmp_path / "edge.facets"
+        p.write_text("1 2\n")
+        rc, out = run(capsys, ["verify", "dual-sphere", str(p), "-m", "5000", "-k", "2",
+                               "--json"])
+        assert rc == 0 and json.loads(out)["rhs"] == 0
+
     @pytest.mark.parametrize(
         "suite,extra",
         [("det-fermi", []), ("green-inverse", []), ("local-valuation", ["-k", "2"]),
