@@ -19,9 +19,9 @@ from . import characteristics as ch
 from . import cohomology, linalg, recognizers
 from .complexes import Complex, Simplex, SimplexSubset, closure
 from .errors import HigherCharError, InputError, ResourceBudgetError
-from .files import format_facets, load_complex
+from .files import check_simplex_count, format_facets, load_complex
 from .generators import GeneratorSpec, SplitMix64, generate
-from .product import topological_product
+from .product import product_simplex_count, topological_product
 from .topology import OpenSet, barycentric, core, open_hull
 
 VERIFY_SUITES = (
@@ -104,6 +104,15 @@ def cmd_info(args) -> int:
     return 0
 
 
+_POINT = closure([[1]])
+
+
+def _check_refinement(g: Complex) -> None:
+    """Refuse a refinement over the cap before building it; G * 1 is its size."""
+    check_simplex_count("the simplex count of the refinement",
+                        product_simplex_count(g, _POINT))
+
+
 def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
     suite, m, k = args.suite, args.m, args.k
     if suite in ("energy", "energy-ball"):
@@ -167,6 +176,7 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("det-fermi", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]
     if suite == "barycentric":
+        _check_refinement(g)
         t0 = time.perf_counter()
         lhs = ch.w_m(g, m)
         rhs = ch.w_m(barycentric(g), m)
@@ -174,6 +184,9 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         return [ch.EnergyReport("barycentric", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]
     if suite == "product":
         right = load_complex(args.right) if args.right else generate(GeneratorSpec("path3"))
+        check_simplex_count("the simplex count of the product",
+                            product_simplex_count(g, right))
+        _check_refinement(g)
         t0 = time.perf_counter()
         gh = topological_product(g, right)
         lhs = ch.w_m(gh, m)
@@ -181,9 +194,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         elapsed = (time.perf_counter() - t0) * 1000.0
         rep1 = ch.EnergyReport("product", m, k, lhs, rhs, lhs == rhs, len(gh), elapsed)
         t0 = time.perf_counter()
-        one = closure([[1]])
         g1 = barycentric(g)
-        gdot1 = topological_product(g, one)
+        gdot1 = topological_product(g, _POINT)
         lhs2 = ch.w_m(g1, m)
         rhs2 = ch.w_m(gdot1, m)
         ok = lhs2 == rhs2 and g1.f_vector == gdot1.f_vector
@@ -256,6 +268,7 @@ def cmd_generate(args) -> int:
 def cmd_product(args) -> int:
     left = load_complex(args.left)
     right = load_complex(args.right)
+    check_simplex_count("the simplex count of the product", product_simplex_count(left, right))
     return _write_facets(topological_product(left, right), args.output)
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from .complexes import Complex, closure, whitney
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 __all__ = [
     "MAX_SIMPLICES",
+    "check_simplex_count",
     "parse_facets",
     "parse_edge_list",
     "parse_complex",
@@ -26,6 +27,14 @@ __all__ = [
 
 # simplices a complex read from text may hold; a 17-vertex simplex fits
 MAX_SIMPLICES = 1 << 17
+
+
+def check_simplex_count(what: str, count: int) -> None:
+    """Refuse, before building, a complex of more than MAX_SIMPLICES simplices."""
+    if count > MAX_SIMPLICES:
+        raise ResourceBudgetError(
+            f"{what} is {count}, over the cap of {MAX_SIMPLICES} simplices"
+        )
 
 
 def _meaningful_lines(text: str):

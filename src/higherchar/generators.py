@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, closure, whitney
-from .errors import InputError, ResourceBudgetError
-from .files import MAX_SIMPLICES
+from .errors import InputError
+from .files import MAX_SIMPLICES, check_simplex_count
 
 __all__ = [
     "GeneratorSpec",
@@ -142,13 +142,6 @@ class GeneratorSpec:
     seed: int | None = None
 
 
-def _check_count(what: str, count: int) -> None:
-    if count > MAX_SIMPLICES:
-        raise ResourceBudgetError(
-            f"{what} is {count}, over the cap of {MAX_SIMPLICES} simplices"
-        )
-
-
 def generate(spec: GeneratorSpec) -> Complex:
     """Build the complex of a spec; over ``files.MAX_SIMPLICES`` it raises
     ResourceBudgetError before building."""
@@ -156,22 +149,22 @@ def generate(spec: GeneratorSpec) -> Complex:
     if kind == "simplex":
         _need(spec, "n")
         # exponents are clipped at 64, far over the cap, before the power
-        _check_count("the simplex count of simplex", 2 ** min(spec.n, 64) - 1)
+        check_simplex_count("the simplex count of simplex", 2 ** min(spec.n, 64) - 1)
         return simplex_complex(spec.n)
     if kind == "cycle":
         _need(spec, "n")
-        _check_count("the simplex count of cycle", 2 * spec.n)
+        check_simplex_count("the simplex count of cycle", 2 * spec.n)
         return cycle(spec.n)
     if kind == "cross_polytope":
         if spec.d is None:
             raise InputError("cross_polytope needs d")
-        _check_count("the simplex count of cross_polytope", 3 ** min(spec.d + 1, 64) - 1)
+        check_simplex_count("the simplex count of cross_polytope", 3 ** min(spec.d + 1, 64) - 1)
         return cross_polytope(spec.d)
     if kind == "octahedron":
         return octahedron()
     if kind == "star":
         _need(spec, "n")
-        _check_count("the simplex count of star", 2 * spec.n - 1)
+        check_simplex_count("the simplex count of star", 2 * spec.n - 1)
         return star_complex(spec.n)
     if kind == "path3":
         return path3()
@@ -183,7 +176,7 @@ def generate(spec: GeneratorSpec) -> Complex:
             raise InputError("random_whitney needs seed")
         if spec.n < 1:
             raise InputError("random complex needs n >= 1 vertices")
-        _check_count("the edge universe of random_whitney", spec.n * (spec.n - 1) // 2)
+        check_simplex_count("the edge universe of random_whitney", spec.n * (spec.n - 1) // 2)
         return whitney(range(1, spec.n + 1), random_graph_edges(spec.n, spec.edges, spec.seed),
                        simplex_budget=MAX_SIMPLICES)
     raise InputError(f"unknown generator kind {kind!r}")

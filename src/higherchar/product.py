@@ -7,10 +7,18 @@ G * H is the clique complex of the comparability graph on the pairs
 rebuilt from the products of the two monomial sets.  It multiplies all
 higher characteristics and turns the one-point complex into the refinement
 operator: G * 1 is the barycentric refinement of G.
+
+Its size is known before it is built.  The simplices of G * H are the chains
+of the pair order, and a chain is counted by its top pair (x, y): with
+|x| = a and |y| = b there are c(a, b) of them,
+c(a, b) = 1 + sum C(a, i) C(b, j) c(i, j) over 1 <= i <= a, 1 <= j <= b,
+(i, j) != (a, b): the chain is the top alone, or a chain topped by a pair
+of faces below it, then the top.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
 from .complexes import Complex, whitney
@@ -21,6 +29,7 @@ __all__ = [
     "complex_from_ring",
     "topological_product",
     "topological_product_via_ring",
+    "product_simplex_count",
 ]
 
 Monomial = frozenset
@@ -58,30 +67,53 @@ def complex_from_ring(monomials: Iterable) -> Complex:
     return whitney(range(n), edges)
 
 
+def _faces(bits: int, index: dict[int, int]) -> list[int]:
+    """Positions of the nonempty faces of a member, itself included."""
+    out = []
+    a = bits
+    while a:
+        out.append(index[a])
+        a = (a - 1) & bits
+    return out
+
+
 def topological_product(g: Complex, h: Complex) -> Complex:
     """G * H built directly on the pair order: (x,y) <= (x',y') iff both
     components are faces; the product is the clique complex of the
     comparability graph.  Vertex count is always |G| * |H|: the pair
     (i-th simplex of g, j-th simplex of h), in canonical order, is vertex
-    i * |H| + j."""
-    gs = g.simplices
-    hs = h.simplices
-    ng, nh = len(gs), len(hs)
-    n = ng * nh
-    gb = [s.bits for s in gs]
-    hb = [s.bits for s in hs]
+    i * |H| + j.  Each pair is joined to the pairs of its faces, so the
+    edges are listed without an all-pairs test."""
+    gb = [s.bits for s in g.simplices]
+    hb = [s.bits for s in h.simplices]
+    nh = len(hb)
+    gidx = {b: i for i, b in enumerate(gb)}
+    hidx = {b: j for j, b in enumerate(hb)}
+    hfaces = [_faces(b, hidx) for b in hb]
     edges = []
-    for a in range(n):
-        ia, ja = divmod(a, nh)
-        ag, ah = gb[ia], hb[ja]
-        for b in range(a + 1, n):
-            ib, jb = divmod(b, nh)
-            cg, chh = gb[ib], hb[jb]
-            eg = ag & cg
-            eh = ah & chh
-            if (eg == ag and eh == ah) or (eg == cg and eh == chh):
-                edges.append((a, b))
-    return whitney(range(n), edges)
+    for i, x in enumerate(gb):
+        xfaces = [fi * nh for fi in _faces(x, gidx)]
+        for j in range(nh):
+            top = i * nh + j
+            edges.extend((f + fj, top) for f in xfaces for fj in hfaces[j] if f + fj != top)
+    return whitney(range(len(gb) * nh), edges)
+
+
+def product_simplex_count(g: Complex, h: Complex) -> int:
+    """|G * H| from the f-vectors alone, without building the product."""
+    fg, fh = g.f_vector, h.f_vector
+    c: dict[tuple[int, int], int] = {}
+    total = 0
+    for a in range(1, len(fg) + 1):
+        for b in range(1, len(fh) + 1):
+            c[a, b] = 1 + sum(
+                comb(a, i) * comb(b, j) * c[i, j]
+                for i in range(1, a + 1)
+                for j in range(1, b + 1)
+                if (i, j) != (a, b)
+            )
+            total += fg[a - 1] * fh[b - 1] * c[a, b]
+    return total
 
 
 def topological_product_via_ring(g: Complex, h: Complex) -> Complex:

@@ -12,9 +12,20 @@ boundary whose boundary is a (d-1)-sphere.
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
-A sub-complex is the tuple of its members' bit masks in canonical order; a
-link or a puncture is a filter of it, so it stays canonical unsorted.  Results
-are memoized on that tuple, the exact labeled complex (no isomorphism
+A sub-complex g is the tuple of its members' bit masks in canonical order
+(by size, then by vertex list), and each step body indexes it once by
+vertex: st[v] holds the members that contain v, in g's order.  Unit spheres
+are read from these stars, never from a scan of g.  For a vertex,
+S(v) = {y - v : y in st[v], y != v} is already canonical: two members of
+equal size are ordered by which holds the smallest vertex of their symmetric
+difference, and taking v out of two members that both hold v shrinks both by
+one and leaves that difference as it was.  For a larger simplex x,
+S(x) = dx * lk(x): the joins a | b, with a a proper face of x or empty and
+b in lk(x) or empty, except the empty join.  The link
+lk(x) = {y - x : y in st[v], x < y} is read from the smallest star st[v]
+among the vertices v of x, and the joins are sorted by their position in g.
+A puncture is a filter of g, so it stays canonical unsorted.  Results are
+memoized on the tuple, the exact labeled complex (no isomorphism
 canonicalization), so repeated sub-complexes are checked once per query.
 """
 
@@ -117,11 +128,6 @@ def _step(base):
     return wrap
 
 
-def _unit_sphere(g: tuple[int, ...], members: set[int], xb: int) -> tuple[int, ...]:
-    """S(x) as a filter of g: s is not in U(x) and s ∪ x is a member."""
-    return tuple(s for s in g if s & xb != xb and s | xb in members)
-
-
 def _minus_star(g: tuple[int, ...], xb: int) -> tuple[int, ...]:
     """G minus U(x), a filter of g."""
     return tuple(s for s in g if s & xb != xb)
@@ -140,30 +146,78 @@ def _nonnegative(g: tuple[int, ...], d: int):
         raise InputError("manifold dimension must be non-negative")
 
 
-def _vertices_by_star_size(g: tuple[int, ...]) -> list[int]:
-    count: dict[int, int] = {}
-    for b in g:
-        while b:
-            low = b & -b
-            count[low] = count.get(low, 0) + 1
-            b ^= low
-    return sorted(count, key=lambda vb: (count[vb], vb))
+class _StarIndex:
+    """The stars of a sub-complex g: for each vertex bit, the members of g
+    that contain it, in g's order.  Unit spheres and the order of vertex
+    candidates are read from here."""
+
+    __slots__ = ("st", "_rank", "_g")
+
+    def __init__(self, g: tuple[int, ...]):
+        st: dict[int, list[int]] = {}
+        for b in g:
+            r = b
+            while r:
+                low = r & -r
+                lst = st.get(low)
+                if lst is None:
+                    st[low] = [b]
+                else:
+                    lst.append(b)
+                r ^= low
+        self.st = st
+        self._g = g
+        self._rank: dict[int, int] | None = None
+
+    def vertices_by_star_size(self) -> list[int]:
+        st = self.st
+        return sorted(st, key=lambda vb: (len(st[vb]), vb))
+
+    def unit_sphere(self, xb: int) -> tuple[int, ...]:
+        """S(x), canonical: lk(v) for a vertex, dx * lk(x) otherwise."""
+        st = self.st
+        if not xb & (xb - 1):
+            return tuple([y ^ xb for y in st[xb] if y != xb])
+        low = xb & -xb
+        smallest = st[low]
+        r = xb ^ low
+        while r:
+            low = r & -r
+            if len(st[low]) < len(smallest):
+                smallest = st[low]
+            r ^= low
+        # x comes first among the members that contain it, so link[0] is 0
+        link = [y ^ xb for y in smallest if y & xb == xb]
+        faces = []
+        a = (xb - 1) & xb
+        while a:
+            faces.append(a)
+            a = (a - 1) & xb
+        # a | b for every nonempty face a and every b, the empty link[0]
+        # included; then b alone for every nonempty b
+        joins = [a | b for b in link for a in faces]
+        joins += link[1:]
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = {b: i for i, b in enumerate(self._g)}
+        joins.sort(key=rank.__getitem__)
+        return tuple(joins)
 
 
 def _every_link(ctx: _Ctx, g: tuple[int, ...], d: int, test) -> tuple[Status, tuple]:
     """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g."""
-    members = set(g)
+    idx = _StarIndex(g)
     for xb in g:
-        if test(ctx, _unit_sphere(g, members, xb), d - 1)[0] is NO:
+        if test(ctx, idx.unit_sphere(xb), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
 
 
 @_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
 def _contractible(ctx: _Ctx, g: tuple[int, ...]) -> tuple[Status, tuple]:
-    members = set(g)
-    for vbit in _vertices_by_star_size(g):
-        if _contractible(ctx, _unit_sphere(g, members, vbit))[0] is not YES:
+    idx = _StarIndex(g)
+    for vbit in idx.vertices_by_star_size():
+        if _contractible(ctx, idx.unit_sphere(vbit))[0] is not YES:
             continue
         s2, cert2 = _contractible(ctx, _minus_star(g, vbit))
         if s2 is YES:
@@ -176,7 +230,7 @@ def _sphere(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if _manifold(ctx, g, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
-    candidates = _vertices_by_star_size(g)
+    candidates = _StarIndex(g).vertices_by_star_size()
     seen = set(candidates)
     candidates.extend(s for s in g if s not in seen)
     for xb in candidates:
@@ -217,10 +271,10 @@ def _boundary_members(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
     certified manifold with boundary, where every unit sphere is a
     (d-1)-sphere or a (d-1)-ball."""
-    members = set(g)
+    idx = _StarIndex(g)
     out = []
     for xb in g:
-        sph = _unit_sphere(g, members, xb)
+        sph = idx.unit_sphere(xb)
         if _sphere(ctx, sph, d - 1)[0] is NO and _ball(ctx, sph, d - 1)[0] is YES:
             out.append(xb)
     return tuple(out)

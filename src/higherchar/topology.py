@@ -200,19 +200,18 @@ def barycentric(g: Complex, *, simplex_budget: int | None = None) -> Complex:
 
     Vertex i of the refinement is the i-th simplex of g in canonical order;
     two vertices are joined when one simplex is a face of the other, so the
-    simplices of the refinement are the chains of the face poset.
+    simplices of the refinement are the chains of the face poset.  Each
+    simplex is joined to its proper faces, so no pair is tested.
     """
-    ss = g.simplices
-    n = len(ss)
+    index = {s.bits: i for i, s in enumerate(g.simplices)}
     edges = []
-    for i in range(n):
-        bi = ss[i].bits
-        for j in range(i + 1, n):
-            bj = ss[j].bits
-            b = bi & bj
-            if b == bi or b == bj:
-                edges.append((i, j))
-    return whitney(range(n), edges, simplex_budget=simplex_budget)
+    for j, s in enumerate(g.simplices):
+        b = s.bits
+        a = (b - 1) & b
+        while a:
+            edges.append((index[a], j))
+            a = (a - 1) & b
+    return whitney(range(len(index)), edges, simplex_budget=simplex_budget)
 
 
 def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:

@@ -299,6 +299,23 @@ class TestGenerateAndProduct:
         assert "over the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["verify", "barycentric", "{k8}", "-m", "1"],
+         ["verify", "product", "{k6}", "-m", "1", "--right", "{k2}"],
+         ["product", "{k5}", "{k5}"]],
+    )
+    def test_refinement_and_product_over_cap_exit_2(self, capsys, tmp_path, argv):
+        # closed-form counts: bary(K8) has 1091669 simplices, K6 x K2 161073
+        # and K5 x K5 38928961, each over the 2^17 cap
+        files = {}
+        for n in (2, 5, 6, 8):
+            p = tmp_path / f"k{n}.facets"
+            p.write_text(" ".join(map(str, range(1, n + 1))) + "\n")
+            files[f"k{n}"] = str(p)
+        assert main([a.format(**files) for a in argv]) == 2
+        assert "over the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args,lines",
         [(["--kind", "cross_polytope", "--d", "1"], ["1 3", "1 4", "2 3", "2 4"]),
          (["--kind", "star", "--n", "4"], ["1 2", "1 3", "1 4"])],

@@ -1,16 +1,20 @@
 import pytest
+from hypothesis import given, settings
 
 from higherchar.characteristics import w_m
 from higherchar.errors import InputError
-from higherchar.generators import random_whitney, simplex_complex, star_complex
+from higherchar.generators import path3, random_whitney, simplex_complex, star_complex
 from higherchar.product import (
     complex_from_ring,
+    product_simplex_count,
     ring_from_complex,
     topological_product,
     topological_product_via_ring,
 )
 from higherchar.recognizers import is_ball, is_manifold, is_manifold_with_boundary
 from higherchar.topology import barycentric
+
+from strategies import random_complexes
 
 
 def one_point():
@@ -136,3 +140,18 @@ class TestProductManifolds:
         assert is_manifold(tor, 2, budget=10**6).is_yes
         for m in (1, 2, 3):
             assert w_m(tor, m) == 0
+
+
+class TestSimplexCount:
+    @given(random_complexes(max_vertices=6, max_edges=9),
+           random_complexes(max_vertices=4, max_edges=4))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_counts_match_built_complexes(self, g, h):
+        assert product_simplex_count(g, one_point()) == len(barycentric(g))
+        assert product_simplex_count(g, h) == len(topological_product(g, h))
+
+    def test_counts_of_large_products(self):
+        # G1228 x path3 is refused by the CLI before it is built
+        g1228 = random_whitney(40, 300, 1)
+        assert len(g1228) == 1228
+        assert product_simplex_count(g1228, path3()) == 1853024

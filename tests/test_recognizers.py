@@ -1,6 +1,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higherchar import recognizers
 from higherchar.characteristics import w_m
@@ -22,6 +24,9 @@ from higherchar.recognizers import (
     is_sphere,
     manifold_boundary,
 )
+
+from oracles import unit_sphere_by_scan, vertices_by_popcount
+from strategies import random_complexes
 
 
 class TestContractible:
@@ -252,6 +257,7 @@ PINNED = [
       73),
      4696),
     ("barycentric(barycentric(cross_polytope(2)))", "is_dehn_sommerville", "yes", (), 1587),
+    ("barycentric(barycentric(cross_polytope(2)))", "is_contractible", "no", (), 435),
 ]
 
 PINNED_COMPLEXES = {
@@ -284,6 +290,32 @@ class TestPinnedVerdicts:
         g = barycentric(barycentric(cross_polytope(2)))
         v = is_ball(g, 2, budget=50)
         assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 51)
+
+
+class TestStarIndex:
+    """Links read from the star index equal the literal scan, order included."""
+
+    @staticmethod
+    def _check(g):
+        idx = recognizers._StarIndex(g)
+        assert idx.vertices_by_star_size() == vertices_by_popcount(g)
+        members = set(g)
+        for xb in g:
+            assert idx.unit_sphere(xb) == unit_sphere_by_scan(g, members, xb)
+
+    @given(random_complexes(max_vertices=8, max_edges=18), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_links_match_scan(self, g, data):
+        g = tuple(s.bits for s in g.simplices)
+        self._check(g)
+        xb = data.draw(st.sampled_from(g))
+        link = unit_sphere_by_scan(g, set(g), xb)
+        puncture = tuple(s for s in g if s & xb != xb)
+        self._check(link)
+        self._check(puncture)
+
+    def test_links_match_scan_on_refinement(self):
+        self._check(tuple(s.bits for s in barycentric(cross_polytope(3)).simplices))
 
 
 class TestProcessState:
