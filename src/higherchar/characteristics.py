@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members, closure
+from .complexes import Complex, Simplex, SimplexSubset, _close, _mask, _masks_of, _members
 from .errors import DomainError, InputError, ResourceBudgetError
 from .topology import configuration, config_weight, star_intersection, unit_sphere
 
@@ -126,40 +126,72 @@ def _face_terms_of(member_bits: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple((n, c) for n, c in grouped.items() if c)
 
 
-def _eval_terms(terms: Iterable[tuple[int, int]], m: int) -> int:
-    return sum(c * n**m for n, c in terms)
+def _powers(values: Iterable[int], m: int, op_budget: int | None) -> dict[int, int]:
+    """{N: N**m} for the distinct values N, refused before any power is raised
+    when their cost is over ``op_budget``.
+
+    N**m has at most m * bit_length(|N|) bits, d digits of 30 bits, and
+    CPython squares d digits by Karatsuba in about 3^log2(d) digit products;
+    each N with |N| >= 2 is charged 3 ** d.bit_length(), an upper bound on
+    that count.  The powers of 0, 1 and -1 are free.
+    """
+    vs = set(values)
+    if op_budget is not None:
+        cost = sum(3 ** (m * abs(v).bit_length() // 30 + 1).bit_length()
+                   for v in vs if not -1 <= v <= 1)
+        if cost > op_budget:
+            raise ResourceBudgetError(
+                f"raising {len(vs)} values to the power {m} would cost {cost} steps,"
+                f" over the budget {op_budget}"
+            )
+    return {v: v**m for v in vs}
+
+
+def _eval_terms(terms: Sequence[tuple[int, int]], m: int, op_budget: int | None = None) -> int:
+    pw = _powers((n for n, _ in terms), m, op_budget)
+    return sum(c * pw[n] for n, c in terms)
 
 
 def _star_weights(g: Complex) -> dict[int, int]:
     """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g, in one subset
     pass; every face of a member is a member, as g is closed."""
-    out = {s.bits: 0 for s in g.simplices}
-    for y in g.simplices:
-        yb = y.bits
-        w = y.weight
-        sub = yb
+    out = dict.fromkeys(g.member_bits, 0)
+    for y in g.member_bits:
+        w = 1 if y.bit_count() & 1 else -1
+        sub = y
         while sub:
             out[sub] += w
-            sub = (sub - 1) & yb
+            sub = (sub - 1) & y
     return out
 
 
-def w_m(a, m: int) -> int:
-    """Exact m'th characteristic of a complex or an arbitrary simplex subset.
+def _terms(a) -> tuple[tuple[int, int], ...]:
+    """(N, C) pairs with w_m(a) = sum of C * N**m for every m >= 1.
 
-    On a complex it is the sum of w(z) * N(z)^m, computed afresh on every call:
-    a cached table would keep every transient complex (products, refinements,
-    local-valuation closures) alive.
+    On a complex they are the star weights N(z) grouped with the summed
+    w(z), from one ``_star_weights`` pass; on any other collection, the face
+    terms of ``_face_terms_of``.
     """
-    if m < 1:
-        raise InputError("the arity m must be at least 1")
     if not isinstance(a, Complex):
-        return _eval_terms(_face_terms_of(s.bits for s in _members(a)), m)
+        return _face_terms_of(_masks_of(a))
     grouped: dict[int, int] = {}
     for z, n in _star_weights(a).items():
         if n:
             grouped[n] = grouped.get(n, 0) + _weight_of_bits(z)
-    return _eval_terms(grouped.items(), m)
+    return tuple(grouped.items())
+
+
+def w_m(a, m: int, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:
+    """Exact m'th characteristic of a complex or an arbitrary simplex subset.
+
+    On a complex it is the sum of w(z) * N(z)^m, computed afresh on every call:
+    a cached table would keep every transient complex (products, refinements,
+    local-valuation closures) alive.  The powers are charged against
+    ``op_budget`` before they are raised (``_powers``).
+    """
+    if m < 1:
+        raise InputError("the arity m must be at least 1")
+    return _eval_terms(_terms(a), m, op_budget)
 
 
 def _wm_naive_bits(
@@ -200,15 +232,23 @@ def _wm_naive_bits(
                             total += wij * ws[l]
         ops = n * n * n
     else:
-        for idx in itertools.product(range(n), repeat=m):
-            p = bits[idx[0]]
-            w = ws[idx[0]]
-            for i in idx[1:]:
-                p &= bits[i]
-                w *= ws[i]
-            ops += 1
-            if p and (assume_closed or p in mset):
-                total += w
+        # depth first over the tuple prefixes; a prefix with an empty
+        # intersection is dropped, as every tuple that extends it is
+        pairs = list(zip(bits, ws))
+        stack = [(b, w, 1) for b, w in pairs]
+        while stack:
+            p, w, j = stack.pop()
+            if j < m - 1:
+                for b, wb in pairs:
+                    q = p & b
+                    if q:
+                        stack.append((q, w * wb, j + 1))
+                continue
+            for b, wb in pairs:
+                q = p & b
+                if q and (assume_closed or q in mset):
+                    total += w * wb
+        ops = n**m
     if op_counter is not None:
         op_counter["tuples"] = op_counter.get("tuples", 0) + ops
     return total
@@ -229,14 +269,14 @@ def w_m_naive(
     """
     if m < 1:
         raise InputError("the arity m must be at least 1")
-    members = _members(a)
+    members = list(_masks_of(a))
     n = len(members)
     if op_budget is not None and n > 1 and n**m > op_budget:
         raise ResourceBudgetError(
             f"naive w_{m} would enumerate {n}^{m} tuples, over the budget {op_budget}"
         )
     return _wm_naive_bits(
-        [s.bits for s in members], m,
+        members, m,
         assume_closed=assume_closed, op_counter=op_counter,
     )
 
@@ -267,7 +307,7 @@ class InteractionFunction:
     @staticmethod
     def delta(target: Sequence[Simplex], value: int = 1) -> "InteractionFunction":
         """1 (or ``value``) on one fixed tuple, 0 everywhere else."""
-        key = tuple(_coerce_simplex(s).bits for s in target)
+        key = tuple(map(_mask, target))
         if not key:
             raise InputError("delta interaction needs a nonempty target tuple")
 
@@ -338,10 +378,8 @@ def w_m_multi(slots: Sequence[SimplexSubset]) -> int:
 
 def fermi(a) -> int:
     """Product of the weights over all members; +1 or -1 (empty product is 1)."""
-    t = 1
-    for s in _members(a):
-        t *= s.weight
-    return t
+    even = sum(1 for b in _masks_of(a) if not b.bit_count() & 1)
+    return -1 if even & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +389,8 @@ def fermi(a) -> int:
 @lru_cache(maxsize=512)
 def _stars_of(g: Complex) -> dict[int, tuple[int, ...]]:
     """Member bits of U(z) for every simplex z of g, keyed by z's bits."""
-    out: dict[int, list[int]] = {s.bits: [] for s in g.simplices}
-    for y in g.simplices:
-        yb = y.bits
+    out: dict[int, list[int]] = {b: [] for b in g.member_bits}
+    for yb in g.member_bits:
         sub = yb
         while sub:
             lst = out.get(sub)
@@ -389,33 +426,35 @@ def _ball_members_of(g: Complex) -> dict[int, tuple[int, ...]]:
 @lru_cache(maxsize=512)
 def _sphere_sets(g: Complex) -> tuple[tuple[int, ...], ...]:
     """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
-    return tuple(_joins(g, True).values())
+    joins = _joins(g, True)
+    return tuple(joins[z] for z in g.masks)
 
 
-_star_weight_table = lru_cache(maxsize=512)(_star_weights)
+@lru_cache(maxsize=512)
+def _star_weight_table(g: Complex) -> dict[int, int]:
+    """``_star_weights(g)``, kept per complex."""
+    return _star_weights(g)
 
 
 @lru_cache(maxsize=1024)
-def _star_wm(g: Complex, m: int) -> dict[int, int]:
-    """w_m(U(z)) = N(z)^m for every z of g."""
+def _star_wm(g: Complex, m: int, op_budget: int | None = None) -> dict[int, int]:
+    """w_m(U(z)) = N(z)^m for every z of g; the powers are charged against
+    ``op_budget`` (``_powers``)."""
     n = _star_weight_table(g)
-    pw = {v: v**m for v in set(n.values())}
+    pw = _powers(n.values(), m, op_budget)
     return {z: pw[v] for z, v in n.items()}
 
 
 @lru_cache(maxsize=1024)
-def _ball_wm(g: Complex, m: int) -> dict[int, int]:
+def _ball_wm(g: Complex, m: int, op_budget: int | None = None) -> dict[int, int]:
     """w_m(B(z)) = T_m(z) = sum of w(y) * N(y)^m over y ⊇ z, for every z of g,
-    by one superset-sum pass."""
-    n = _star_weight_table(g)
-    pw = {v: v**m for v in set(n.values())}
-    out = dict.fromkeys(n, 0)
-    for y in g.simplices:
-        yb = y.bits
-        t = pw[n[yb]]
+    by one superset-sum pass over the star table."""
+    star = _star_wm(g, m, op_budget)
+    out = dict.fromkeys(star, 0)
+    for yb, t in star.items():
         if not t:
             continue
-        if y.weight < 0:
+        if not yb.bit_count() & 1:
             t = -t
         sub = yb
         while sub:
@@ -425,18 +464,19 @@ def _ball_wm(g: Complex, m: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _sphere_wm(g: Complex, m: int) -> dict[int, int]:
+def _sphere_wm(g: Complex, m: int, op_budget: int | None = None) -> dict[int, int]:
     """w_m(S(z)) = (-1)^m * (N(z)^m - T_m(z)) for every z of g."""
-    balls = _ball_wm(g, m)
+    balls = _ball_wm(g, m, op_budget)
+    star = _star_wm(g, m, op_budget)
     if m & 1:
-        return {z: balls[z] - t for z, t in _star_wm(g, m).items()}
-    return {z: t - balls[z] for z, t in _star_wm(g, m).items()}
+        return {z: balls[z] - t for z, t in star.items()}
+    return {z: t - balls[z] for z, t in star.items()}
 
 
 def _union_cost(g: Complex, k: int) -> int:
     """Steps of ``_union_weights(g, k)``: both subset passes, plus the powers,
     charged k per simplex since the bit length of a k'th power grows with k."""
-    return sum(2 << len(s) for s in g.simplices) + k * len(g)
+    return sum(2 << b.bit_count() for b in g.member_bits) + k * len(g)
 
 
 @lru_cache(maxsize=512)
@@ -452,7 +492,7 @@ def _union_weights(g: Complex, k: int) -> dict[int, int]:
     counted.  Entries that come out 0 are left out.  Costs
     ``_union_cost(g, k)`` steps, O(sum over z of 2^|z|) for fixed k.
     """
-    ws = {s.bits: s.weight for s in g.simplices}
+    ws = {b: _weight_of_bits(b) for b in g.member_bits}
     # weight(y) * F(y), since (-1)^(|z|-|y|) = weight(z) * weight(y)
     signed: dict[int, int] = {}
     for z, wz in ws.items():
@@ -527,8 +567,8 @@ def _direct_weighted_sum(
     op_budget: int | None,
 ) -> int:
     """sum over all |g|^k configurations of weight(X) * table[union bits of X]."""
-    bits = [s.bits for s in g.simplices]
-    ws = [s.weight for s in g.simplices]
+    bits = list(g.member_bits)
+    ws = [_weight_of_bits(b) for b in bits]
     n = len(bits)
     if op_budget is not None and n > 1 and n**k > op_budget:
         raise ResourceBudgetError(
@@ -571,8 +611,10 @@ def energy_sum(
         raise InputError(f"unknown variant {variant!r}")
     t0 = time.perf_counter()
     if h is None:
-        lhs = w_m(g, m)
-        table = _star_wm(g, m) if variant == "star" else _ball_wm(g, m)
+        # w_m(G) = sum of w(z) * N(z)^m, from the star table the right-hand side reads
+        star = _star_wm(g, m, op_budget)
+        lhs = sum(t if z.bit_count() & 1 else -t for z, t in star.items())
+        table = star if variant == "star" else _ball_wm(g, m, op_budget)
     else:
         if h.arity != m:
             raise InputError(f"interaction arity {h.arity} does not match m={m}")
@@ -617,7 +659,7 @@ def sphere_sum(
     """Check that the weighted w_m of all configuration spheres S(X) sums to zero."""
     _check_mk(m, k)
     t0 = time.perf_counter()
-    table = _sphere_wm(g, m)
+    table = _sphere_wm(g, m, op_budget)
     rhs = _configuration_sum(g, k, table, method, op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("sphere", m, k, 0, rhs, rhs == 0, len(g), elapsed)
@@ -718,10 +760,10 @@ def dual_sphere_sum(
             raise ResourceBudgetError(
                 f"dual sphere sum would cost {len(g)} steps, over the budget {op_budget}"
             )
-        table = _sphere_wm(g, m)
-        total = sum(s.weight * table[s.bits] for s in g.simplices)
+        table = _sphere_wm(g, m, op_budget)
+        total = sum(t if z.bit_count() & 1 else -t for z, t in table.items())
     else:
-        ws = [s.weight for s in g.simplices]
+        ws = [_weight_of_bits(b) for b in g.masks]
         total = _dual_sphere_total(_sphere_sets(g), ws, m, k, op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("dual-sphere", m, k, 0, total, total == 0, len(g), elapsed)
@@ -779,7 +821,7 @@ def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
     xb = 0
     for x in X:
         xb |= x.bits
-    lhs = w_m(closure(_members(u)), m)
+    lhs = w_m(_close(u.member_bits), m)
     rhs = w_m(u, m) - (-1) ** m * w_m(unit_sphere(g, xb), m)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(

@@ -91,13 +91,14 @@ def random_open_set(g: Complex, rng: SplitMix64) -> OpenSet:
 
 def cmd_info(args) -> int:
     g = load_complex(args.complex)
+    terms = ch._terms(g)  # one N(z) pass for the three characteristics
     out = {
         "f_vector": list(g.f_vector),
         "dim": g.dim,
         "n_simplices": len(g),
-        "w1": ch.w_m(g, 1),
-        "w2": ch.w_m(g, 2),
-        "w3": ch.w_m(g, 3),
+        "w1": ch._eval_terms(terms, 1),
+        "w2": ch._eval_terms(terms, 2),
+        "w3": ch._eval_terms(terms, 3),
         "fermi": ch.fermi(g),
     }
     _emit(out, args.json)
@@ -178,8 +179,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
     if suite == "barycentric":
         _check_refinement(g)
         t0 = time.perf_counter()
-        lhs = ch.w_m(g, m)
-        rhs = ch.w_m(barycentric(g), m)
+        lhs = ch.w_m(g, m, op_budget=args.budget)
+        rhs = ch.w_m(barycentric(g), m, op_budget=args.budget)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("barycentric", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]
     if suite == "product":
@@ -189,15 +190,15 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         _check_refinement(g)
         t0 = time.perf_counter()
         gh = topological_product(g, right)
-        lhs = ch.w_m(gh, m)
-        rhs = ch.w_m(g, m) * ch.w_m(right, m)
+        lhs = ch.w_m(gh, m, op_budget=args.budget)
+        rhs = ch.w_m(g, m, op_budget=args.budget) * ch.w_m(right, m, op_budget=args.budget)
         elapsed = (time.perf_counter() - t0) * 1000.0
         rep1 = ch.EnergyReport("product", m, k, lhs, rhs, lhs == rhs, len(gh), elapsed)
         t0 = time.perf_counter()
         g1 = barycentric(g)
         gdot1 = topological_product(g, _POINT)
-        lhs2 = ch.w_m(g1, m)
-        rhs2 = ch.w_m(gdot1, m)
+        lhs2 = ch.w_m(g1, m, op_budget=args.budget)
+        rhs2 = ch.w_m(gdot1, m, op_budget=args.budget)
         ok = lhs2 == rhs2 and g1.f_vector == gdot1.f_vector
         elapsed = (time.perf_counter() - t0) * 1000.0
         rep2 = ch.EnergyReport("product-refinement", m, k, lhs2, rhs2, ok,
@@ -319,6 +320,15 @@ def cmd_recognize(args) -> int:
 def cmd_matrix(args) -> int:
     g = load_complex(args.complex)
     which = args.which
+    if which.startswith("charpoly") or which == "isospectral":
+        # Faddeev-LeVerrier: n products of n x n matrices, each n^3
+        n = len(g)
+        cost = (2 if which == "isospectral" else 1) * n**4
+        if cost > ch.DEFAULT_OP_BUDGET:
+            raise ResourceBudgetError(
+                f"{which} of {n} simplices would cost {cost} steps,"
+                f" over the budget {ch.DEFAULT_OP_BUDGET}"
+            )
     if which == "connection":
         print(json.dumps(linalg.connection_matrix(g)))
     elif which == "green":

@@ -1,10 +1,20 @@
 """Finite abstract simplicial complexes over integer vertex ids.
 
-Every vertex set is mirrored as an integer bit mask (bit ``v`` set iff vertex
-``v`` is present), so subset and intersection tests are single integer
-operations even when a complex has a few hundred vertices.  Simplices are
-nonempty; the empty complex is allowed and plays the role of the
-(-1)-dimensional sphere.
+Every vertex set is an integer bit mask (bit ``v`` set iff vertex ``v`` is
+present), so subset and intersection tests are single integer operations
+even when a complex has a few hundred vertices.  Simplices are nonempty; the
+empty complex is allowed and plays the role of the (-1)-dimensional sphere.
+
+Masks are the storage: a ``Complex`` holds the frozenset ``member_bits`` of
+its members' masks, and ``closure``, ``whitney`` and ``join`` build it from
+masks alone.  The canonical order (by size, then lexicographically on
+ascending vertex lists; the key ``_mask_key``), the tuple ``masks`` in that
+order and the tuple ``simplices`` of ``Simplex`` objects are views, each
+built on its first use and then kept.  A sum that does not depend on the
+order of the members (the characteristics, the energy and sphere sums, the
+f-vector) never sorts and never builds a ``Simplex``; matrix rows, facet
+output, refinement vertex numbers and recognizer searches follow the
+canonical order.
 """
 
 from __future__ import annotations
@@ -42,6 +52,21 @@ def vertices_of(bits: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return tuple(out)
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _mask_key(bits: int) -> tuple[int, str]:
+    """Sort key of the canonical order on masks: size, then vertex list.
+
+    Two sets of one size agree below the lowest vertex of their symmetric
+    difference, so the one holding that vertex has the smaller vertex list.
+    ``bin(bits)`` read backwards has bit v at position v; with 0 and 1
+    exchanged, that set has the smaller string.  Neither string is a prefix
+    of the other, since the other set holds a higher vertex in its place.
+    """
+    return bits.bit_count(), bin(bits)[:1:-1].translate(_FLIP)
 
 
 class Simplex:
@@ -99,7 +124,7 @@ class Simplex:
     def __lt__(self, other):
         if not isinstance(other, Simplex):
             return NotImplemented
-        return _canonical_key(self) < _canonical_key(other)
+        return _mask_key(self.bits) < _mask_key(other.bits)
 
     def __le__(self, other):
         if not isinstance(other, Simplex):
@@ -114,103 +139,168 @@ def _coerce_simplex(s) -> Simplex:
     return s if isinstance(s, Simplex) else Simplex(s)
 
 
-def _canonical_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
-    """Sort key of the canonical order; the same order as ``Simplex.__lt__``."""
-    return (len(s.vertices), s.vertices)
+def _mask(s) -> int:
+    """The mask of a Simplex, or of an iterable of vertex ids checked as
+    ``Simplex`` checks it, without building a Simplex."""
+    if isinstance(s, Simplex):
+        return s.bits
+    b = 0
+    for v in s:
+        if v < 0:
+            raise InputError(f"vertex ids must be non-negative, got {v}")
+        b |= 1 << v
+    if not b:
+        raise InputError("a simplex must have at least one vertex")
+    return b
 
 
 class Complex:
-    """An immutable simplicial complex.
+    """An immutable simplicial complex, stored as the frozenset ``member_bits``
+    of its members' vertex masks.
 
-    Simplices are stored in canonical order (by dimension, then
-    lexicographically on vertex lists), which fixes matrix indexing and makes
-    every derived output reproducible.  Construction verifies closure under
-    taking nonempty subsets unless the caller guarantees it.
+    ``masks`` and ``simplices`` list the members in canonical order (by
+    dimension, then lexicographically on vertex lists), which fixes matrix
+    indexing and makes every derived output reproducible; both are built on
+    first use.  Construction verifies closure under taking nonempty subsets.
     """
 
-    __slots__ = ("simplices", "_bits_set")
+    __slots__ = ("member_bits", "_masks", "_simplices")
 
-    def __init__(self, simplices: Iterable = (), *, _validated: bool = False):
-        ss = sorted(map(_coerce_simplex, simplices), key=_canonical_key)
-        out: list[Simplex] = []
-        for s in ss:
-            if not out or s.bits != out[-1].bits:
-                out.append(s)
-        self.simplices: tuple[Simplex, ...] = tuple(out)
-        self._bits_set = frozenset(s.bits for s in out)
-        if not _validated:
-            missing = _missing_face(out, self._bits_set)
-            if missing is not None:
-                s, v = missing
-                raise InputError(
-                    f"not closed under subsets: {s!r} present but its face "
-                    f"without vertex {v} is missing"
-                )
+    def __init__(self, simplices: Iterable = ()):
+        bs = frozenset(map(_mask, simplices))
+        masks = tuple(sorted(bs, key=_mask_key))
+        missing = _missing_face(masks, bs)
+        if missing is not None:
+            b, v = missing
+            raise InputError(
+                f"not closed under subsets: {Simplex.from_bits(b)!r} present but its"
+                f" face without vertex {v} is missing"
+            )
+        self.member_bits: frozenset[int] = bs
+        self._masks: tuple[int, ...] | None = masks
+        self._simplices: tuple[Simplex, ...] | None = None
+
+    @classmethod
+    def _of_bits(cls, masks: Iterable[int]) -> "Complex":
+        """A complex from masks closed under subsets by construction; nothing
+        is checked."""
+        g = object.__new__(cls)
+        g.member_bits = frozenset(masks)
+        g._masks = g._simplices = None
+        return g
 
     @staticmethod
     def empty() -> "Complex":
-        return Complex((), _validated=True)
+        return Complex._of_bits(())
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The member masks in canonical order."""
+        if self._masks is None:
+            self._masks = tuple(sorted(self.member_bits, key=_mask_key))
+        return self._masks
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        """The members as ``Simplex`` objects in canonical order."""
+        if self._simplices is None:
+            self._simplices = tuple(map(Simplex.from_bits, self.masks))
+        return self._simplices
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.member_bits)
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices)
 
     def __contains__(self, s) -> bool:
         if isinstance(s, Simplex):
-            return s.bits in self._bits_set
+            return s.bits in self.member_bits
         try:
-            return bits_of(s) in self._bits_set
+            return bits_of(s) in self.member_bits
         except TypeError:
             return False
 
     def contains_bits(self, bits: int) -> bool:
-        return bits in self._bits_set
+        return bits in self.member_bits
 
     def __eq__(self, other):
         if isinstance(other, Complex):
-            return self._bits_set == other._bits_set
+            return self.member_bits == other.member_bits
         return NotImplemented
 
     def __hash__(self) -> int:
         # CPython caches a frozenset's hash
-        return hash(self._bits_set)
+        return hash(self.member_bits)
 
     def __repr__(self) -> str:
-        return f"Complex({len(self.simplices)} simplices, dim {self.dim})"
+        return f"Complex({len(self)} simplices, dim {self.dim})"
 
     @property
     def dim(self) -> int:
-        return self.simplices[-1].dim if self.simplices else -1
+        return max(map(int.bit_count, self.member_bits), default=0) - 1
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
-        for s in self.simplices:
-            counts[s.dim] += 1
+        for b in self.member_bits:
+            counts[b.bit_count() - 1] += 1
         return tuple(counts)
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        b = 0
-        for s in self.simplices:
-            b |= s.bits
-        return vertices_of(b)
-
-    @property
-    def member_bits(self) -> frozenset[int]:
-        return self._bits_set
+        return vertices_of(_vertex_mask(self))
 
     def facets(self) -> tuple[Simplex, ...]:
-        """Locally maximal simplices: members contained in no strictly larger one."""
+        """Locally maximal simplices: members contained in no strictly larger one.
+
+        As the complex is closed, a member under a larger one is a
+        codimension-one face of some member."""
         non_max = set()
-        for s in self.simplices:
-            sub = (s.bits - 1) & s.bits
-            while sub:
-                non_max.add(sub)
-                sub = (sub - 1) & s.bits
-        return tuple(s for s in self.simplices if s.bits not in non_max)
+        for b in self.member_bits:
+            rest = b if b & (b - 1) else 0
+            while rest:
+                low = rest & -rest
+                non_max.add(b ^ low)
+                rest ^= low
+        top = sorted((b for b in self.member_bits if b not in non_max), key=_mask_key)
+        return tuple(map(Simplex.from_bits, top))
+
+
+def _vertex_mask(g: Complex) -> int:
+    v = 0
+    for b in g.member_bits:
+        v |= b
+    return v
+
+
+def _close(masks: Iterable[int], simplex_budget: int | None = None) -> Complex:
+    """The closure of the given masks; see ``closure``.  A mask met again,
+    or already a face of an earlier one, is skipped whole, since the set
+    built so far is closed under subsets."""
+    found: set[int] = set()
+    add = found.add
+    for b in masks:
+        if b in found:
+            continue
+        if simplex_budget is not None:
+            n = b.bit_count()
+            if (1 << n) - 1 > simplex_budget:
+                raise ResourceBudgetError(
+                    f"a simplex with {n} vertices has {(1 << n) - 1}"
+                    f" faces, over the budget of {simplex_budget} simplices",
+                    partial=len(found),
+                )
+        sub = b
+        while sub:
+            add(sub)
+            sub = (sub - 1) & b
+        if simplex_budget is not None and len(found) > simplex_budget:
+            raise ResourceBudgetError(
+                f"closure exceeded the budget of {simplex_budget} simplices",
+                partial=len(found),
+            )
+    return Complex._of_bits(found)
 
 
 def closure(simplices: Iterable, *, simplex_budget: int | None = None) -> Complex:
@@ -219,44 +309,26 @@ def closure(simplices: Iterable, *, simplex_budget: int | None = None) -> Comple
     With a ``simplex_budget``, a simplex whose 2^|s| - 1 faces alone exceed
     it is refused before any of them is built.
     """
-    found: dict[int, Simplex] = {}
-    for s in simplices:
-        s = _coerce_simplex(s)
-        if simplex_budget is not None and (1 << len(s.vertices)) - 1 > simplex_budget:
-            raise ResourceBudgetError(
-                f"a simplex with {len(s.vertices)} vertices has {(1 << len(s.vertices)) - 1}"
-                f" faces, over the budget of {simplex_budget} simplices",
-                partial=len(found),
-            )
-        sub = s.bits
-        while sub:
-            if sub not in found:
-                found[sub] = Simplex.from_bits(sub)
-                if simplex_budget is not None and len(found) > simplex_budget:
-                    raise ResourceBudgetError(
-                        f"closure exceeded the budget of {simplex_budget} simplices",
-                        partial=len(found),
-                    )
-            sub = (sub - 1) & s.bits
-    return Complex(found.values(), _validated=True)
+    return _close(map(_mask, simplices), simplex_budget)
 
 
-def _missing_face(items: Iterable[Simplex], bs) -> tuple[Simplex, int] | None:
-    """(s, v) for the first member s whose face without vertex v is not in the
-    bit set bs, or None when the collection is closed under subsets."""
-    for s in items:
-        if len(s.vertices) == 1:
-            continue
-        for v in s.vertices:
-            if s.bits ^ (1 << v) not in bs:
-                return s, v
+def _missing_face(masks: Iterable[int], bs) -> tuple[int, int] | None:
+    """(b, v) for the first mask b whose face without vertex v is not in the
+    set bs, or None when the collection is closed under subsets."""
+    for b in masks:
+        rest = b if b & (b - 1) else 0
+        while rest:
+            low = rest & -rest
+            if b ^ low not in bs:
+                return b, low.bit_length() - 1
+            rest ^= low
     return None
 
 
 def is_complex(simplices: Iterable) -> bool:
     """True iff the collection is closed under taking nonempty subsets."""
-    items = [_coerce_simplex(s) for s in simplices]
-    return _missing_face(items, {s.bits for s in items}) is None
+    items = [_mask(s) for s in simplices]
+    return _missing_face(items, set(items)) is None
 
 
 def f_vector(g: Complex) -> tuple[int, ...]:
@@ -277,9 +349,9 @@ class SimplexSubset:
     __slots__ = ("ambient", "member_bits")
 
     def __init__(self, ambient: Complex, members: Iterable):
-        mb = frozenset(_coerce_simplex(s).bits for s in members)
-        if not mb <= ambient._bits_set:
-            b = next(b for b in mb if b not in ambient._bits_set)
+        mb = frozenset(map(_mask, members))
+        if not mb <= ambient.member_bits:
+            b = next(b for b in mb if b not in ambient.member_bits)
             raise DomainError(f"{Simplex.from_bits(b)!r} is not a simplex of the ambient complex")
         self.ambient = ambient
         self.member_bits = mb
@@ -323,22 +395,24 @@ class SimplexSubset:
         return f"{type(self).__name__}({len(self.member_bits)} of {len(self.ambient)} simplices)"
 
     def is_closed_set(self) -> bool:
-        return _missing_face(_members(self), self.member_bits) is None
+        return _missing_face(self.member_bits, self.member_bits) is None
 
     def is_open_set(self) -> bool:
         """True iff upward closed: every member's coface is again a member."""
         mb = self.member_bits
         # the ambient is closed: a member inside a non-member forces such a codim-one pair
-        for y in self.ambient.simplices:
-            yb = y.bits
-            if yb not in mb:
-                for v in y.vertices:
-                    if yb ^ (1 << v) in mb:
+        for y in self.ambient.member_bits:
+            if y not in mb:
+                rest = y
+                while rest:
+                    low = rest & -rest
+                    if y ^ low in mb:
                         return False
+                    rest ^= low
         return True
 
     def complement(self) -> "SimplexSubset":
-        return SimplexSubset._of_bits(self.ambient, self.ambient._bits_set - self.member_bits)
+        return SimplexSubset._of_bits(self.ambient, self.ambient.member_bits - self.member_bits)
 
     def union(self, other: "SimplexSubset") -> "SimplexSubset":
         self._require_same_ambient(other)
@@ -353,6 +427,14 @@ class SimplexSubset:
             raise DomainError("subsets live in different ambient complexes")
 
 
+def _masks_of(a) -> Iterable[int]:
+    """The member masks of a complex or a simplex subset, or the masks of an
+    iterable of simplices, repeats kept; in no particular order."""
+    if isinstance(a, (Complex, SimplexSubset)):
+        return a.member_bits
+    return [*map(_mask, a)]
+
+
 def _members(a) -> tuple[Simplex, ...]:
     """The members of a complex, a simplex subset or an iterable of simplices,
     in canonical order."""
@@ -361,15 +443,15 @@ def _members(a) -> tuple[Simplex, ...]:
     if isinstance(a, SimplexSubset):
         mb = a.member_bits
         return tuple(s for s in a.ambient.simplices if s.bits in mb)
-    return tuple(sorted(map(_coerce_simplex, a), key=_canonical_key))
+    return tuple(map(Simplex.from_bits, sorted(_masks_of(a), key=_mask_key)))
 
 
 def boundary_set(a) -> SimplexSubset:
     """closure(A) minus A, the topological boundary of an arbitrary collection."""
-    members = _members(a)
-    cl = closure(members)
+    masks = frozenset(_masks_of(a))
+    cl = _close(masks)
     ambient = a.ambient if isinstance(a, SimplexSubset) else a if isinstance(a, Complex) else cl
-    return SimplexSubset._of_bits(ambient, cl.member_bits - {s.bits for s in members})
+    return SimplexSubset._of_bits(ambient, cl.member_bits - masks)
 
 
 def _maximal_cliques(adj: dict[int, int], verts: list[int]) -> list[int]:
@@ -422,9 +504,7 @@ def whitney(vertices: Iterable[int], edges: Iterable, *, simplex_budget: int | N
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     cliques = _maximal_cliques(adj, verts)
-    return closure(
-        (Simplex.from_bits(c) for c in cliques), simplex_budget=simplex_budget
-    )
+    return _close(cliques, simplex_budget)
 
 
 def join(g: Complex, h: Complex, *, relabel: bool = False) -> Complex:
@@ -434,23 +514,16 @@ def join(g: Complex, h: Complex, *, relabel: bool = False) -> Complex:
     complex's ids are offset past the first one's maximum on collision.
     The join of a p-sphere and a q-sphere is a (p+q+1)-sphere.
     """
-    gv = bits_of(g.vertex_ids)
-    hv = bits_of(h.vertex_ids)
+    gv = _vertex_mask(g)
     shift = 0
-    if gv & hv:
+    if gv & _vertex_mask(h):
         if not relabel:
             raise InputError(
                 "vertex ids of the two complexes overlap; pass relabel=True to offset"
             )
-        shift = max(g.vertex_ids) + 1
-    h_bits = [s.bits << shift for s in h.simplices]
-    members: dict[int, Simplex] = {s.bits: s for s in g.simplices}
-    for b in h_bits:
-        members.setdefault(b, Simplex.from_bits(b))
-    for sg in g.simplices:
-        gb = sg.bits
-        for b in h_bits:
-            u = gb | b
-            if u not in members:
-                members[u] = Simplex.from_bits(u)
-    return Complex(members.values(), _validated=True)
+        shift = gv.bit_length()
+    h_bits = [b << shift for b in h.member_bits]
+    members = set(g.member_bits)
+    members.update(h_bits)
+    members.update(gb | b for gb in g.member_bits for b in h_bits)
+    return Complex._of_bits(members)

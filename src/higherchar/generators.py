@@ -95,17 +95,16 @@ def cross_polytope(d: int) -> Complex:
     if d < -1:
         raise InputError("cross polytope needs d >= -1")
     members = []
-    pairs = [(2 * i + 1, 2 * i + 2) for i in range(d + 1)]
     # every simplex picks at most one vertex from each antipodal pair
-    def grow(idx: int, current: tuple[int, ...]):
+    def grow(idx: int, current: int):
         if current:
             members.append(current)
-        for k in range(idx, len(pairs)):
-            for v in pairs[k]:
-                grow(k + 1, current + (v,))
+        for k in range(idx, d + 1):
+            grow(k + 1, current | 1 << (2 * k + 1))
+            grow(k + 1, current | 1 << (2 * k + 2))
 
-    grow(0, ())
-    return Complex(members, _validated=True)
+    grow(0, 0)
+    return Complex._of_bits(members)
 
 
 def octahedron() -> Complex:

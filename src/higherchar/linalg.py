@@ -100,7 +100,7 @@ def connection_matrix(g: Complex) -> list[list[int]]:
     if len(g) == 0:
         raise DomainError("the connection matrix of the empty complex is undefined")
     _check_size(len(g))
-    bits = [s.bits for s in g.simplices]
+    bits = g.masks
     return [[1 if a & b else 0 for b in bits] for a in bits]
 
 
@@ -113,7 +113,7 @@ def connection_matrix_via_cores(g: Complex) -> list[list[int]]:
     """
     if len(g) == 0:
         raise DomainError("the connection matrix of the empty complex is undefined")
-    bits = [s.bits for s in g.simplices]
+    bits = g.masks
 
     def chi_core(b: int) -> int:
         total = 0
@@ -134,15 +134,12 @@ def green_matrix(g: Complex) -> list[list[int]]:
     if len(g) == 0:
         raise DomainError("the Green matrix of the empty complex is undefined")
     _check_size(len(g))
-    bits = [s.bits for s in g.simplices]
-    ws = [s.weight for s in g.simplices]
-    members = g.member_bits
+    bits = g.masks
+    ws = [1 if b.bit_count() & 1 else -1 for b in bits]
     n = len(bits)
 
     # chi of the star of z, for every union z that is a simplex
-    chi_star: dict[int, int] = {}
-    for z in members:
-        chi_star[z] = 0
+    chi_star = dict.fromkeys(bits, 0)
     for y, wy in zip(bits, ws):
         sub = y
         while sub:
@@ -351,12 +348,14 @@ def rank(mat) -> int:
 def _face_passes(g: Complex) -> list[list[tuple[int, int]]]:
     """One list per vertex v of the index pairs (x, x minus v), over the
     simplices x that hold v and at least one other vertex."""
-    index = {s.bits: i for i, s in enumerate(g.simplices)}
+    index = {b: i for i, b in enumerate(g.masks)}
     passes: dict[int, list[tuple[int, int]]] = {}
-    for i, s in enumerate(g.simplices):
-        if len(s.vertices) > 1:
-            for v in s.vertices:
-                passes.setdefault(v, []).append((i, index[s.bits ^ (1 << v)]))
+    for i, b in enumerate(g.masks):
+        rest = b if b & (b - 1) else 0
+        while rest:
+            low = rest & -rest
+            passes.setdefault(low, []).append((i, index[b ^ low]))
+            rest ^= low
     return list(passes.values())
 
 

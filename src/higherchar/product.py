@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from .complexes import Complex, whitney
+from .complexes import Complex, vertices_of, whitney
 from .errors import InputError
 
 __all__ = [
@@ -38,7 +38,7 @@ Monomial = frozenset
 def ring_from_complex(g: Complex, prefix: str = "a") -> frozenset[Monomial]:
     """One squarefree monomial per simplex, vertex v becoming variable prefix+v."""
     return frozenset(
-        frozenset(f"{prefix}{v}" for v in s.vertices) for s in g.simplices
+        frozenset(f"{prefix}{v}" for v in vertices_of(b)) for b in g.member_bits
     )
 
 
@@ -84,8 +84,7 @@ def topological_product(g: Complex, h: Complex) -> Complex:
     (i-th simplex of g, j-th simplex of h), in canonical order, is vertex
     i * |H| + j.  Each pair is joined to the pairs of its faces, so the
     edges are listed without an all-pairs test."""
-    gb = [s.bits for s in g.simplices]
-    hb = [s.bits for s in h.simplices]
+    gb, hb = g.masks, h.masks
     nh = len(hb)
     gidx = {b: i for i, b in enumerate(gb)}
     hidx = {b: j for j, b in enumerate(hb)}

@@ -300,7 +300,7 @@ def _deep(fn, *args):
 def _run(fn, g: Complex, *args, budget: int) -> Verdict:
     ctx = _Ctx(budget)
     try:
-        status, cert = _deep(fn, ctx, tuple(s.bits for s in g.simplices), *args)
+        status, cert = _deep(fn, ctx, g.masks, *args)
     except _OutOfBudget:
         return Verdict(UNKNOWN, (), ctx.used)
     return Verdict(status, cert, ctx.used)
@@ -351,7 +351,7 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
     try:
-        bd = _deep(_boundary, _Ctx(budget), tuple(s.bits for s in g.simplices), d)
+        bd = _deep(_boundary, _Ctx(budget), g.masks, d)
     except _OutOfBudget:
         raise DomainError("boundary classification ran out of budget") from None
     return Complex(map(Simplex.from_bits, bd))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _coerce_simplex, _members, closure, whitney
+from .complexes import Complex, Simplex, SimplexSubset, _close, _coerce_simplex, closure, whitney
 from .errors import DomainError, InputError, ResourceBudgetError
 
 __all__ = [
@@ -82,14 +82,16 @@ def open_hull(g: Complex, xs) -> OpenSet:
     is one of xs or when one of its codimension-one faces was kept.
     """
     kept = {_require_member(g, x).bits for x in xs}
-    for y in g.simplices:
-        yb = y.bits
+    for yb in g.masks:
         if yb in kept:
             continue
-        for v in y.vertices:
-            if yb ^ (1 << v) in kept:
+        rest = yb
+        while rest:
+            low = rest & -rest
+            if yb ^ low in kept:
                 kept.add(yb)
                 break
+            rest ^= low
     return OpenSet._of_bits(g, kept)
 
 
@@ -119,7 +121,7 @@ def star_intersection(g: Complex, xs) -> OpenSet:
 
 def ball(g: Complex, xs) -> Complex:
     """B(X): the closure of the star intersection U(X); a complex."""
-    return closure(_members(star_intersection(g, xs)))
+    return _close(star_intersection(g, xs).member_bits)
 
 
 def sphere(g: Complex, xs) -> Complex:
@@ -139,16 +141,13 @@ def unit_sphere(g: Complex, xb: int) -> Complex:
     simplex of g.
     """
     members = g.member_bits
-    return Complex(
-        (s for s in g.simplices if s.bits & xb != xb and s.bits | xb in members),
-        _validated=True,
-    )
+    return Complex._of_bits(b for b in members if b & xb != xb and b | xb in members)
 
 
 def dual_sphere(g: Complex, xs) -> Complex:
     """Intersection of the unit spheres S(x_j) of the points of a configuration."""
-    spheres = (frozenset(unit_sphere(g, x.bits)) for x in configuration(g, xs))
-    return Complex(frozenset.intersection(*spheres), _validated=True)
+    spheres = (unit_sphere(g, x.bits).member_bits for x in configuration(g, xs))
+    return Complex._of_bits(frozenset.intersection(*spheres))
 
 
 def is_open(g: Complex, a) -> bool:
@@ -167,9 +166,8 @@ def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tupl
     """
     base: list[frozenset[int]] = []
     seen_base: set[frozenset[int]] = set()
-    for s in g.simplices:
-        sb = s.bits
-        st = frozenset(y.bits for y in g.simplices if sb & y.bits == sb)
+    for sb in g.masks:
+        st = frozenset(y for y in g.member_bits if sb & y == sb)
         if st not in seen_base:
             seen_base.add(st)
             base.append(st)
@@ -203,10 +201,9 @@ def barycentric(g: Complex, *, simplex_budget: int | None = None) -> Complex:
     simplices of the refinement are the chains of the face poset.  Each
     simplex is joined to its proper faces, so no pair is tested.
     """
-    index = {s.bits: i for i, s in enumerate(g.simplices)}
+    index = {b: i for i, b in enumerate(g.masks)}
     edges = []
-    for j, s in enumerate(g.simplices):
-        b = s.bits
+    for j, b in enumerate(g.masks):
         a = (b - 1) & b
         while a:
             edges.append((index[a], j))
@@ -228,7 +225,7 @@ def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:
     g1 = barycentric(g)
     closed_mask = 0
     ub = u.member_bits
-    for i, s in enumerate(g.simplices):
-        if s.bits not in ub:
+    for i, b in enumerate(g.masks):
+        if b not in ub:
             closed_mask |= 1 << i
     return OpenSet._of_bits(g1, (b for b in g1.member_bits if b & ~closed_mask))

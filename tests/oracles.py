@@ -1,5 +1,8 @@
 """Literal reference paths that tests compare the library's fast paths against."""
 
+from itertools import permutations
+
+from higherchar.complexes import Simplex
 from higherchar.topology import OpenSet, configuration
 
 
@@ -26,3 +29,81 @@ def vertices_by_popcount(g):
             count[low] = count.get(low, 0) + 1
             b ^= low
     return sorted(count, key=lambda vb: (count[vb], vb))
+
+
+def canonical_key(s):
+    """Sort key of the canonical order on Simplex objects: size, then vertex list."""
+    return (len(s.vertices), s.vertices)
+
+
+def closure_by_simplices(simplices):
+    """The members of the closure as Simplex objects, one built per face, in
+    canonical order."""
+    found = {}
+    for s in simplices:
+        s = s if isinstance(s, Simplex) else Simplex(s)
+        sub = s.bits
+        while sub:
+            found.setdefault(sub, Simplex.from_bits(sub))
+            sub = (sub - 1) & s.bits
+    return tuple(sorted(found.values(), key=canonical_key))
+
+
+def cliques_by_search(vertices, edges):
+    """Every clique of a graph as a vertex tuple, by extending each clique
+    with the higher neighbours common to all its vertices."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out = []
+
+    def grow(clique, cand):
+        for v in sorted(cand):
+            out.append(clique + (v,))
+            grow(clique + (v,), {u for u in cand & adj[v] if u > v})
+
+    grow((), set(adj))
+    return out
+
+
+def refinement_by_flags(g):
+    """The simplices of the barycentric refinement of g, in canonical order:
+    every face of every full flag v1 < v1 v2 < ... of every member, each
+    member named by its position in g's canonical order."""
+    order = closure_by_simplices(g.simplices)
+    index = {s.bits: i for i, s in enumerate(order)}
+    chains = []
+    for s in order:
+        for flag in permutations(s.vertices):
+            bits, chain = 0, []
+            for v in flag:
+                bits |= 1 << v
+                chain.append(index[bits])
+            chains.append(chain)
+    return closure_by_simplices(chains)
+
+
+def product_by_chains(g, h):
+    """The simplices of G * H, in canonical order: the chains of the pair
+    order, the pair of the i-th simplex of g and the j-th of h named
+    i * |h| + j."""
+    gs, hs = closure_by_simplices(g.simplices), closure_by_simplices(h.simplices)
+    pairs = [(x.bits, y.bits) for x in gs for y in hs]
+    edges = [(a, b) for a in range(len(pairs)) for b in range(a + 1, len(pairs))
+             if _comparable(pairs[a], pairs[b])]
+    return closure_by_simplices(cliques_by_search(range(len(pairs)), edges))
+
+
+def _comparable(p, q):
+    (x, y), (u, v) = p, q
+    return (x & u == x and y & v == y) or (x & u == u and y & v == v)
+
+
+def facets_text_by_simplices(members):
+    """Facet-format text of the canonically ordered Simplex tuple members:
+    the members inside no other member, one line each."""
+    bits = {s.bits for s in members}
+    lines = [" ".join(map(str, s.vertices)) for s in members
+             if not any(t != s.bits and s.bits & t == s.bits for t in bits)]
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higherchar import characteristics as ch
 from higherchar.characteristics import (
     InteractionFunction,
     _ball_members_of,
@@ -16,6 +18,7 @@ from higherchar.characteristics import (
     _face_terms_of,
     _sphere_sets,
     _sphere_wm,
+    _star_weight_table,
     _star_wm,
     _union_weights,
     curvature_profile,
@@ -32,9 +35,12 @@ from higherchar.characteristics import (
     w_m_multi,
     w_m_naive,
 )
+from higherchar.cli import main
 from higherchar.complexes import Complex, Simplex, SimplexSubset, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
-from higherchar.generators import random_whitney
+from higherchar.files import save_complex
+from higherchar.generators import path3, random_whitney
+from higherchar.product import topological_product
 from higherchar.topology import ball, star, unit_sphere
 
 from oracles import star_intersection_by_scan
@@ -598,3 +604,60 @@ class TestFockSum:
                     for k in range(1, kmax + 1)
                 )
                 assert total == (1 - Fraction(1, 2**kmax)) * target
+
+
+class TestOneStarPass:
+    """N(z) is computed once per complex on the info and energy paths, and is
+    not kept for a transient complex."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = []
+        real = ch._star_weights
+
+        def counting(g):
+            calls.append(len(g))
+            return real(g)
+
+        monkeypatch.setattr(ch, "_star_weights", counting)
+        for table in (_star_weight_table, _star_wm, _ball_wm, _sphere_wm):
+            table.cache_clear()
+        return calls
+
+    def test_info_runs_one_pass(self, monkeypatch, capsys, tmp_path):
+        g = random_whitney(12, 30, 1)
+        p = tmp_path / "rw.facets"
+        save_complex(g, p)
+        calls = self._count_passes(monkeypatch)
+        assert main(["info", str(p), "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert calls == [len(g)]
+        assert [d["w1"], d["w2"], d["w3"]] == [w_m_naive(g, m) for m in (1, 2, 3)]
+
+    @pytest.mark.parametrize("variant", ["star", "ball"])
+    def test_energy_sum_runs_one_pass(self, monkeypatch, variant):
+        g = random_whitney(12, 30, 1)
+        calls = self._count_passes(monkeypatch)
+        rep = energy_sum(g, 3, 2, variant=variant)
+        assert calls == [len(g)]
+        assert rep.passed and rep.lhs == w_m_naive(g, 3)
+
+    def test_w_m_of_a_product_is_not_kept(self):
+        g = random_whitney(8, 14, 1)
+        assert energy_sum(g, 2, 2).passed
+        before = _star_weight_table.cache_info().currsize
+        gh = topological_product(g, path3())
+        assert w_m(gh, 2) == w_m(g, 2) * w_m(path3(), 2)
+        assert _star_weight_table.cache_info().currsize == before
+
+    def test_powers_charged_before_they_are_raised(self):
+        # N takes the values -3 .. 1 on this complex; 3**10**7 alone takes seconds
+        g = random_whitney(12, 30, 1)
+        for run in (lambda: w_m(g, 10**7), lambda: energy_sum(g, 10**7, 1),
+                    lambda: sphere_sum(g, 10**7, 1), lambda: dual_sphere_sum(g, 10**7, 1),
+                    lambda: energy_sum(g, 8000, 1, op_budget=1000)):
+            with pytest.raises(ResourceBudgetError, match="to the power"):
+                run()
+        assert energy_sum(g, 8000, 1).passed
+        # powers of 0, 1 and -1 cost nothing
+        assert w_m(closure([[1, 2]]), 10**9 + 1, op_budget=0) == 1

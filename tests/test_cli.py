@@ -9,7 +9,7 @@ from higherchar.cli import main, parse_set_token, random_open_set
 from higherchar.complexes import closure
 from higherchar.errors import DomainError
 from higherchar.files import save_complex
-from higherchar.generators import SplitMix64, cross_polytope, path3, random_whitney
+from higherchar.generators import SplitMix64, cross_polytope, cycle, path3, random_whitney
 from higherchar.topology import star
 
 from strategies import random_complexes
@@ -246,6 +246,22 @@ class TestVerify:
         assert captured.err.startswith("resource limit exceeded: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", ["energy", "energy-ball", "sphere", "dual-sphere",
+                                       "barycentric", "product"])
+    def test_huge_m_charged_before_the_powers(self, capsys, tmp_path, suite):
+        # 3**10**7 alone takes seconds; the charge refuses it before it is raised
+        p = tmp_path / "rw.facets"
+        save_complex(random_whitney(12, 30, seed=1), p)
+        assert main(["verify", suite, str(p), "-m", "10000000", "-k", "1"]) == 2
+        assert "to the power 10000000" in capsys.readouterr().err
+
+    def test_powers_charged_against_the_budget_flag(self, capsys, tmp_path):
+        p = tmp_path / "rw.facets"
+        save_complex(random_whitney(12, 30, seed=1), p)
+        assert main(["verify", "energy", str(p), "-m", "8000", "-k", "1",
+                     "--budget", "1000"]) == 2
+        assert "over the budget 1000" in capsys.readouterr().err
+
     def test_value_under_digit_limit_printed(self, capsys, tmp_path):
         p = tmp_path / "rw.facets"
         save_complex(random_whitney(12, 30, seed=1), p)
@@ -403,6 +419,21 @@ class TestMatrix:
         assert rc == 0
         d = json.loads(out)
         assert d["equal"] is False  # reported, not an error
+
+    @pytest.mark.parametrize(
+        "g,which",
+        [(cross_polytope(4), "charpoly-connection"), (cross_polytope(4), "charpoly-green"),
+         (cycle(80), "isospectral")],
+    )
+    def test_charpoly_charged_before_any_matrix(self, capsys, monkeypatch, tmp_path, g, which):
+        # n^4 > 10^9 from n = 178 (242 simplices here); isospectral is charged
+        # 2 n^4, over it from n = 150 (160 simplices here)
+        p = tmp_path / "g.facets"
+        save_complex(g, p)
+        monkeypatch.setattr("higherchar.linalg.connection_matrix", None)
+        monkeypatch.setattr("higherchar.linalg.green_matrix", None)
+        assert main(["matrix", str(p), "--which", which]) == 2
+        assert "over the budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "which,want",

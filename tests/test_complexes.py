@@ -14,10 +14,22 @@ from higherchar.complexes import (
     is_complex,
     join,
     whitney,
+    _mask_key,
 )
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
-from higherchar.generators import cross_polytope, cycle
+from higherchar.files import format_facets, parse_facets
+from higherchar.generators import cross_polytope, cycle, path3
+from higherchar.product import topological_product
+from higherchar.topology import barycentric
 
+from oracles import (
+    canonical_key,
+    cliques_by_search,
+    closure_by_simplices,
+    facets_text_by_simplices,
+    product_by_chains,
+    refinement_by_flags,
+)
 from strategies import random_complexes
 
 
@@ -273,3 +285,51 @@ class TestSimplexSubset:
             for s in universe:
                 assert (s in sub) == (s in lit) == (s.vertices in sub)
         assert Simplex([99]) not in u and "x" not in u
+
+
+vertex_sets = st.lists(st.sets(st.integers(0, 70), min_size=1, max_size=5), max_size=20)
+
+
+def assert_same_as_oracle(g, oracle):
+    """g against a canonically ordered Simplex tuple built one face at a time."""
+    assert g.masks == tuple(s.bits for s in oracle)
+    assert [s.vertices for s in g.simplices] == [s.vertices for s in oracle]
+    assert g == Complex(oracle) and len(g) == len(oracle)
+    assert g.dim == (oracle[-1].dim if oracle else -1)
+    assert sum(g.f_vector) == len(oracle) and all(g.f_vector)
+    assert format_facets(g) == facets_text_by_simplices(oracle)
+
+
+class TestMaskStorage:
+    @given(vertex_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_mask_key_sorts_as_the_simplex_key(self, sets):
+        ss = [Simplex(s) for s in sets]
+        by_mask = sorted((s.bits for s in ss), key=_mask_key)
+        assert by_mask == [s.bits for s in sorted(ss, key=canonical_key)]
+        assert [a <= b for a, b in zip(ss, ss[1:])] == [
+            canonical_key(a) <= canonical_key(b) for a, b in zip(ss, ss[1:])]
+
+    @given(vertex_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_closure_and_parse_facets_match_the_simplex_closure(self, sets):
+        oracle = closure_by_simplices(sets)
+        assert_same_as_oracle(closure(sets), oracle)
+        text = "".join(" ".join(map(str, sorted(s))) + "\n" for s in sets)
+        assert_same_as_oracle(parse_facets(text), oracle)
+
+    @given(random_complexes(max_vertices=5, max_edges=7))
+    @settings(max_examples=25, deadline=None)
+    def test_whitney_refinement_and_product_match_the_simplex_closure(self, g):
+        edges = [s.vertices for s in g.simplices if len(s) == 2]
+        cliques = cliques_by_search(g.vertex_ids, edges)
+        assert_same_as_oracle(whitney(g.vertex_ids, edges), closure_by_simplices(cliques))
+        assert_same_as_oracle(barycentric(g), refinement_by_flags(g))
+        assert_same_as_oracle(topological_product(g, path3()), product_by_chains(g, path3()))
+
+    def test_views_are_built_once_on_first_use(self):
+        g = closure([[1, 2, 3]])
+        assert g._masks is None and g._simplices is None
+        assert g.f_vector == (3, 3, 1) and g.dim == 2 and len(g) == 7
+        assert g._masks is None and g._simplices is None
+        assert g.masks is g.masks and g.simplices is g.simplices
