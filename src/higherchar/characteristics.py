@@ -35,10 +35,16 @@ unless a = z; for q ⊇ z, N_B(q) = N(q).  S(z) = ∂z ∗ lk(z) then follows
 from the local identity w_m(B) = w_m(U) - (-1)^m * w_m(S).  T_m is one
 superset-sum pass per m, and each distinct N(z) is raised to the m'th power
 once.  The member lists of B(z) and S(z), which the dual-sphere walk and the
-energized tables read, are listed as the same joins (``_joins``).  The k-point
-configuration sums fold the |G|^k configurations by their union with a
-zeta transform and a Möbius inversion on the faces of each simplex
-(``_union_weights``).
+energized tables read, are listed as the same joins (``_joins``).
+
+The k-point configuration sums rest on one lemma: in a closed complex the
+weighted count of the k-tuples of simplices whose union is exactly z is
+w(z), whatever k is.  The tuples whose union lies inside y count
+F(y) = (sum of w(x) over the x ⊆ y)^k = 1^k = 1, and Möbius inversion gives
+sum over y ⊆ z of (-1)^(|z|-|y|) * F(y) = w(z).  U(X), B(X) and S(X) depend
+on X only through its union, and are empty when the union is not in G, so
+the sum of w(X) * table[union of X] over G^k is the sum of w(z) * table[z]
+over G for every k (``_fold``).
 
 The dual-sphere sum over D(X) = S(x_1) ∩ ... ∩ S(x_k) exchanges the order of
 summation instead.  Writing w_m(D(X)) as its tuple sum and swapping the sums
@@ -51,9 +57,8 @@ over X and Y gives
 so the walk runs over the m-tuples of simplices that share a unit sphere,
 not over the k-tuples of configurations; p in S(x) is tested, so no closure
 of the sets is assumed.  At k = 1, D(x) = S(x) and the sum is read off the
-sphere table.  ``w_m_naive`` keeps the literal definition, and
-``method="direct"`` the literal configuration sum; they are the oracles in
-tests, and ``w_m_naive`` is the global path of the benchmark.
+sphere table.  ``w_m_naive`` keeps the literal definition; it is the oracle
+in tests and the global path of the benchmark.
 """
 
 from __future__ import annotations
@@ -473,47 +478,6 @@ def _sphere_wm(g: Complex, m: int, op_budget: int | None = None) -> dict[int, in
     return {z: t - balls[z] for z, t in star.items()}
 
 
-def _union_cost(g: Complex, k: int) -> int:
-    """Steps of ``_union_weights(g, k)``: both subset passes, plus the powers,
-    charged k per simplex since the bit length of a k'th power grows with k."""
-    return sum(2 << b.bit_count() for b in g.member_bits) + k * len(g)
-
-
-@lru_cache(maxsize=512)
-def _union_weights(g: Complex, k: int) -> dict[int, int]:
-    """Weighted count of the k-tuples of g by their union, for unions in g.
-
-    Zeta pass: F(z) = (sum of weight(x) over the faces x of z)^k is the
-    weighted count of the k-tuples whose union lies inside z; every face of
-    z is in g, as g is closed.  Möbius pass over the faces of z:
-    sum of (-1)^(|z|-|y|) * F(y) over y ⊆ z counts the tuples whose union is
-    exactly z.  Tuples whose union is not a simplex of g have an empty star
-    intersection and add nothing to any star-based sum, so they are not
-    counted.  Entries that come out 0 are left out.  Costs
-    ``_union_cost(g, k)`` steps, O(sum over z of 2^|z|) for fixed k.
-    """
-    ws = {b: _weight_of_bits(b) for b in g.member_bits}
-    # weight(y) * F(y), since (-1)^(|z|-|y|) = weight(z) * weight(y)
-    signed: dict[int, int] = {}
-    for z, wz in ws.items():
-        t = 0
-        sub = z
-        while sub:
-            t += ws[sub]
-            sub = (sub - 1) & z
-        signed[z] = wz * t**k
-    out: dict[int, int] = {}
-    for z, wz in ws.items():
-        u = 0
-        sub = z
-        while sub:
-            u += signed[sub]
-            sub = (sub - 1) & z
-        if u:
-            out[z] = wz * u
-    return out
-
-
 def _energized_wm(
     g: Complex, sets: Mapping[int, Iterable[int]], h: InteractionFunction
 ) -> dict[int, int]:
@@ -560,31 +524,19 @@ def _check_mk(m: int, k: int) -> None:
         raise InputError("m and k must be at least 1")
 
 
-def _direct_weighted_sum(
-    g: Complex,
-    k: int,
-    table: Mapping[int, int],
-    op_budget: int | None,
-) -> int:
-    """sum over all |g|^k configurations of weight(X) * table[union bits of X]."""
-    bits = list(g.member_bits)
-    ws = [_weight_of_bits(b) for b in bits]
-    n = len(bits)
-    if op_budget is not None and n > 1 and n**k > op_budget:
+def _fold(g: Complex, table: Mapping[int, int], op_budget: int | None) -> int:
+    """Sum of w(z) * table[z] over the simplices z of g, keyed by their bits.
+
+    For a table of w_m(U(z)), w_m(B(z)), w_m(S(z)) or an energized w_m, this
+    is the sum of w(X) * table[union of X] over every X in g^k, for every k
+    (the union lemma of the module docstring).  Charges |g| steps against
+    ``op_budget``.
+    """
+    if op_budget is not None and len(g) > op_budget:
         raise ResourceBudgetError(
-            f"direct sum would enumerate {n}^{k} configurations, over the budget {op_budget}"
+            f"configuration sum would cost {len(g)} steps, over the budget {op_budget}"
         )
-    total = 0
-    get = table.get
-    for b0, w0 in zip(bits, ws):
-        for idx in itertools.product(range(n), repeat=k - 1):
-            u = b0
-            w = w0
-            for i in idx:
-                u |= bits[i]
-                w *= ws[i]
-            total += w * get(u, 0)
-    return total
+    return sum(t if z.bit_count() & 1 else -t for z, t in table.items())
 
 
 def energy_sum(
@@ -594,26 +546,26 @@ def energy_sum(
     h: InteractionFunction | None = None,
     *,
     variant: str = "star",
-    method: str = "grouped",
     op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> EnergyReport:
     """Check w_m(G) against the total k-point energy sum over all configurations.
 
     The right-hand side sums weight(X) * w_m(U(X)) over every X in G^k, with
     U(X) the intersection of the k stars; ``variant="ball"`` replaces U(X) by
-    its closure B(X), which satisfies the same identity.  ``method="direct"``
-    enumerates all |G|^k configurations literally;
-    ``grouped`` folds configurations by their union first.  Both methods are
-    exact and agree.
+    its closure B(X), which satisfies the same identity.  By the union lemma
+    (module docstring) it is the sum of w(z) * w_m(U(z)) over G for every k,
+    so k costs nothing; ``op_budget`` is charged |G| for it (``_fold``), the
+    powers of the tables, and with ``h`` the |G|^m tuples of the energized
+    w_m.  Without ``h`` the left-hand side w_m(G) = sum of w(z) * N(z)^m is
+    the same fold of the star table.
     """
     _check_mk(m, k)
     if variant not in ("star", "ball"):
         raise InputError(f"unknown variant {variant!r}")
     t0 = time.perf_counter()
     if h is None:
-        # w_m(G) = sum of w(z) * N(z)^m, from the star table the right-hand side reads
         star = _star_wm(g, m, op_budget)
-        lhs = sum(t if z.bit_count() & 1 else -t for z, t in star.items())
+        lhs = _fold(g, star, op_budget)
         table = star if variant == "star" else _ball_wm(g, m, op_budget)
     else:
         if h.arity != m:
@@ -621,31 +573,10 @@ def energy_sum(
         lhs = w_m_energized(g, h, op_budget=op_budget)
         sets = _stars_of(g) if variant == "star" else _ball_members_of(g)
         table = _energized_wm(g, sets, h)
-    rhs = _configuration_sum(g, k, table, method, op_budget)
+    rhs = _fold(g, table, op_budget)
     suite = "energy" if variant == "star" else "energy-ball"
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(suite, m, k, lhs, rhs, lhs == rhs, len(g), elapsed)
-
-
-def _configuration_sum(
-    g: Complex,
-    k: int,
-    table: Mapping[int, int],
-    method: str,
-    op_budget: int | None,
-) -> int:
-    if method == "grouped":
-        if op_budget is not None:
-            cost = _union_cost(g, k)
-            if cost > op_budget:
-                raise ResourceBudgetError(
-                    f"grouped sum would take {cost} steps, over the budget {op_budget}"
-                )
-        uw = _union_weights(g, k)
-        return sum(acc * table[z] for z, acc in uw.items())
-    if method == "direct":
-        return _direct_weighted_sum(g, k, table, op_budget)
-    raise InputError(f"unknown method {method!r}")
 
 
 def sphere_sum(
@@ -653,14 +584,17 @@ def sphere_sum(
     m: int,
     k: int,
     *,
-    method: str = "grouped",
     op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> EnergyReport:
-    """Check that the weighted w_m of all configuration spheres S(X) sums to zero."""
+    """Check that the weighted w_m of all configuration spheres S(X) sums to zero.
+
+    By the union lemma (module docstring) the sum over G^k is the sum of
+    w(z) * w_m(S(z)) over G for every k; ``op_budget`` is charged |G| for it
+    (``_fold``) and the powers of the sphere table.
+    """
     _check_mk(m, k)
     t0 = time.perf_counter()
-    table = _sphere_wm(g, m, op_budget)
-    rhs = _configuration_sum(g, k, table, method, op_budget)
+    rhs = _fold(g, _sphere_wm(g, m, op_budget), op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("sphere", m, k, 0, rhs, rhs == 0, len(g), elapsed)
 
@@ -749,19 +683,15 @@ def dual_sphere_sum(
     F(Y) the weighted count of the x whose unit sphere holds y_1, ..., y_m
     and p (``_dual_sphere_total``), so the m-tuples of simplices that share
     unit spheres are enumerated instead of the k-tuples of configurations.
-    At k = 1, D(x) = S(x), and the sum is read off the cached sphere table.
-    ``op_budget`` is charged |G| at k = 1 and C(L+m, m) - 1 + 2k|G|
-    otherwise, L the number of simplices that lie in some unit sphere.
+    At k = 1, D(x) = S(x), and the sum is the fold of the cached sphere
+    table (``_fold``), as in ``sphere_sum``.  ``op_budget`` is charged |G|
+    at k = 1 and C(L+m, m) - 1 + 2k|G| otherwise, L the number of simplices
+    that lie in some unit sphere.
     """
     _check_mk(m, k)
     t0 = time.perf_counter()
     if k == 1:
-        if op_budget is not None and len(g) > op_budget:
-            raise ResourceBudgetError(
-                f"dual sphere sum would cost {len(g)} steps, over the budget {op_budget}"
-            )
-        table = _sphere_wm(g, m, op_budget)
-        total = sum(t if z.bit_count() & 1 else -t for z, t in table.items())
+        total = _fold(g, _sphere_wm(g, m, op_budget), op_budget)
     else:
         ws = [_weight_of_bits(b) for b in g.masks]
         total = _dual_sphere_total(_sphere_sets(g), ws, m, k, op_budget)
@@ -848,8 +778,11 @@ def green(
 
 
 def curvature_profile(g: Complex, m: int) -> tuple[tuple[Simplex, int], ...]:
-    """Per-simplex energies weight(x) * w_m(U(x)); they sum to w_m(G)."""
+    """Per-simplex energies weight(x) * w_m(U(x)); they sum to w_m(G).
+
+    The powers N(x)^m are charged against ``DEFAULT_OP_BUDGET`` (``_powers``).
+    """
     if m < 1:
         raise InputError("the arity m must be at least 1")
-    table = _star_wm(g, m)
+    table = _star_wm(g, m, DEFAULT_OP_BUDGET)
     return tuple((s, s.weight * table[s.bits]) for s in g.simplices)

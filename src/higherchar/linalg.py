@@ -32,6 +32,7 @@ from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, sub
 
+from .characteristics import _star_weights
 from .complexes import Complex
 from .errors import DomainError, ResourceBudgetError, SingularMatrixError
 
@@ -129,7 +130,9 @@ def connection_matrix_via_cores(g: Complex) -> list[list[int]]:
 def green_matrix(g: Complex) -> list[list[int]]:
     """g(x,y) = weight(x) weight(y) * Euler characteristic of U(x) ∩ U(y).
 
-    Exact integer matrix; satisfies L * g = g * L = identity.
+    U(x) ∩ U(y) is the star of x ∪ y, so its Euler characteristic is the
+    star weight N(x ∪ y) when x ∪ y is a simplex and 0 otherwise.  Exact
+    integer matrix; satisfies L * g = g * L = identity.
     """
     if len(g) == 0:
         raise DomainError("the Green matrix of the empty complex is undefined")
@@ -137,20 +140,11 @@ def green_matrix(g: Complex) -> list[list[int]]:
     bits = g.masks
     ws = [1 if b.bit_count() & 1 else -1 for b in bits]
     n = len(bits)
-
-    # chi of the star of z, for every union z that is a simplex
-    chi_star = dict.fromkeys(bits, 0)
-    for y, wy in zip(bits, ws):
-        sub = y
-        while sub:
-            if sub in chi_star:
-                chi_star[sub] += wy
-            sub = (sub - 1) & y
+    chi_star = _star_weights(g).get
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            u = bits[i] | bits[j]
-            chi = chi_star.get(u, 0)
+            chi = chi_star(bits[i] | bits[j], 0)
             if chi:
                 out[i][j] = ws[i] * ws[j] * chi
     return out

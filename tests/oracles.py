@@ -1,6 +1,6 @@
 """Literal reference paths that tests compare the library's fast paths against."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 from higherchar.complexes import Simplex
 from higherchar.topology import OpenSet, configuration
@@ -107,3 +107,18 @@ def facets_text_by_simplices(members):
     lines = [" ".join(map(str, s.vertices)) for s in members
              if not any(t != s.bits and s.bits & t == s.bits for t in bits)]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def configuration_sum_by_walk(g, k, table):
+    """The sum over all |g|^k configurations X of weight(X) * table[union of X],
+    one tuple at a time; a union that is not a simplex of g adds 0."""
+    bits = list(g.member_bits)
+    ws = [1 if b.bit_count() & 1 else -1 for b in bits]
+    total = 0
+    for idx in product(range(len(bits)), repeat=k):
+        u, w = 0, 1
+        for i in idx:
+            u |= bits[i]
+            w *= ws[i]
+        total += w * table.get(u, 0)
+    return total

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -14,13 +15,14 @@ from higherchar.characteristics import (
     _ball_members_of,
     _ball_wm,
     _dual_sphere_total,
+    _energized_wm,
     _eval_terms,
     _face_terms_of,
     _sphere_sets,
     _sphere_wm,
     _star_weight_table,
     _star_wm,
-    _union_weights,
+    _stars_of,
     curvature_profile,
     dual_sphere_sum,
     energy_sum,
@@ -43,13 +45,14 @@ from higherchar.generators import path3, random_whitney
 from higherchar.product import topological_product
 from higherchar.topology import ball, star, unit_sphere
 
-from oracles import star_intersection_by_scan
+from oracles import configuration_sum_by_walk, star_intersection_by_scan
 from strategies import random_complexes
 
 
 def _union_weights_by_pairwise_fold(g, k):
-    """Oracle for _union_weights: fold k-tuples pairwise by their running
-    union, dropping a tuple once its union leaves g, in (k-1) * |g|^2 steps."""
+    """Weighted count of the k-tuples of g by their union: fold k-tuples
+    pairwise by their running union, dropping a tuple once its union leaves
+    g, in (k-1) * |g|^2 steps."""
     members = g.member_bits
     cur = {s.bits: s.weight for s in g.simplices}
     for _ in range(k - 1):
@@ -136,7 +139,7 @@ class TestWm:
 
 class TestFaceTermTables:
     """The cached per-complex tables against w_m_naive of U(z), B(z) and S(z)
-    built through topology, and the union weights against a pairwise fold."""
+    built through topology, and the union lemma against a pairwise fold."""
 
     @given(random_complexes(max_vertices=6, max_edges=10))
     @settings(max_examples=50, deadline=None)
@@ -171,10 +174,11 @@ class TestFaceTermTables:
 
     @given(random_complexes())
     @settings(max_examples=30, deadline=None)
-    def test_union_weights_match_pairwise_fold(self, g):
+    def test_union_lemma_by_pairwise_fold(self, g):
+        # the k-tuples with union z weigh w(z) in all, whatever k is
+        weights = {s.bits: s.weight for s in g.simplices}
         for k in (1, 2, 3, 4):
-            fold = _union_weights_by_pairwise_fold(g, k)
-            assert _union_weights(g, k) == {z: v for z, v in fold.items() if v}
+            assert _union_weights_by_pairwise_fold(g, k) == weights
 
 
 class TestEnergized:
@@ -217,8 +221,8 @@ class TestEnergySum:
         for g in small_corpus:
             for m, k in [(1, 1), (2, 2), (1, 3)]:
                 a = energy_sum(g, m, k)
-                b = energy_sum(g, m, k, method="direct")
-                assert a.rhs == b.rhs and a.passed and b.passed
+                b = configuration_sum_by_walk(g, k, _star_wm(g, m))
+                assert a.rhs == b == a.lhs and a.passed
 
     def test_direct_oracle_literal(self, p3):
         # independent oracle: evaluate the definition with library primitives
@@ -250,8 +254,8 @@ class TestEnergySum:
                 h = InteractionFunction.from_table(m, table)
                 rep = energy_sum(g, m, k, h)
                 assert rep.passed, (m, k, rep)
-                direct = energy_sum(g, m, k, h, method="direct")
-                assert direct.rhs == rep.rhs
+                walk = configuration_sum_by_walk(g, k, _energized_wm(g, _stars_of(g), h))
+                assert walk == rep.rhs
 
     def test_delta_interactions(self, p3):
         for Z in itertools.product(p3.simplices, repeat=2):
@@ -274,30 +278,42 @@ class TestEnergySum:
                 for k in (1, 2):
                     assert energy_sum(g, m, k, h, variant="ball").passed
 
-    def test_grouped_budget_guard(self, octa):
-        with pytest.raises(ResourceBudgetError):
-            energy_sum(octa, 1, 10**9, op_budget=10**6)
+    def test_huge_k_is_answered(self, octa):
+        # the configuration sum folds to one pass over G whatever k is
+        rep = energy_sum(octa, 1, 10**9, op_budget=10**6)
+        assert (rep.lhs, rep.rhs, rep.passed) == (2, 2, True)
+
+    def test_fold_charges_simplex_count(self, octa):
+        n = len(octa)
+        checks = (
+            lambda k, b: energy_sum(octa, 2, k, op_budget=b),
+            lambda k, b: energy_sum(octa, 2, k, variant="ball", op_budget=b),
+            lambda k, b: sphere_sum(octa, 2, k, op_budget=b),
+            lambda k, b: dual_sphere_sum(octa, 2, 1, op_budget=b),
+        )
+        for check in checks:
+            for k in (1, 5, 10**9):
+                with pytest.raises(ResourceBudgetError):
+                    check(k, n - 1)
+                assert check(k, n).passed
 
     def test_higher_k(self, k2, p3):
         for g in (k2, p3):
             for k in (3, 4):
                 a = energy_sum(g, 1, k)
-                b = energy_sum(g, 1, k, method="direct")
-                assert a.passed and b.passed and a.rhs == b.rhs
+                assert a.passed and a.rhs == configuration_sum_by_walk(g, k, _star_wm(g, 1))
 
     @given(random_complexes(max_vertices=6, max_edges=8))
     @settings(max_examples=15, deadline=None)
-    def test_grouped_vs_direct_property(self, g):
+    def test_fold_matches_walk_property(self, g):
         for m in (1, 2):
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 assert (energy_sum(g, m, k).rhs
-                        == energy_sum(g, m, k, method="direct").rhs)
+                        == configuration_sum_by_walk(g, k, _star_wm(g, m)))
+                assert (energy_sum(g, m, k, variant="ball").rhs
+                        == configuration_sum_by_walk(g, k, _ball_wm(g, m)))
                 assert (sphere_sum(g, m, k).rhs
-                        == sphere_sum(g, m, k, method="direct").rhs)
-
-    def test_budget_guard(self, octa):
-        with pytest.raises(ResourceBudgetError):
-            energy_sum(octa, 1, 8, method="direct", op_budget=10**6)
+                        == configuration_sum_by_walk(g, k, _sphere_wm(g, m)))
 
     def test_report_shape(self, k2):
         rep = energy_sum(k2, 1, 1)
@@ -322,9 +338,10 @@ class TestSphereSum:
                 for k in (1, 2):
                     assert sphere_sum(g, m, k).passed
 
-    def test_grouped_equals_direct(self, octa):
+    def test_fold_equals_walk(self, octa):
         for m, k in [(1, 1), (2, 2)]:
-            assert sphere_sum(octa, m, k).rhs == sphere_sum(octa, m, k, method="direct").rhs
+            walk = configuration_sum_by_walk(octa, k, _sphere_wm(octa, m))
+            assert sphere_sum(octa, m, k).rhs == walk
 
 
 def _dual_sphere_walk(sph, ws, m, k):
@@ -573,6 +590,13 @@ class TestCurvature:
     def test_sums_to_wm(self, g):
         for m in (1, 2):
             assert sum(v for _, v in curvature_profile(g, m)) == w_m_naive(g, m)
+
+    def test_powers_charged_against_default_budget(self):
+        g = random_whitney(12, 30, 1)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetError):
+            curvature_profile(g, 10**7)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPositivity:

@@ -143,6 +143,14 @@ class TestVerify:
         assert main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "1000000000"]) == 2
         assert "over the budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite,m,want", [("energy", "1", 2), ("sphere", "2", 0)])
+    def test_configuration_sum_huge_k_answered(self, capsys, octa_file, suite, m, want):
+        # the k-point sum folds to one pass over G, charged |G| at every k
+        rc, out = run(capsys, ["verify", suite, octa_file, "-m", m, "-k", "1000000000",
+                               "--budget", "1000000", "--json"])
+        d = json.loads(out)
+        assert rc == 0 and d["lhs"] == d["rhs"] == want and d["pass"]
+
     def test_dual_sphere_huge_m_on_an_edge(self, capsys, tmp_path):
         # L = 2 covered simplices, so the walk is at most three levels deep at any m
         p = tmp_path / "edge.facets"
