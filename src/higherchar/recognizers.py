@@ -5,9 +5,10 @@ The definitions are mutually recursive in the dimension: the void complex is
 the (-1)-sphere and the one-point complex is the smallest contractible
 complex.  A complex is contractible when some vertex has both its unit
 sphere and the complement of its star contractible; a d-manifold has every
-unit sphere a (d-1)-sphere; a d-sphere is a d-manifold that some puncture
-makes contractible; a d-ball is recognized as a contractible d-manifold with
-boundary whose boundary is a (d-1)-sphere.
+unit sphere a (d-1)-sphere, which the test checks on the unit spheres of the
+vertices alone (see "Vertex links suffice" below); a d-sphere is a
+d-manifold that some puncture makes contractible; a d-ball is recognized as
+a contractible d-manifold with boundary whose boundary is a (d-1)-sphere.
 
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
@@ -27,6 +28,108 @@ among the vertices v of x, and the joins are sorted by their position in g.
 A puncture is a filter of g, so it stays canonical unsorted.  Results are
 memoized on the tuple, the exact labeled complex (no isomorphism
 canonicalization), so repeated sub-complexes are checked once per query.
+
+Vertex links suffice
+--------------------
+``_manifold(g, d)`` tests S(v) only for the vertices v of g; manifolds with
+boundary and Dehn-Sommerville spaces still test every simplex.  The vertex
+test gives the YES/NO of the test over every simplex, by the theorem (E)
+below, proved for the definitions this module implements.
+
+Notation.  A complex is a finite set of nonempty finite sets (simplices)
+closed under nonempty subsets; the void complex is the empty set.  For x in
+G: the star U(x) = {y in G : x <= y}, the unit sphere
+S(x) = {y in G : not x <= y, x | y in G}, the link
+lk(x) = {y in G : y & x empty, x | y in G}, and lk(empty) = G.  The
+boundary of a simplex is dx = {a : a nonempty, a < x}, void for a vertex.
+For A and B on disjoint vertex sets the join is
+A * B = A u B u {a | b : a in A, b in B}, so A * void = A; it is commutative
+and associative, and |A * B| = (|A| + 1)(|B| + 1) - 1 grows with |A| and |B|.
+S(x), lk(x), dx, G - U(x) and A * B are complexes.
+
+Definitions, as the code implements them:
+  contractible   |G| = 1, or some vertex v has S(v) and G - U(v)
+                 contractible (so a contractible complex is nonempty);
+  (-1)-sphere    the void complex;
+  d-sphere       (d >= 0) a nonempty d-manifold G with some x in G whose
+                 puncture G - U(x) is contractible;
+  d-manifold     (d >= 0) S(x) is a (d-1)-sphere for every x in G.
+A sphere of dimension >= 0 is a manifold by definition.
+
+Two formulas.  (S) Write y in S(x) as a | b with a = y & x and b = y - x:
+"not x <= y" says a < x, and x | y = x | b in G says b in lk(x) or b empty;
+so S(x) = dx * lk(x), and S(v) = lk(v) for a vertex v.
+(J) Let x = a | b in A * B, with a in A or empty and b in B or empty.  A
+simplex a' | b' is disjoint from x with x | a' | b' in A * B exactly when
+a' is in lk_A(a) or empty and b' in lk_B(b) or empty, so
+lk_{A*B}(a | b) = lk_A(a) * lk_B(b).  If b is empty, a' | b' contains x
+exactly when a <= a', so (A * B) - U(a) = (A - U_A(a)) * B.
+
+(A) Link of a face.  For x in G, |x| >= 2 and w in x: lk(x) = S_L(w) with
+L = lk(x - w), and w is a vertex of L.  Indeed {w} is in L as x is in G.
+By (S), S_L(w) = lk_L(w), and y is in it exactly when y is in L, w is not
+in y and y | w is in L: y & (x - w) is empty, y | (x - w) is in G, w is not
+in y and y | x is in G.  The last implies the second by closure, so this
+says y & x is empty and y | x is in G: y is in lk(x).
+
+(B) Joins with a contractible complex.  If C is contractible, C * B is
+contractible for every B.  Induction on |C * B|.  For a vertex v of C, (J)
+gives S_{C*B}(v) = S_C(v) * B and (C * B) - U(v) = (C - U_C(v)) * B.  If
+|C| >= 2, some vertex v of C has S_C(v) and C - U_C(v) contractible; both
+have fewer members than C, so by induction both joins are contractible,
+and v shows that C * B is.  If |C| = 1 and B is void, C * B = C.  If
+|C| = 1 and B is not void, take a vertex u of B: by (J) with the factors
+swapped, S_{C*B}(u) = C * S_B(u) and (C * B) - U(u) = C * (B - U_B(u)),
+where S_B(u) and B - U_B(u) are smaller than B (they miss {u}); both joins
+are contractible by induction, and u shows that C * B is.  So the cone
+{c} * B over any B is contractible, and so is the closure of a simplex s,
+the cone over the closure of s - c for a vertex c of s (a point if |s| = 1).
+
+(C) Links in a manifold.  If d >= 0 and S(v) is a (d-1)-sphere for every
+vertex v of G, then lk(x) is a (d-|x|)-sphere for every x in G, so
+|x| <= d + 1.  Induction on |x|.  For |x| = 1, lk(x) = S(x) by (S).  For
+|x| >= 2 and w in x, L = lk(x - w) is a (d-|x|+1)-sphere by induction; it
+holds {w}, so it is not void, d - |x| + 1 >= 0, and L is a manifold.  By
+(A) lk(x) = S_L(w), a (d-|x|)-sphere.
+
+(D) Join lemma, with the boundary of a simplex.  For p, q >= -1, the join
+of a p-sphere A and a q-sphere B is a (p+q+1)-sphere, and ds is an
+(|s|-2)-sphere for every simplex s.  Strong induction on the dimension n
+claimed (n = p + q + 1 for a join, n = |s| - 2 for ds): both statements are
+assumed for every dimension below n.
+  Join, n = -1: A and B are void, and so is A * B.  Join, n >= 0: one
+factor is not void, say A (the join commutes), so p >= 0.  Unit spheres:
+take x = a | b in A * B.  A is a p-manifold, so by (C) lk_A(a) is a
+(p-|a|)-sphere when a is not empty, and lk_A(empty) = A is a p-sphere;
+likewise lk_B(b) is a (q-|b|)-sphere, so |x| = |a| + |b| <= n + 1.  By (S)
+and (J), S_{A*B}(x) = dx * (lk_A(a) * lk_B(b)).  The inner join has
+dimension n - |x| < n, so it is an (n-|x|)-sphere; dx is an
+(|x|-2)-sphere as |x| - 2 < n; their join has dimension n - 1 < n, so
+S_{A*B}(x) is an (n-1)-sphere, and A * B is an n-manifold.  Puncture: A has
+some x_A with A - U_A(x_A) contractible, and by (J)
+(A * B) - U(x_A) = (A - U_A(x_A)) * B, contractible by (B).  A * B is not
+void, so it is an n-sphere.
+  Boundary, n = -1: ds is void for a vertex s.  Boundary, n >= 0: ds is not
+void.  For x in ds, y disjoint from x has x | y < s exactly when y is a
+nonempty proper subset of s - x, so lk_{ds}(x) = d(s - x) and, by (S),
+S_{ds}(x) = dx * d(s - x).  As 1 <= |x| <= |s| - 1, the factors are spheres
+of dimensions |x| - 2 and |s| - |x| - 2, both below n, and their join has
+dimension |s| - 3 = n - 1 < n: S_{ds}(x) is an (n-1)-sphere, and ds is an
+n-manifold.  Puncture: for a vertex v of s, ds - U(v) is the closure of
+s - v, contractible by (B).  So ds is an n-sphere.
+
+(E) Conclusion.  Let d >= 0 and S(v) be a (d-1)-sphere for every vertex v
+of G.  For x in G with |x| >= 2, S(x) = dx * lk(x) by (S), where dx is an
+(|x|-2)-sphere by (D) and lk(x) a (d-|x|)-sphere by (C); by (D), S(x) is a
+(d-1)-sphere.  So G is a d-manifold; the converse is immediate.  Call
+M_d, Sigma_d the manifolds and spheres of the definitions above, and M'_d,
+Sigma'_d those that the vertex-only test yields.  Sigma'_{-1} = Sigma_{-1};
+if Sigma'_{d-1} = Sigma_{d-1}, then M'_d = M_d by what was just shown, and
+Sigma'_d = Sigma_d, since a sphere reads only M_d and contractibility.  By
+induction on d the two tests agree on every complex, and so do the balls
+and manifolds with boundary built on them.  The budgeted search may settle
+with fewer calls, so an UNKNOWN at some budget can become YES or NO, but no
+YES or NO changes.
 """
 
 from __future__ import annotations
@@ -34,8 +137,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 
-from .complexes import Complex, Simplex, vertices_of
+from .complexes import Complex, vertices_of
 from .errors import DomainError, InputError
 
 __all__ = [
@@ -204,10 +308,11 @@ class _StarIndex:
         return tuple(joins)
 
 
-def _every_link(ctx: _Ctx, g: tuple[int, ...], d: int, test) -> tuple[Status, tuple]:
-    """YES when ``test(ctx, S(x), d - 1)`` is YES for every simplex x of g."""
+def _every_link(ctx: _Ctx, g: tuple[int, ...], members, d: int, test) -> tuple[Status, tuple]:
+    """YES when ``test(ctx, S(x), d - 1)`` is YES for every x in members, an
+    iterable of simplices of g."""
     idx = _StarIndex(g)
-    for xb in g:
+    for xb in members:
         if test(ctx, idx.unit_sphere(xb), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
@@ -242,7 +347,10 @@ def _sphere(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
 
 @_step(_nonnegative)
 def _manifold(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    return _every_link(ctx, g, d, _sphere)
+    # vertex unit spheres suffice, by (E) of the module docstring; the
+    # vertices are the leading members of size 1
+    vertices = takewhile(lambda b: not b & (b - 1), g)
+    return _every_link(ctx, g, vertices, d, _sphere)
 
 
 def _sphere_or_ball(ctx: _Ctx, h: tuple[int, ...], d: int) -> tuple[Status, tuple]:
@@ -253,7 +361,7 @@ def _sphere_or_ball(ctx: _Ctx, h: tuple[int, ...], d: int) -> tuple[Status, tupl
 
 @_step(_nonnegative)
 def _manifold_with_boundary(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    return _every_link(ctx, g, d, _sphere_or_ball)
+    return _every_link(ctx, g, g, d, _sphere_or_ball)
 
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
@@ -284,7 +392,7 @@ def _boundary_members(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
 def _dehn_sommerville(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if sum(1 if s.bit_count() & 1 else -1 for s in g) != 1 + (-1) ** d:
         return NO, ()
-    return _every_link(ctx, g, d, _dehn_sommerville)
+    return _every_link(ctx, g, g, d, _dehn_sommerville)
 
 
 def _deep(fn, *args):
@@ -327,7 +435,11 @@ def is_ball(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def is_manifold(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """YES when every unit sphere of g is a (d-1)-sphere (no boundary allowed)."""
+    """YES when every unit sphere of g is a (d-1)-sphere (no boundary allowed).
+
+    Only the vertices' unit spheres are tested, which suffices by (E) of the
+    module docstring.
+    """
     return _run(_manifold, g, d, budget=budget)
 
 
@@ -354,7 +466,7 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
         bd = _deep(_boundary, _Ctx(budget), g.masks, d)
     except _OutOfBudget:
         raise DomainError("boundary classification ran out of budget") from None
-    return Complex(map(Simplex.from_bits, bd))
+    return Complex._of_bits(bd)
 
 
 def is_dehn_sommerville(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:

@@ -122,3 +122,80 @@ def configuration_sum_by_walk(g, k, table):
             w *= ws[i]
         total += w * table.get(u, 0)
     return total
+
+
+def sphere_by_every_link(g, d):
+    """g is a d-sphere by the recognizers' definitions read literally, with
+    the unit sphere of every simplex tested and no budget."""
+    return _EveryLink().sphere(g.masks, d)
+
+
+def manifold_by_every_link(g, d):
+    """Every unit sphere of g, of every simplex, is a (d-1)-sphere."""
+    return _EveryLink().manifold(g.masks, d)
+
+
+def ball_by_every_link(g, d):
+    """g is a contractible d-manifold with boundary whose boundary is a
+    (d-1)-sphere, every unit sphere tested."""
+    return _EveryLink().ball(g.masks, d)
+
+
+def _memoized(method):
+    """One result per (method, member tuple, d) for the life of the instance."""
+
+    def wrapped(self, g, d=None):
+        key = (method, g, d)
+        if key not in self.memo:
+            self.memo[key] = method(self, g, d)
+        return self.memo[key]
+
+    return wrapped
+
+
+class _EveryLink:
+    """The recognizers' definitions on member tuples, memoized for one
+    query; unit spheres come from ``unit_sphere_by_scan``."""
+
+    def __init__(self):
+        self.memo = {}
+
+    @_memoized
+    def contractible(self, g, _):
+        members = set(g)
+        return len(g) == 1 or any(
+            self.contractible(unit_sphere_by_scan(g, members, v))
+            and self.contractible(_puncture(g, v))
+            for v in g if not v & (v - 1))
+
+    @_memoized
+    def sphere(self, g, d):
+        if d == -1:
+            return not g
+        return (bool(g) and self.manifold(g, d)
+                and any(self.contractible(_puncture(g, x)) for x in g))
+
+    @_memoized
+    def manifold(self, g, d):
+        return all(self.sphere(s, d - 1) for s in _unit_spheres(g))
+
+    @_memoized
+    def manifold_with_boundary(self, g, d):
+        return all(self.sphere(s, d - 1) or self.ball(s, d - 1) for s in _unit_spheres(g))
+
+    @_memoized
+    def ball(self, g, d):
+        if d < 0 or not self.manifold_with_boundary(g, d) or not self.contractible(g):
+            return False
+        boundary = tuple(x for x, s in zip(g, _unit_spheres(g))
+                         if not self.sphere(s, d - 1) and self.ball(s, d - 1))
+        return self.sphere(boundary, d - 1)
+
+
+def _unit_spheres(g):
+    members = set(g)
+    return [unit_sphere_by_scan(g, members, x) for x in g]
+
+
+def _puncture(g, xb):
+    return tuple(s for s in g if s & xb != xb)
