@@ -71,8 +71,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _close, _mask, _masks_of, _members
-from .errors import DomainError, InputError, ResourceBudgetError
+from .complexes import Complex, Simplex, SimplexSubset, _close, _mask, _masks_of
+from .errors import DomainError, InputError, charge, charge_tuples
 from .topology import configuration, config_weight, star_intersection, unit_sphere
 
 __all__ = [
@@ -141,14 +141,9 @@ def _powers(values: Iterable[int], m: int, op_budget: int | None) -> dict[int, i
     that count.  The powers of 0, 1 and -1 are free.
     """
     vs = set(values)
-    if op_budget is not None:
-        cost = sum(3 ** (m * abs(v).bit_length() // 30 + 1).bit_length()
-                   for v in vs if not -1 <= v <= 1)
-        if cost > op_budget:
-            raise ResourceBudgetError(
-                f"raising {len(vs)} values to the power {m} would cost {cost} steps,"
-                f" over the budget {op_budget}"
-            )
+    cost = sum(3 ** (m * abs(v).bit_length() // 30 + 1).bit_length()
+               for v in vs if not -1 <= v <= 1)
+    charge(f"raising {len(vs)} values to the power {m}", cost, op_budget)
     return {v: v**m for v in vs}
 
 
@@ -199,63 +194,26 @@ def w_m(a, m: int, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:
     return _eval_terms(_terms(a), m, op_budget)
 
 
-def _wm_naive_bits(
-    bits: list[int],
-    m: int,
-    *,
-    assume_closed: bool = False,
-    op_counter: dict | None = None,
-) -> int:
-    ws = [_weight_of_bits(b) for b in bits]
+def _wm_naive_bits(bits: list[int], m: int, *, assume_closed: bool = False) -> int:
+    """The tuple sum of w_m over the masks ``bits``, depth first over the
+    tuple prefixes, from the empty prefix (all bits set); a prefix with an
+    empty intersection is dropped, as every tuple that extends it is."""
     mset = frozenset(bits)
-    n = len(bits)
+    pairs = [(b, _weight_of_bits(b)) for b in bits]
     total = 0
-    ops = 0
-    if m == 1:
-        ops = n
-        total = sum(ws)
-    elif m == 2:
-        for i in range(n):
-            bi = bits[i]
-            wi = ws[i]
-            for j in range(n):
-                p = bi & bits[j]
-                if p and (assume_closed or p in mset):
-                    total += wi * ws[j]
-        ops = n * n
-    elif m == 3:
-        for i in range(n):
-            bi = bits[i]
-            wi = ws[i]
-            for j in range(n):
-                bij = bi & bits[j]
-                wij = wi * ws[j]
-                if bij:
-                    for l in range(n):
-                        p = bij & bits[l]
-                        if p and (assume_closed or p in mset):
-                            total += wij * ws[l]
-        ops = n * n * n
-    else:
-        # depth first over the tuple prefixes; a prefix with an empty
-        # intersection is dropped, as every tuple that extends it is
-        pairs = list(zip(bits, ws))
-        stack = [(b, w, 1) for b, w in pairs]
-        while stack:
-            p, w, j = stack.pop()
-            if j < m - 1:
-                for b, wb in pairs:
-                    q = p & b
-                    if q:
-                        stack.append((q, w * wb, j + 1))
-                continue
+    stack = [(-1, 1, 0)]
+    while stack:
+        p, w, j = stack.pop()
+        if j < m - 1:
             for b, wb in pairs:
                 q = p & b
-                if q and (assume_closed or q in mset):
-                    total += w * wb
-        ops = n**m
-    if op_counter is not None:
-        op_counter["tuples"] = op_counter.get("tuples", 0) + ops
+                if q:
+                    stack.append((q, w * wb, j + 1))
+            continue
+        for b, wb in pairs:
+            q = p & b
+            if q and (assume_closed or q in mset):
+                total += w * wb
     return total
 
 
@@ -264,7 +222,6 @@ def w_m_naive(
     m: int,
     *,
     assume_closed: bool = False,
-    op_counter: dict | None = None,
     op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> int:
     """Literal tuple enumeration of w_m; the reference for every faster path.
@@ -276,14 +233,8 @@ def w_m_naive(
         raise InputError("the arity m must be at least 1")
     members = list(_masks_of(a))
     n = len(members)
-    if op_budget is not None and n > 1 and n**m > op_budget:
-        raise ResourceBudgetError(
-            f"naive w_{m} would enumerate {n}^{m} tuples, over the budget {op_budget}"
-        )
-    return _wm_naive_bits(
-        members, m,
-        assume_closed=assume_closed, op_counter=op_counter,
-    )
+    charge_tuples(f"naive w_{m} of {n} simplices", n, m, op_budget, "tuples")
+    return _wm_naive_bits(members, m, assume_closed=assume_closed)
 
 
 @dataclass(frozen=True)
@@ -336,14 +287,16 @@ class InteractionFunction:
 
 
 def w_m_energized(a, h: InteractionFunction, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:
-    """w_m with the default weight product replaced by an arbitrary interaction."""
-    members = _members(a)
+    """w_m with the default weight product replaced by an arbitrary interaction.
+
+    ``a`` is a complex, a simplex subset or an iterable of ``Simplex``
+    objects; the tuples are walked in the order the members are given, as
+    the sum does not depend on it.
+    """
+    members = tuple(a)
     n = len(members)
     m = h.arity
-    if op_budget is not None and n > 1 and n**m > op_budget:
-        raise ResourceBudgetError(
-            f"energized w_{m} would enumerate {n}^{m} tuples, over the budget {op_budget}"
-        )
+    charge_tuples(f"energized w_{m} of {n} simplices", n, m, op_budget, "tuples")
     mset = frozenset(s.bits for s in members)
     total = 0
     for X in itertools.product(members, repeat=m):
@@ -532,10 +485,7 @@ def _fold(g: Complex, table: Mapping[int, int], op_budget: int | None) -> int:
     (the union lemma of the module docstring).  Charges |g| steps against
     ``op_budget``.
     """
-    if op_budget is not None and len(g) > op_budget:
-        raise ResourceBudgetError(
-            f"configuration sum would cost {len(g)} steps, over the budget {op_budget}"
-        )
+    charge("configuration sum", len(g), op_budget)
     return sum(t if z.bit_count() & 1 else -t for z, t in table.items())
 
 
@@ -631,11 +581,7 @@ def _dual_sphere_total(
             odd |= bit
         for y in members:
             inc[y] = inc.get(y, 0) | bit
-    cost = math.comb(len(inc) + m, m) - 1 + 2 * k * len(ws)
-    if op_budget is not None and cost > op_budget:
-        raise ResourceBudgetError(
-            f"dual sphere sum would cost {cost} steps, over the budget {op_budget}"
-        )
+    charge("dual sphere sum", math.comb(len(inc) + m, m) - 1 + 2 * k * len(ws), op_budget)
     items = [(y, iy, _weight_of_bits(y)) for y, iy in inc.items()]
     n = len(items)
     get = inc.get

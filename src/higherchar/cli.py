@@ -18,7 +18,7 @@ import time
 from . import characteristics as ch
 from . import cohomology, linalg, recognizers
 from .complexes import Complex, Simplex, SimplexSubset, closure
-from .errors import HigherCharError, InputError, ResourceBudgetError
+from .errors import HigherCharError, InputError, ResourceBudgetError, charge, charge_tuples
 from .files import check_simplex_count, format_facets, load_complex
 from .generators import GeneratorSpec, SplitMix64, generate
 from .product import product_simplex_count, topological_product
@@ -142,12 +142,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         return [ch.EnergyReport("valuation", m, 2, args.pairs, passed,
                                 passed == args.pairs, len(g), elapsed)]
     if suite == "local-valuation":
-        n = len(g)
-        # n^k >= 2^k > budget once k reaches the budget's bit length
-        if n > 1 and (k >= args.budget.bit_length() or n**k > args.budget):
-            raise ResourceBudgetError(
-                f"local-valuation would walk {n}^{k} configurations, over the budget {args.budget}"
-            )
+        charge_tuples(f"local-valuation at k = {k} on {len(g)} simplices", len(g), k,
+                      args.budget, "configurations")
         t0 = time.perf_counter()
         total = passed = 0
         for X in itertools.product(g.simplices, repeat=k):
@@ -218,32 +214,30 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     g = load_complex(args.complex)
     m = args.m
-    counter_naive: dict = {}
     t0 = time.perf_counter()
-    value_naive = ch.w_m_naive(g, m, assume_closed=True, op_counter=counter_naive)
+    value_naive = ch.w_m_naive(g, m, assume_closed=True)
     ms_naive = (time.perf_counter() - t0) * 1000.0
-    counter_local: dict = {}
     t0 = time.perf_counter()
     # local path: sum of weight(z) * w_m(U(z)), each star enumerated literally
+    stars = ch._stars_of(g)
     value_local = sum(
-        ch._weight_of_bits(z) * ch._wm_naive_bits(list(mem), m, op_counter=counter_local)
-        for z, mem in ch._stars_of(g).items()
+        ch._weight_of_bits(z) * ch._wm_naive_bits(list(mem), m) for z, mem in stars.items()
     )
     ms_local = (time.perf_counter() - t0) * 1000.0
+    # the nominal tuple counts, |G|^m and the sum of |U(z)|^m
+    ops_naive = len(g) ** m
+    ops_local = sum(len(mem) ** m for mem in stars.values())
     out = {
         "m": m,
         "value_naive": value_naive,
         "value_local": value_local,
         "equal": value_naive == value_local,
-        "ops_naive": counter_naive.get("tuples", 0),
-        "ops_local": counter_local.get("tuples", 0),
+        "ops_naive": ops_naive,
+        "ops_local": ops_local,
         "ms_naive": round(ms_naive, 3),
         "ms_local": round(ms_local, 3),
         "speedup_time": round(ms_naive / ms_local, 3) if ms_local > 0 else None,
-        "speedup_ops": (
-            round(counter_naive.get("tuples", 0) / counter_local["tuples"], 3)
-            if counter_local.get("tuples") else None
-        ),
+        "speedup_ops": round(ops_naive / ops_local, 3) if ops_local else None,
     }
     _emit(out, args.json)
     return 0 if value_naive == value_local else 1
@@ -323,12 +317,8 @@ def cmd_matrix(args) -> int:
     if which.startswith("charpoly") or which == "isospectral":
         # Faddeev-LeVerrier: n products of n x n matrices, each n^3
         n = len(g)
-        cost = (2 if which == "isospectral" else 1) * n**4
-        if cost > ch.DEFAULT_OP_BUDGET:
-            raise ResourceBudgetError(
-                f"{which} of {n} simplices would cost {cost} steps,"
-                f" over the budget {ch.DEFAULT_OP_BUDGET}"
-            )
+        charge(f"{which} of {n} simplices", (2 if which == "isospectral" else 1) * n**4,
+               ch.DEFAULT_OP_BUDGET)
     if which == "connection":
         print(json.dumps(linalg.connection_matrix(g)))
     elif which == "green":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import DomainError, InputError, ResourceBudgetError
+from .errors import DomainError, InputError, charge
 
 __all__ = [
     "Simplex",
@@ -283,23 +283,15 @@ def _close(masks: Iterable[int], simplex_budget: int | None = None) -> Complex:
     for b in masks:
         if b in found:
             continue
-        if simplex_budget is not None:
-            n = b.bit_count()
-            if (1 << n) - 1 > simplex_budget:
-                raise ResourceBudgetError(
-                    f"a simplex with {n} vertices has {(1 << n) - 1}"
-                    f" faces, over the budget of {simplex_budget} simplices",
-                    partial=len(found),
-                )
+        if simplex_budget is not None:  # skips the charges on unbudgeted closures
+            charge("closing one simplex", (1 << b.bit_count()) - 1, simplex_budget, "faces",
+                   len(found))
         sub = b
         while sub:
             add(sub)
             sub = (sub - 1) & b
-        if simplex_budget is not None and len(found) > simplex_budget:
-            raise ResourceBudgetError(
-                f"closure exceeded the budget of {simplex_budget} simplices",
-                partial=len(found),
-            )
+        if simplex_budget is not None:
+            charge("closure", len(found), simplex_budget, "simplices", len(found))
     return Complex._of_bits(found)
 
 
@@ -436,14 +428,11 @@ def _masks_of(a) -> Iterable[int]:
 
 
 def _members(a) -> tuple[Simplex, ...]:
-    """The members of a complex, a simplex subset or an iterable of simplices,
-    in canonical order."""
+    """The members of a complex or a simplex subset, in canonical order."""
     if isinstance(a, Complex):
         return a.simplices
-    if isinstance(a, SimplexSubset):
-        mb = a.member_bits
-        return tuple(s for s in a.ambient.simplices if s.bits in mb)
-    return tuple(map(Simplex.from_bits, sorted(_masks_of(a), key=_mask_key)))
+    mb = a.member_bits
+    return tuple(s for s in a.ambient.simplices if s.bits in mb)
 
 
 def boundary_set(a) -> SimplexSubset:

@@ -27,5 +27,33 @@ class ResourceBudgetError(HigherCharError):
         self.partial = partial
 
 
+def charge(stage: str, cost: int, budget: int | None, unit: str = "steps", partial=None) -> None:
+    """Refuse ``stage`` when its ``cost`` is over ``budget``; no budget, no limit.
+
+    Every operation-budget refusal of the package is raised here, so each
+    reads ``<stage> would cost <cost> <unit>, over the budget <budget>``.
+    """
+    if budget is not None and cost > budget:
+        raise ResourceBudgetError(
+            f"{stage} would cost {cost} {unit}, over the budget {budget}", partial=partial
+        )
+
+
+def charge_tuples(stage: str, n: int, k: int, budget: int | None, unit: str) -> None:
+    """Charge the n**k k-tuples of n items; n <= 1 is free.
+
+    For n >= 2 and k at least the budget's bit length b, n**k >= 2**b > budget,
+    so the count is refused with that lower bound, without forming n**k,
+    whose size grows with k.
+    """
+    if budget is None or n <= 1:
+        return
+    b = budget.bit_length()
+    if k < b:
+        charge(stage, n**k, budget, unit)
+    else:
+        charge(stage, 1 << b, budget, f"{unit} or more")
+
+
 class SingularMatrixError(HigherCharError):
     """Matrix inversion was requested for a singular matrix."""

@@ -34,7 +34,7 @@ from operator import add, sub
 
 from .characteristics import _star_weights
 from .complexes import Complex
-from .errors import DomainError, ResourceBudgetError, SingularMatrixError
+from .errors import DomainError, ResourceBudgetError, SingularMatrixError, charge
 
 __all__ = [
     "MAX_DENSE_SIZE",
@@ -353,16 +353,6 @@ def _face_passes(g: Complex) -> list[list[tuple[int, int]]]:
     return list(passes.values())
 
 
-def _charge(passes, count: int, op_budget: int | None) -> None:
-    """Refuse ``count`` face passes whose row operations exceed the budget;
-    one pass is sum |x| over the simplices x with two or more vertices."""
-    ops = count * sum(map(len, passes))
-    if op_budget is not None and ops > op_budget:
-        raise ResourceBudgetError(
-            f"{count} face passes would take {ops} row operations, over the budget {op_budget}"
-        )
-
-
 def _add_scaled(target: dict[int, int], src: dict[int, int], f: int) -> None:
     """target += f * src on sparse rows, dropping zeros; f is nonzero."""
     for j, y in src.items():
@@ -398,9 +388,10 @@ def _face_congruence(g: Complex, mat, passes) -> list[dict[int, int]]:
 def det_via_faces(g: Complex, mat, *, op_budget: int | None = None) -> int:
     """det of the integer matrix ``mat``, indexed by g's simplices in
     canonical order, as det of M = K^-1 mat K^-T; equals ``det(mat)``.
-    The two face passes are charged against ``op_budget`` first."""
+    The two face passes are charged against ``op_budget`` first; one pass is
+    sum |x| row operations over the simplices x with two or more vertices."""
     passes = _face_passes(g)
-    _charge(passes, 2, op_budget)
+    charge("2 face passes", 2 * sum(map(len, passes)), op_budget, "row operations")
     _check_integer(mat)
     cols = _face_congruence(g, mat, passes)
     n = len(cols)
@@ -421,9 +412,9 @@ def mat_mul_via_faces(g: Complex, mat, b, *, op_budget: int | None = None) -> li
     K (M (K^T b)) with M = K^-1 mat K^-T; mat is indexed by g's simplices in
     canonical order and b has one row per simplex.  Densified, it equals
     ``mat_mul(mat, b)``.  The four face passes (two for M, one for K^T and
-    one for K) are charged against ``op_budget`` first."""
+    one for K) are charged against ``op_budget`` first, as in ``det_via_faces``."""
     passes = _face_passes(g)
-    _charge(passes, 4, op_budget)
+    charge("4 face passes", 4 * sum(map(len, passes)), op_budget, "row operations")
     mt = _face_congruence(g, mat, passes)
     m = len(b[0]) if b else 0
     if len(b) != len(mt) or any(len(row) != m for row in b):

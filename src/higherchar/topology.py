@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .complexes import Complex, Simplex, SimplexSubset, _close, _coerce_simplex, closure, whitney
-from .errors import DomainError, InputError, ResourceBudgetError
+from .errors import DomainError, InputError, charge
 
 __all__ = [
     "OpenSet",
@@ -183,17 +183,13 @@ def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tupl
             u = cur | st
             if u not in found:
                 found.add(u)
-                if len(found) > budget:
-                    raise ResourceBudgetError(
-                        f"topology enumeration exceeded {budget} open sets",
-                        partial=len(found),
-                    )
+                charge("topology enumeration", len(found), budget, "open sets", len(found))
                 queue.append(u)
     ordered = sorted(found, key=lambda fs: (len(fs), sorted(fs)))
     return tuple(OpenSet._of_bits(g, fs) for fs in ordered)
 
 
-def barycentric(g: Complex, *, simplex_budget: int | None = None) -> Complex:
+def barycentric(g: Complex) -> Complex:
     """The refinement of g: the clique complex of its face-incidence graph.
 
     Vertex i of the refinement is the i-th simplex of g in canonical order;
@@ -208,7 +204,7 @@ def barycentric(g: Complex, *, simplex_budget: int | None = None) -> Complex:
         while a:
             edges.append((index[a], j))
             a = (a - 1) & b
-    return whitney(range(len(index)), edges, simplex_budget=simplex_budget)
+    return whitney(range(len(index)), edges)
 
 
 def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:
