@@ -233,6 +233,8 @@ def w_m_naive(
         raise InputError("the arity m must be at least 1")
     members = list(_masks_of(a))
     n = len(members)
+    if n <= 1:  # the one tuple, if any, is (x, ..., x), of weight w(x)**m
+        return sum(_weight_of_bits(b) ** m for b in members)
     charge_tuples(f"naive w_{m} of {n} simplices", n, m, op_budget, "tuples")
     return _wm_naive_bits(members, m, assume_closed=assume_closed)
 
@@ -291,12 +293,17 @@ def w_m_energized(a, h: InteractionFunction, *, op_budget: int | None = DEFAULT_
 
     ``a`` is a complex, a simplex subset or an iterable of ``Simplex``
     objects; the tuples are walked in the order the members are given, as
-    the sum does not depend on it.
+    the sum does not depend on it.  The n**m tuples are charged against
+    ``op_budget``, and a lone member's one tuple its m entries.
     """
     members = tuple(a)
     n = len(members)
     m = h.arity
     charge_tuples(f"energized w_{m} of {n} simplices", n, m, op_budget, "tuples")
+    if n == 0:
+        return 0
+    if n == 1:  # one tuple, free above, but it holds m entries
+        charge(f"energized w_{m} of 1 simplex", m, op_budget, "tuple entries")
     mset = frozenset(s.bits for s in members)
     total = 0
     for X in itertools.product(members, repeat=m):

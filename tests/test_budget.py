@@ -11,6 +11,7 @@ import pytest
 from higherchar import linalg
 from higherchar.characteristics import (
     InteractionFunction,
+    _wm_naive_bits,
     dual_sphere_sum,
     energy_sum,
     w_m,
@@ -18,7 +19,7 @@ from higherchar.characteristics import (
     w_m_naive,
 )
 from higherchar.cli import main
-from higherchar.complexes import Complex, closure
+from higherchar.complexes import Complex, Simplex, closure
 from higherchar.errors import ResourceBudgetError, charge, charge_tuples
 from higherchar.files import save_complex
 from higherchar.generators import cross_polytope, path3, random_whitney
@@ -28,6 +29,7 @@ MESSAGE = re.compile(r"^.+ would cost \d+ \S.*, over the budget -?\d+$")
 
 OCTA = cross_polytope(2)
 RW = random_whitney(12, 30, seed=1)
+POINT = closure([[1]])
 
 # (site, cost, run at a budget); the octahedron has 26 simplices, all with
 # N(z) = 1, and 12 edges and 8 triangles, so one face pass is 12*2 + 8*3 = 48
@@ -37,6 +39,9 @@ LIBRARY_SITES = [
     ("naive", 26**2, lambda b: w_m_naive(OCTA, 2, op_budget=b)),
     ("energized", 26**2,
      lambda b: w_m_energized(OCTA, InteractionFunction.default(2), op_budget=b)),
+    # the one tuple of a lone member holds m entries
+    ("energized point", 1000,
+     lambda b: w_m_energized(POINT, InteractionFunction.default(1000), op_budget=b)),
     ("fold", 26, lambda b: energy_sum(OCTA, 1, 1000, op_budget=b)),
     # C(18 + 1, 1) - 1 prefixes plus 2k = 4 per simplex
     ("dual sphere", 18 + 4 * 26, lambda b: dual_sphere_sum(OCTA, 1, 2, op_budget=b)),
@@ -126,11 +131,36 @@ def test_huge_m_refused_before_the_power():
         assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("g", [Complex.empty(), closure([[1]])], ids=["void", "point"])
+@pytest.mark.parametrize("g", [Complex.empty(), POINT], ids=["void", "point"])
 def test_at_most_one_simplex_is_free(g):
     for m in (1, 2, 5):
         assert w_m_naive(g, m, op_budget=0) == w_m_naive(g, m, op_budget=-1) == len(g)
-        assert w_m_energized(g, InteractionFunction.default(m), op_budget=0) == len(g)
+        # energized builds the point's one tuple, of m entries, and charges them
+        assert w_m_energized(g, InteractionFunction.default(m), op_budget=len(g) * m) == len(g)
+
+
+LONE_MEMBERS = [[], [Simplex((1,))], [Simplex((1, 2))], [Simplex((1, 2, 3))]]
+
+
+@pytest.mark.parametrize("a", LONE_MEMBERS, ids=["void", "vertex", "edge", "triangle"])
+def test_at_most_one_member_is_w_to_the_m(a):
+    # the literal tuple walk, which the naive sum skips for at most one member
+    for m in range(1, 8):
+        want = _wm_naive_bits([s.bits for s in a], m)
+        assert w_m_naive(a, m) == w_m_energized(a, InteractionFunction.default(m)) == want
+
+
+@pytest.mark.parametrize("a", LONE_MEMBERS, ids=["void", "vertex", "edge", "triangle"])
+def test_huge_m_on_at_most_one_member_takes_no_time(a):
+    # a walk of m levels, or one tuple of m entries, would take seconds here
+    t0 = time.perf_counter()
+    assert w_m_naive(a, 10**8) == len(a)  # m is even
+    if a:
+        with pytest.raises(ResourceBudgetError, match="would cost 1000000 tuple entries"):
+            w_m_energized(a, InteractionFunction.default(10**6), op_budget=10**6 - 1)
+    else:
+        assert w_m_energized(a, InteractionFunction.default(10**8)) == 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_budget_0_refuses_two_simplices():

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higherchar.cli import main, parse_set_token, random_open_set
+from higherchar.cli import (
+    COMMANDS,
+    VERIFY_SUITES,
+    build_command_parser,
+    build_parser,
+    main,
+    parse_args,
+    parse_set_token,
+    random_open_set,
+)
 from higherchar.complexes import closure
 from higherchar.errors import DomainError
 from higherchar.files import save_complex
@@ -454,6 +464,110 @@ class TestMatrix:
         main(["generate", "--kind", "simplex", "--n", "2", "-o", str(p)])
         rc, out = run(capsys, ["matrix", str(p), "--which", which])
         assert rc == 0 and json.loads(out) == want
+
+
+# argv that parse; the files need not exist, as only the parsing is checked
+VALID_ARGV = [
+    ["info", "g.facets"],
+    ["info", "g.facets", "--json"],
+    ["info", "--js", "g.facets"],  # abbreviated long option
+    ["info", "--", "g.facets"],
+    ["verify", "energy", "g.facets", "-m", "2", "-k3", "--bud", "7", "--json"],
+    ["verify", "valuation", "g.facets", "--set-a", "star:1", "--set-b", "core:2",
+     "--allow-closed", "--pairs", "5", "--seed", "4", "--threads", "2"],
+    ["verify", "product", "g.facets", "--right", "h.facets"],
+    ["bench", "g.facets", "-m", "3"],
+    ["generate", "--kind", "random_whitney", "--n", "9", "--edges", "12", "--seed", "1",
+     "-o", "x.facets"],
+    ["product", "g.facets", "h.facets", "--output", "x.facets"],
+    ["betti", "g.facets", "--support", "none", "--relative"],
+    ["recognize", "g.facets", "--what", "ball", "--d", "2", "--budget", "9"],
+    ["matrix", "g.facets", "--which", "charpoly-green", "--json"],
+]
+USAGE_ERRORS = [
+    ["verify", "energy", "g.facets", "-m", "two"],  # bad int
+    ["verify", "no-such-suite", "g.facets"],  # bad choice
+    ["recognize", "g.facets", "--what", "torus"],  # bad choice
+    ["bench", "g.facets", "-m", "4"],  # int not among the choices
+    ["bench", "g.facets"],  # missing required option
+    ["info"],  # missing positional
+    ["product", "g.facets"],  # missing positional
+    ["info", "g.facets", "--bogus"],  # unknown flag
+    ["info", "g.facets", "extra"],  # extra positional
+    ["info", "g.facets", "--", "--json"],
+    ["nope", "g.facets"],  # unknown command
+    ["INFO", "g.facets"],
+    ["--json", "info"],
+    [],
+]
+HELP_ARGV = [["-h"], ["--help"], ["info", "-h"], ["verify", "--help"],
+             ["verify", "energy", "g.facets", "--he"]]
+
+
+def parsed(capsys, parse, argv):
+    """The Namespace less its ``command``, or the exit code, with the output."""
+    try:
+        got = {k: v for k, v in vars(parse(argv)).items() if k != "command"}
+    except SystemExit as exc:
+        got = exc.code
+    cap = capsys.readouterr()
+    return got, cap.out, cap.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_parser_help_is_the_subparser_help(self, name):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert list(subparsers) == list(COMMANDS)
+        assert build_command_parser(name).format_help() == subparsers[name].format_help()
+
+    @pytest.mark.parametrize("argv", VALID_ARGV + USAGE_ERRORS + HELP_ARGV, ids=" ".join)
+    def test_one_command_parser_parses_as_the_full_parser(self, capsys, argv):
+        want = parsed(capsys, build_parser().parse_args, argv)
+        got = parsed(capsys, parse_args, argv)
+        assert got == want
+        if argv in VALID_ARGV:
+            assert got[0]["fn"].__name__ == f"cmd_{argv[0]}"
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_errors_exit_3(self, capsys, argv):
+        # not 2, the code of an exceeded resource budget
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("higherchar")
+
+    @pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: higherchar")
+        if len(argv) == 1:
+            assert "{" + ",".join(COMMANDS) + "}" in out
+        if argv[0] == "verify":
+            assert "{" + ",".join(VERIFY_SUITES) + "}" in out
+
+    @pytest.mark.parametrize("argv,built", [
+        (["info", "{f}", "--json"], ["higherchar info"]),
+        (["info", "{f}", "--bogus"], ["higherchar info", "higherchar"] +
+         [f"higherchar {name}" for name in COMMANDS]),
+    ])
+    def test_parsers_built_per_call(self, capsys, monkeypatch, octa_file, argv, built):
+        seen = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            seen.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        try:
+            main([a.format(f=octa_file) for a in argv])
+        except SystemExit:
+            pass
+        assert seen == built
 
 
 class TestSetTokens:
