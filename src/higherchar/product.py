@@ -1,19 +1,19 @@
 """The topological product of complexes and its squarefree monomial encoding.
 
 A complex G with vertices labeled by variables becomes the set of squarefree
-monomials {t(x) : x in G}; the face relation is divisibility.  The product
-G * H is the clique complex of the comparability graph on the pairs
-(x, y) in G x H ordered componentwise by inclusion, equivalently the complex
-rebuilt from the products of the two monomial sets.  It multiplies all
-higher characteristics and turns the one-point complex into the refinement
-operator: G * 1 is the barycentric refinement of G.
+monomials {t(x) : x in G}; the face relation is divisibility.  The simplices
+of the product G * H are the chains of the pairs (x, y) in G x H ordered
+componentwise by inclusion; equivalently, G * H is the complex rebuilt from
+the products of the two monomial sets.  It multiplies all higher
+characteristics, and G * 1, with ``POINT`` the one-point complex 1, is the
+barycentric refinement of G (Knill, *The Künneth formula for graphs*, 2015).
 
-Its size is known before it is built.  The simplices of G * H are the chains
-of the pair order, and a chain is counted by its top pair (x, y): with
-|x| = a and |y| = b there are c(a, b) of them,
+A chain is its top pair p = (x, y) alone, or a chain topped by a pair of
+faces of x and y other than p, then p.  So the chains topped by p are built
+from those of its face pairs, each chain once, and counted from the
+f-vectors alone: with |x| = a and |y| = b there are c(a, b) of them,
 c(a, b) = 1 + sum C(a, i) C(b, j) c(i, j) over 1 <= i <= a, 1 <= j <= b,
-(i, j) != (a, b): the chain is the top alone, or a chain topped by a pair
-of faces below it, then the top.
+(i, j) != (a, b).
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from .complexes import Complex, vertices_of, whitney
+from .complexes import Complex, closure, vertices_of, whitney
 from .errors import InputError
 
 __all__ = [
+    "POINT",
     "ring_from_complex",
     "complex_from_ring",
     "topological_product",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 Monomial = frozenset
+
+POINT = closure([[1]])  # the one-point complex 1
 
 
 def ring_from_complex(g: Complex, prefix: str = "a") -> frozenset[Monomial]:
@@ -78,24 +81,28 @@ def _faces(bits: int, index: dict[int, int]) -> list[int]:
 
 
 def topological_product(g: Complex, h: Complex) -> Complex:
-    """G * H built directly on the pair order: (x,y) <= (x',y') iff both
-    components are faces; the product is the clique complex of the
-    comparability graph.  Vertex count is always |G| * |H|: the pair
-    (i-th simplex of g, j-th simplex of h), in canonical order, is vertex
-    i * |H| + j.  Each pair is joined to the pairs of its faces, so the
-    edges are listed without an all-pairs test."""
+    """G * H: the chains of the pairs (x, y) in G x H, (x, y) <= (x', y') iff
+    both components are faces.  The pair (i-th simplex of g, j-th simplex of
+    h), in canonical order, is vertex i * |H| + j, so a face pair has a smaller
+    number than its coface pair and its chains are listed first."""
     gb, hb = g.masks, h.masks
     nh = len(hb)
     gidx = {b: i for i, b in enumerate(gb)}
     hidx = {b: j for j, b in enumerate(hb)}
     hfaces = [_faces(b, hidx) for b in hb]
-    edges = []
-    for i, x in enumerate(gb):
+    topped: list[list[int]] = []  # topped[p]: the chains whose top pair is p
+    for x in gb:
         xfaces = [fi * nh for fi in _faces(x, gidx)]
-        for j in range(nh):
-            top = i * nh + j
-            edges.extend((f + fj, top) for f in xfaces for fj in hfaces[j] if f + fj != top)
-    return whitney(range(len(gb) * nh), edges)
+        for yfaces in hfaces:
+            top = len(topped)
+            bit = 1 << top
+            chains = [bit]
+            for f in xfaces:
+                for fj in yfaces:
+                    if f + fj != top:
+                        chains.extend(map(bit.__or__, topped[f + fj]))
+            topped.append(chains)
+    return Complex._of_bits(chain for chains in topped for chain in chains)
 
 
 def product_simplex_count(g: Complex, h: Complex) -> int:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _close, _coerce_simplex, closure, whitney
+from .complexes import Complex, Simplex, SimplexSubset, _close, _coerce_simplex, closure
 from .errors import DomainError, InputError, charge
+from .product import POINT, topological_product
 
 __all__ = [
     "OpenSet",
@@ -190,21 +191,9 @@ def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tupl
 
 
 def barycentric(g: Complex) -> Complex:
-    """The refinement of g: the clique complex of its face-incidence graph.
-
-    Vertex i of the refinement is the i-th simplex of g in canonical order;
-    two vertices are joined when one simplex is a face of the other, so the
-    simplices of the refinement are the chains of the face poset.  Each
-    simplex is joined to its proper faces, so no pair is tested.
-    """
-    index = {b: i for i, b in enumerate(g.masks)}
-    edges = []
-    for j, b in enumerate(g.masks):
-        a = (b - 1) & b
-        while a:
-            edges.append((index[a], j))
-            a = (a - 1) & b
-    return whitney(range(len(index)), edges)
+    """The refinement of g, G * 1: the complex of chains of its face poset,
+    the i-th simplex of g in canonical order being vertex i."""
+    return topological_product(g, POINT)
 
 
 def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:

@@ -53,6 +53,8 @@ from higherchar.topology import (
     star_intersection,
 )
 
+from oracles import refinement_by_flags
+
 N_CORPUS = 50
 BUDGET = 10**6
 
@@ -262,10 +264,9 @@ def test_acceptance_08_product_theorem():
     one = simplex_complex(1)
     for g in (k2, p3, c4, random_whitney(6, 8, seed=5)):
         gdot1 = topological_product(g, one)
-        g1 = barycentric(g)
-        assert gdot1.f_vector == g1.f_vector
+        assert gdot1.simplices == refinement_by_flags(g)
         for m in (1, 2, 3):
-            assert ch.w_m(gdot1, m) == ch.w_m(g1, m) == ch.w_m(g, m)
+            assert ch.w_m(gdot1, m) == ch.w_m(g, m)
     # non-associativity witness
     left = topological_product(topological_product(k2, one), one)
     right = topological_product(k2, topological_product(one, one))

@@ -229,6 +229,55 @@ class TestVerify:
         assert want > 0 and d["rhs"] == want and d["lhs"] == 0
         assert rc == 1
 
+    @pytest.mark.parametrize("corrupt", ["product", "product-refinement"])
+    def test_each_product_report_fails_on_its_own(self, capsys, monkeypatch, octa_file,
+                                                  corrupt):
+        # Drop one maximal chain from G * H or from G * 1 alone: the Euler
+        # characteristic w_1 of that complex moves by one, and only its report fails.
+        import higherchar.cli as cli
+        from higherchar.complexes import Complex
+
+        build = cli.topological_product
+
+        def dropped(g, h):
+            gh = build(g, h)
+            if (h is cli.POINT) != (corrupt == "product-refinement"):
+                return gh
+            return Complex._of_bits(gh.member_bits - {gh.facets()[-1].bits})
+
+        monkeypatch.setattr(cli, "topological_product", dropped)
+        rc, out = run(capsys, ["verify", "product", octa_file, "-m", "1", "--json"])
+        passed = {d["suite"]: d["pass"] for d in map(json.loads, out.splitlines())}
+        assert passed == {"product": corrupt != "product",
+                          "product-refinement": corrupt != "product-refinement"}
+        assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["valuation", "{octa}", "-m", "0", "--pairs", "0"], "-m"),
+         (["valuation", "{octa}", "--pairs", "0"], "--pairs"),
+         (["valuation", "{octa}", "-m", "2", "--pairs", "-3"], "--pairs"),
+         (["product", "{cp3}", "-m", "0"], "-m"),
+         (["barycentric", "{octa}", "-m", "-1"], "-m"),
+         (["energy", "{octa}", "-k", "0"], "-k"),
+         (["det-fermi", "{octa}", "-m", "0"], "-m"),
+         (["green-inverse", "{octa}", "-m", "0"], "-m")],
+    )
+    def test_counts_below_one_exit_3_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                      octa_file, argv, flag):
+        import higherchar.cli as cli
+
+        def unreached(*args):
+            raise AssertionError("complex-sized work before the argument check")
+
+        for name in ("topological_product", "random_open_set", "barycentric"):
+            monkeypatch.setattr(cli, name, unreached)
+        cp3 = tmp_path / "cp3.facets"
+        save_complex(cross_polytope(3), cp3)
+        files = {"octa": octa_file, "cp3": str(cp3)}
+        assert main(["verify"] + [a.format(**files) for a in argv]) == 3
+        assert f"error: {flag} must be at least 1" in capsys.readouterr().err
+
     def test_huge_facet_exit_2_at_once(self, capsys, tmp_path):
         import time
 

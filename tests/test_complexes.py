@@ -19,7 +19,7 @@ from higherchar.complexes import (
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import format_facets, parse_facets
 from higherchar.generators import cross_polytope, cycle, path3
-from higherchar.product import topological_product
+from higherchar.product import product_simplex_count, topological_product
 from higherchar.topology import barycentric
 
 from oracles import (
@@ -318,14 +318,17 @@ class TestMaskStorage:
         text = "".join(" ".join(map(str, sorted(s))) + "\n" for s in sets)
         assert_same_as_oracle(parse_facets(text), oracle)
 
-    @given(random_complexes(max_vertices=5, max_edges=7))
+    @given(random_complexes(max_vertices=5, max_edges=7),
+           st.one_of(st.just(path3()), random_complexes(max_vertices=3, max_edges=2)))
     @settings(max_examples=25, deadline=None)
-    def test_whitney_refinement_and_product_match_the_simplex_closure(self, g):
+    def test_whitney_refinement_and_product_match_the_simplex_closure(self, g, h):
         edges = [s.vertices for s in g.simplices if len(s) == 2]
         cliques = cliques_by_search(g.vertex_ids, edges)
         assert_same_as_oracle(whitney(g.vertex_ids, edges), closure_by_simplices(cliques))
         assert_same_as_oracle(barycentric(g), refinement_by_flags(g))
-        assert_same_as_oracle(topological_product(g, path3()), product_by_chains(g, path3()))
+        gh = topological_product(g, h)
+        assert_same_as_oracle(gh, product_by_chains(g, h))
+        assert len(gh) == product_simplex_count(g, h)
 
     def test_views_are_built_once_on_first_use(self):
         g = closure([[1, 2, 3]])
