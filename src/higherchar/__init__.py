@@ -16,6 +16,7 @@ from .characteristics import (
     fermi,
     green,
     local_valuation_check,
+    local_valuation_sum,
     sphere_sum,
     valuation_check,
     w_m,

@@ -44,7 +44,9 @@ F(y) = (sum of w(x) over the x ⊆ y)^k = 1^k = 1, and Möbius inversion gives
 sum over y ⊆ z of (-1)^(|z|-|y|) * F(y) = w(z).  U(X), B(X) and S(X) depend
 on X only through its union, and are empty when the union is not in G, so
 the sum of w(X) * table[union of X] over G^k is the sum of w(z) * table[z]
-over G for every k (``_fold``).
+over G for every k (``_fold``).  Counted without weights, the k-tuples whose
+union is exactly z number c(|z|, k), which depends on |z| alone
+(``local_valuation_sum``).
 
 The dual-sphere sum over D(X) = S(x_1) ∩ ... ∩ S(x_k) exchanges the order of
 summation instead.  Writing w_m(D(X)) as its tuple sum and swapping the sums
@@ -92,6 +94,7 @@ __all__ = [
     "valuation_check",
     "valuation_values",
     "local_valuation_check",
+    "local_valuation_sum",
 ]
 
 DEFAULT_OP_BUDGET = 10**9
@@ -710,6 +713,67 @@ def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
     return EnergyReport(
         "local-valuation", m, len(X), lhs, rhs, lhs == rhs, len(g), elapsed
     )
+
+
+def _union_count(s: int, k: int) -> int:
+    """c(s, k): the number of k-tuples of nonempty subsets of an s-set whose
+    union is the whole set (``local_valuation_sum``)."""
+    return sum((-1) ** (s - j) * math.comb(s, j) * (2**j - 1) ** k for j in range(1, s + 1))
+
+
+def local_valuation_sum(
+    g: Complex,
+    m: int,
+    k: int,
+    *,
+    op_budget: int | None = DEFAULT_OP_BUDGET,
+) -> EnergyReport:
+    """Check the local valuation identity on all |G|^k configurations, one
+    literal check per union; lhs is |G|^k and rhs the number that pass.
+
+    U(X), B(X) and S(X), and so the verdict of ``local_valuation_check``,
+    depend on X only through its union.  The check therefore runs once on
+    the one-point configuration (z,) for each simplex z of G, and its verdict
+    counts for the c(|z|, k) configurations whose union is exactly z.  As G
+    is closed, the configurations whose union lies inside z are the k-tuples
+    of nonempty subsets of z, and (2^j - 1)^k of them have every entry inside
+    a given j-subset of z.  Inclusion-exclusion over the subsets of z leaves
+    those whose union is z itself:
+
+        c(s, k) = sum over j of (-1)^(s-j) * C(s, j) * (2^j - 1)^k,
+
+    so c(s, 1) = 1 and c(s, 2) = 3^s - 2.  The other |G|^k - sum of c(|z|, k)
+    configurations have a union outside G, where U, B and S are all empty,
+    and the check of one of them stands for them all.  A largest simplex F
+    of G is a facet, so for any simplex y not inside F the union F ∪ y
+    strictly contains F and is not in G; such a y exists exactly when G has
+    a second facet.  If G is a closed simplex, or k = 1, every union is in G
+    and the class is empty.  The shortest configurations, (z,) and (F, y),
+    stand for the k-tuples, which would hold k entries each, and no charge
+    bounds k when |G| <= 1.
+
+    The cost is |G| + 1 checks at any k.  ``op_budget`` is still charged the
+    |G|^k configurations, which bound the counts the report holds.
+    """
+    _check_mk(m, k)
+    n = len(g)
+    charge_tuples(f"local-valuation at k = {k} on {n} simplices", n, k, op_budget,
+                  "configurations")
+    t0 = time.perf_counter()
+    total = n**k
+    c = [_union_count(s, k) for s in range(g.dim + 2)]
+    inside = passed = 0
+    for z in g.simplices:
+        inside += c[len(z)]
+        if local_valuation_check(g, (z,), m).passed:
+            passed += c[len(z)]
+    if total > inside:
+        f = g.masks[-1]
+        y = next(b for b in g.masks if b & ~f)
+        if local_valuation_check(g, (Simplex.from_bits(f), Simplex.from_bits(y)), m).passed:
+            passed += total - inside
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    return EnergyReport("local-valuation", m, k, total, passed, total == passed, n, elapsed)
 
 
 def green(

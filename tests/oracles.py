@@ -2,6 +2,7 @@
 
 from itertools import permutations, product
 
+from higherchar import characteristics
 from higherchar.complexes import Simplex
 from higherchar.topology import OpenSet, configuration
 
@@ -122,6 +123,16 @@ def configuration_sum_by_walk(g, k, table):
             w *= ws[i]
         total += w * table.get(u, 0)
     return total
+
+
+def local_valuation_by_walk(g, m, k):
+    """(total, passed): the |g|^k configurations, and how many of them pass
+    ``characteristics.local_valuation_check``, checked one tuple at a time."""
+    total = passed = 0
+    for X in product(g.simplices, repeat=k):
+        total += 1
+        passed += characteristics.local_valuation_check(g, X, m).passed
+    return total, passed
 
 
 def sphere_by_every_link(g, d):

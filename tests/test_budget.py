@@ -72,8 +72,11 @@ def octa_file(tmp_path):
     return str(p)
 
 
+# the sum of 2^|y| over the octahedron is 6*2 + 12*4 + 8*8 = 124, and each
+# random open pair is charged four face passes of at most 2 * 124 steps
 CLI_SITES = [
     ("local-valuation", 26**2, ["verify", "local-valuation", "-m", "2", "-k", "2"]),
+    ("valuation", 20 * 8 * 124, ["verify", "valuation", "-m", "2", "--pairs", "20"]),
     ("det-fermi", 2 * 48, ["verify", "det-fermi"]),
     ("green-inverse", 4 * 48, ["verify", "green-inverse"]),
 ]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -23,12 +24,14 @@ from higherchar.characteristics import (
     _star_weight_table,
     _star_wm,
     _stars_of,
+    _union_count,
     curvature_profile,
     dual_sphere_sum,
     energy_sum,
     fermi,
     green,
     local_valuation_check,
+    local_valuation_sum,
     sphere_sum,
     valuation_check,
     valuation_values,
@@ -41,11 +44,15 @@ from higherchar.cli import main
 from higherchar.complexes import Complex, Simplex, SimplexSubset, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import save_complex
-from higherchar.generators import path3, random_whitney
+from higherchar.generators import cycle, path3, random_whitney
 from higherchar.product import topological_product
 from higherchar.topology import ball, star, unit_sphere
 
-from oracles import configuration_sum_by_walk, star_intersection_by_scan
+from oracles import (
+    configuration_sum_by_walk,
+    local_valuation_by_walk,
+    star_intersection_by_scan,
+)
 from strategies import random_complexes
 
 
@@ -508,6 +515,71 @@ class TestLocalValuation:
         for X in itertools.islice(itertools.product(g.simplices, repeat=2), 0, 60):
             for m in (1, 2, 3):
                 assert local_valuation_check(g, X, m).passed
+
+
+def _or(bits):
+    u = 0
+    for b in bits:
+        u |= b
+    return u
+
+
+def _failing_where(pred):
+    """``local_valuation_check`` with its verdict turned to a failure on the
+    configurations whose union u has pred(g, u)."""
+    check = ch.local_valuation_check
+
+    def failing(g, xs, m):
+        rep = check(g, xs, m)
+        if pred(g, _or(x.bits for x in xs)):
+            return dataclasses.replace(rep, passed=False)
+        return rep
+
+    return failing
+
+
+# (max_vertices, max_edges) by k, so that the |G|^k walk stays small
+WALK_SIZES = {1: (7, 12), 2: (6, 8), 3: (4, 5)}
+
+
+class TestLocalValuationSum:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_the_walk(self, k, data):
+        g = data.draw(random_complexes(*WALK_SIZES[k]))
+        z = data.draw(st.sampled_from(g.masks))
+        ways = {
+            "as is": None,
+            "one union": lambda g, u: u == z,
+            "outside": lambda g, u: u not in g.member_bits,
+        }
+        for way, pred in ways.items():
+            with pytest.MonkeyPatch.context() as mp:
+                if pred is not None:
+                    mp.setattr(ch, "local_valuation_check", _failing_where(pred))
+                for m in (1, 2):
+                    rep = local_valuation_sum(g, m, k)
+                    assert (rep.lhs, rep.rhs) == local_valuation_by_walk(g, m, k), (way, m)
+                    assert rep.lhs == len(g) ** k and rep.passed == (rep.lhs == rep.rhs)
+                    if pred is None:
+                        assert rep.passed
+
+    def test_union_count_closed_forms(self):
+        for s in range(1, 12):
+            assert _union_count(s, 1) == 1
+            assert _union_count(s, 2) == 3**s - 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counts_and_outside_remainder_add_up(self, k):
+        # the outside class is nonempty exactly when k >= 2 and G has two facets
+        for g in (closure([[1]]), closure([[1, 2, 3]]), path3(), cycle(4),
+                  closure([[1, 2, 3], [3, 4]]), random_whitney(6, 8, seed=2)):
+            inside = sum(_union_count(len(z), k) for z in g.simplices)
+            outside = sum(1 for X in itertools.product(g.masks, repeat=k)
+                          if _or(X) not in g.member_bits)
+            assert inside + outside == len(g) ** k
+            assert (outside > 0) == (k >= 2 and len(g.facets()) >= 2)
 
 
 class TestMulti:

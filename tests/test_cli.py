@@ -16,7 +16,7 @@ from higherchar.cli import (
     parse_set_token,
     random_open_set,
 )
-from higherchar.complexes import closure
+from higherchar.complexes import Complex, closure
 from higherchar.errors import DomainError
 from higherchar.files import save_complex
 from higherchar.generators import SplitMix64, cross_polytope, cycle, path3, random_whitney
@@ -185,6 +185,34 @@ class TestVerify:
                      "--budget", "675"]) == 2
         assert main(["verify", "local-valuation", octa_file, "-k", "2",
                      "--budget", "676"]) == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", ["1", "2"])
+    @pytest.mark.parametrize("size", [1, 2], ids=["vertex", "edge"])
+    def test_local_valuation_fails_on_a_wrong_sphere(self, capsys, monkeypatch, octa_file,
+                                                     size, m, k):
+        # S(z) of an octahedron vertex or edge is a 4-cycle; dropping one of
+        # its edges fails the check of every configuration with union z,
+        # and of no other
+        import higherchar.characteristics as ch
+
+        octa = cross_polytope(2)
+        z = next(b for b in octa.masks if b.bit_count() == size)
+        sphere = ch.unit_sphere
+
+        def dropped(g, xb):
+            s = sphere(g, xb)
+            if xb != z:
+                return s
+            edge = next(b for b in s.member_bits if b.bit_count() == 2)
+            return Complex._of_bits(s.member_bits - {edge})
+
+        monkeypatch.setattr(ch, "unit_sphere", dropped)
+        rc, out = run(capsys, ["verify", "local-valuation", octa_file, "-m", m,
+                               "-k", str(k), "--json"])
+        d = json.loads(out)
+        assert rc == 1 and d["pass"] is False
+        assert d["lhs"] == 26**k and d["rhs"] == d["lhs"] - ch._union_count(size, k)
 
     def test_det_fermi_reads_the_matrix_it_is_given(self, capsys, monkeypatch, octa_file):
         # Flip one off-diagonal entry of L where g(j, i) != 0, which moves
