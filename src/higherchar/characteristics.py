@@ -20,7 +20,8 @@ set, in two passes over the faces of the members, and keeps them grouped by
 N as (N, Σc) pairs; w_m for any m is then one short sum.  It serves
 arbitrary subsets only.  A complex G is closed, so c(q) = w(q) there, and
 w_m(G) = sum of w(z) * N(z)^m with the star weights N(z) = sum of w(y) over
-the y ⊇ z in G, from one subset pass.  The per-simplex star, ball and sphere
+the y ⊇ z in G, from a superset sum with one pass per vertex (Σ|y| updates,
+not the Σ 2^|y| of a subset pass).  The per-simplex star, ball and sphere
 tables need N alone:
 
     w_m(U(z)) = N(z)^m,
@@ -156,15 +157,32 @@ def _eval_terms(terms: Sequence[tuple[int, int]], m: int, op_budget: int | None 
 
 
 def _star_weights(g: Complex) -> dict[int, int]:
-    """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g, in one subset
-    pass; every face of a member is a member, as g is closed."""
-    out = dict.fromkeys(g.member_bits, 0)
+    """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g, by a
+    superset sum with one pass per vertex: Σ|y| updates, not Σ 2^|y|.
+
+    The pass of v adds out[y] to out[y - v] for every member y ∋ v with
+    |y| >= 2; after the passes of v_1..v_i, out[z] sums w(y) over the
+    members y ⊇ z with y - z inside {v_1..v_i}.  y - v is a member, as g is
+    closed, and a non-member needs no entry: no member contains it, so its
+    sum stays 0 and adds nothing.
+    """
+    out = {}
+    holders: dict[int, list[int]] = {}
     for y in g.member_bits:
-        w = 1 if y.bit_count() & 1 else -1
-        sub = y
-        while sub:
-            out[sub] += w
-            sub = (sub - 1) & y
+        out[y] = 1 if y.bit_count() & 1 else -1
+        if y & (y - 1):
+            r = y
+            while r:
+                v = r & -r
+                lst = holders.get(v)
+                if lst is None:
+                    holders[v] = [y]
+                else:
+                    lst.append(y)
+                r ^= v
+    for v, ys in holders.items():
+        for y in ys:
+            out[y ^ v] += out[y]
     return out
 
 

@@ -207,19 +207,21 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     g = load_complex(args.complex)
     m = args.m
+    # the nominal tuple counts, |G|^m and the sum of |U(z)|^m; the local path
+    # is charged here, the naive one by w_m_naive
+    stars = ch._stars_of(g)
+    ops_naive = len(g) ** m
+    ops_local = sum(len(mem) ** m for mem in stars.values())
+    charge(f"local w_{m} of {len(stars)} stars", ops_local, args.budget, "tuples")
     t0 = time.perf_counter()
-    value_naive = ch.w_m_naive(g, m, assume_closed=True)
+    value_naive = ch.w_m_naive(g, m, assume_closed=True, op_budget=args.budget)
     ms_naive = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
     # local path: sum of weight(z) * w_m(U(z)), each star enumerated literally
-    stars = ch._stars_of(g)
     value_local = sum(
         ch._weight_of_bits(z) * ch._wm_naive_bits(list(mem), m) for z, mem in stars.items()
     )
     ms_local = (time.perf_counter() - t0) * 1000.0
-    # the nominal tuple counts, |G|^m and the sum of |U(z)|^m
-    ops_naive = len(g) ** m
-    ops_local = sum(len(mem) ** m for mem in stars.values())
     out = {
         "m": m,
         "value_naive": value_naive,
@@ -373,6 +375,8 @@ COMMANDS = {
     "bench": ("naive global sum vs local star sums", (
         _COMPLEX,
         _arg("-m", type=int, choices=(2, 3), required=True),
+        _arg("--budget", type=int, default=ch.DEFAULT_OP_BUDGET,
+             help="operation budget; a path whose tuple count is over it exits 2"),
         _JSON,
     )),
     "generate": ("write a deterministic test complex", (

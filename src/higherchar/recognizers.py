@@ -14,9 +14,20 @@ These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
 A sub-complex g is the tuple of its members' bit masks in canonical order
-(by size, then by vertex list), and each step body indexes it once by
-vertex: st[v] holds the members that contain v, in g's order.  Unit spheres
-are read from these stars, never from a scan of g.  For a vertex,
+(by size, then by vertex list), indexed by vertex: st[v] holds the members
+that contain v, in g's order.  Unit spheres are read from these stars, never
+from a scan of g.  One index of g serves every step body that runs on g
+within a query: _sphere and its _manifold; _ball, its
+_manifold_with_boundary, its _contractible and its boundary scan.  It lives
+in the query's context while the outermost of them runs.  The index of a
+vertex puncture p = g - U(v), which _contractible and the vertex candidates
+of _sphere recurse on, is derived from g's when p's step body runs (a memo
+hit derives nothing): v's star is dropped, the stars of the vertices of
+lk(v) keep their members without v, and every other star holds no member
+with v and is shared as it is.  A filter keeps g's order and p is a filter
+of g, so each list is the one a scan of p would build: the candidate order,
+the unit spheres, the certificates and the call counts are those of an index
+built from p.  For a vertex,
 S(v) = {y - v : y in st[v], y != v} is already canonical: two members of
 equal size are ordered by which holds the smallest vertex of their symmetric
 difference, and taking v out of two members that both hold v shrinks both by
@@ -191,7 +202,7 @@ class _OutOfBudget(Exception):
 
 
 class _Ctx:
-    __slots__ = ("budget", "used", "memo")
+    __slots__ = ("budget", "used", "memo", "indices", "hint")
 
     def __init__(self, budget: int):
         if budget < 1:
@@ -199,11 +210,40 @@ class _Ctx:
         self.budget = budget
         self.used = 0
         self.memo: dict = {}
+        # id(g) -> the star index of g, None until a body asks for it, for
+        # each g with a step body running on it (which keeps g and its id
+        # alive); the outermost such body drops the entry
+        self.indices: dict[int, _StarIndex | None] = {}
+        # (p, index of g, v) for the last vertex puncture p = g - U(v) made
+        self.hint: tuple | None = None
 
     def charge(self) -> None:
         self.used += 1
         if self.used > self.budget:
             raise _OutOfBudget
+
+    def index(self, g: tuple[int, ...]) -> _StarIndex:
+        """The star index of g, built once for every step body running on g:
+        derived from the parent's index when g is the hinted puncture, built
+        from g otherwise."""
+        indices, gid = self.indices, id(g)
+        idx = indices.get(gid)
+        if idx is None:
+            hint = self.hint
+            if hint is not None and hint[0] is g:
+                idx = hint[1].punctured(hint[2], g)
+            else:
+                idx = _StarIndex(g)
+            if gid in indices:
+                indices[gid] = idx
+        return idx
+
+    def puncture(self, idx: _StarIndex, vb: int) -> tuple[int, ...]:
+        """g - U(v) for the vertex bit v of g = idx's complex; a step body that
+        runs on it derives its index from idx."""
+        p = _minus_star(idx.g, vb)
+        self.hint = (p, idx, vb)
+        return p
 
 
 def _step(base):
@@ -211,7 +251,9 @@ def _step(base):
 
     ``base(g, *args)`` settles trivial cases free of charge and returns None
     otherwise.  Each evaluation of the body costs one call, and its YES or NO
-    is memoized on g, the canonical tuple of member bit masks.
+    is memoized on g, the canonical tuple of member bit masks.  The
+    outermost body on g opens the slot of g's shared star index
+    (``_Ctx.index``) and drops it when it returns.
     """
 
     def wrap(body):
@@ -224,7 +266,15 @@ def _step(base):
             if hit is not None:
                 return hit
             ctx.charge()
-            res = ctx.memo[key] = body(ctx, g, *args)
+            indices = ctx.indices
+            gid = id(g)
+            if gid in indices:
+                res = body(ctx, g, *args)
+            else:
+                indices[gid] = None
+                res = body(ctx, g, *args)
+                del indices[gid]
+            ctx.memo[key] = res
             return res
 
         return step
@@ -255,23 +305,43 @@ class _StarIndex:
     that contain it, in g's order.  Unit spheres and the order of vertex
     candidates are read from here."""
 
-    __slots__ = ("st", "_rank", "_g")
+    __slots__ = ("st", "_rank", "g")
 
-    def __init__(self, g: tuple[int, ...]):
-        st: dict[int, list[int]] = {}
-        for b in g:
-            r = b
-            while r:
-                low = r & -r
-                lst = st.get(low)
-                if lst is None:
-                    st[low] = [b]
-                else:
-                    lst.append(b)
-                r ^= low
+    def __init__(self, g: tuple[int, ...], st: dict[int, list[int]] | None = None):
+        if st is None:
+            st = {}
+            for b in g:
+                r = b
+                while r:
+                    low = r & -r
+                    lst = st.get(low)
+                    if lst is None:
+                        st[low] = [b]
+                    else:
+                        lst.append(b)
+                    r ^= low
         self.st = st
-        self._g = g
+        self.g = g
         self._rank: dict[int, int] | None = None
+
+    def punctured(self, vb: int, p: tuple[int, ...]) -> _StarIndex:
+        """The index of p = g - U(v) for a vertex bit v of g, from this one.
+
+        Only the vertices u of lk(v) lose members, those that hold v; every
+        other star is shared as it is.  A filter keeps g's order, and p is a
+        filter of g, so each list is the one a scan of p would build."""
+        st = self.st
+        near = 0
+        for y in st[vb]:
+            near |= y
+        near ^= vb
+        pst = dict(st)
+        del pst[vb]
+        while near:
+            u = near & -near
+            pst[u] = [y for y in st[u] if not y & vb]
+            near ^= u
+        return _StarIndex(p, pst)
 
     def vertices_by_star_size(self) -> list[int]:
         st = self.st
@@ -303,7 +373,7 @@ class _StarIndex:
         joins += link[1:]
         rank = self._rank
         if rank is None:
-            rank = self._rank = {b: i for i, b in enumerate(self._g)}
+            rank = self._rank = {b: i for i, b in enumerate(self.g)}
         joins.sort(key=rank.__getitem__)
         return tuple(joins)
 
@@ -311,7 +381,7 @@ class _StarIndex:
 def _every_link(ctx: _Ctx, g: tuple[int, ...], members, d: int, test) -> tuple[Status, tuple]:
     """YES when ``test(ctx, S(x), d - 1)`` is YES for every x in members, an
     iterable of simplices of g."""
-    idx = _StarIndex(g)
+    idx = ctx.index(g)
     for xb in members:
         if test(ctx, idx.unit_sphere(xb), d - 1)[0] is NO:
             return NO, ()
@@ -320,11 +390,11 @@ def _every_link(ctx: _Ctx, g: tuple[int, ...], members, d: int, test) -> tuple[S
 
 @_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
 def _contractible(ctx: _Ctx, g: tuple[int, ...]) -> tuple[Status, tuple]:
-    idx = _StarIndex(g)
+    idx = ctx.index(g)
     for vbit in idx.vertices_by_star_size():
         if _contractible(ctx, idx.unit_sphere(vbit))[0] is not YES:
             continue
-        s2, cert2 = _contractible(ctx, _minus_star(g, vbit))
+        s2, cert2 = _contractible(ctx, ctx.puncture(idx, vbit))
         if s2 is YES:
             return YES, (vbit.bit_length() - 1,) + cert2
     return NO, ()
@@ -335,11 +405,12 @@ def _sphere(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
     if _manifold(ctx, g, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
-    candidates = _StarIndex(g).vertices_by_star_size()
-    seen = set(candidates)
-    candidates.extend(s for s in g if s not in seen)
+    idx = ctx.index(g)
+    candidates = idx.vertices_by_star_size()
+    candidates.extend(s for s in g if s & (s - 1))
     for xb in candidates:
-        st, cert = _contractible(ctx, _minus_star(g, xb))
+        p = _minus_star(g, xb) if xb & (xb - 1) else ctx.puncture(idx, xb)
+        st, cert = _contractible(ctx, p)
         if st is YES:
             return YES, vertices_of(xb) + cert
     return NO, ()
@@ -379,7 +450,7 @@ def _boundary_members(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
     certified manifold with boundary, where every unit sphere is a
     (d-1)-sphere or a (d-1)-ball."""
-    idx = _StarIndex(g)
+    idx = ctx.index(g)
     out = []
     for xb in g:
         sph = idx.unit_sphere(xb)

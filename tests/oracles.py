@@ -110,6 +110,19 @@ def facets_text_by_simplices(members):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def star_weights_by_subsets(g):
+    """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g: each member
+    adds its weight to every one of its nonempty subsets."""
+    out = dict.fromkeys(g.member_bits, 0)
+    for y in g.member_bits:
+        w = 1 if y.bit_count() & 1 else -1
+        sub = y
+        while sub:
+            out[sub] += w
+            sub = (sub - 1) & y
+    return out
+
+
 def configuration_sum_by_walk(g, k, table):
     """The sum over all |g|^k configurations X of weight(X) * table[union of X],
     one tuple at a time; a union that is not a simplex of g adds 0."""

@@ -72,24 +72,45 @@ def octa_file(tmp_path):
     return str(p)
 
 
-# the sum of 2^|y| over the octahedron is 6*2 + 12*4 + 8*8 = 124, and each
-# random open pair is charged four face passes of at most 2 * 124 steps
+TRIANGLE = closure([[1, 2, 3]])
+
+
+def _saved(g, tmp_path):
+    path = tmp_path / f"{len(g)}.facets"
+    save_complex(g, path)
+    return str(path)
+
+
+# (site, cost, argv), each complex in argv saved to a file first.  The sum of
+# 2^|y| over the octahedron is 6*2 + 12*4 + 8*8 = 124, and each random open
+# pair is charged four face passes of at most 2 * 124 steps.  The closed
+# triangle has 3 vertex stars of 4 members, 3 edge stars of 2 and one of 1:
+# at m = 2 its local bench path runs 61 tuples, more than the naive 7**2 = 49.
 CLI_SITES = [
-    ("local-valuation", 26**2, ["verify", "local-valuation", "-m", "2", "-k", "2"]),
-    ("valuation", 20 * 8 * 124, ["verify", "valuation", "-m", "2", "--pairs", "20"]),
-    ("det-fermi", 2 * 48, ["verify", "det-fermi"]),
-    ("green-inverse", 4 * 48, ["verify", "green-inverse"]),
+    ("local-valuation", 26**2, ["verify", "local-valuation", OCTA, "-m", "2", "-k", "2"]),
+    ("valuation", 20 * 8 * 124, ["verify", "valuation", OCTA, "-m", "2", "--pairs", "20"]),
+    ("det-fermi", 2 * 48, ["verify", "det-fermi", OCTA]),
+    ("green-inverse", 4 * 48, ["verify", "green-inverse", OCTA]),
+    ("bench", 3 * 4**2 + 3 * 2**2 + 1, ["bench", TRIANGLE, "-m", "2"]),
 ]
 
 
 @pytest.mark.parametrize("site,cost,argv", CLI_SITES, ids=[s[0] for s in CLI_SITES])
-def test_cli_site_exits_2_below_its_cost(capsys, octa_file, site, cost, argv):
-    argv = argv[:2] + [octa_file] + argv[2:]
+def test_cli_site_exits_2_below_its_cost(capsys, tmp_path, site, cost, argv):
+    argv = [_saved(a, tmp_path) if isinstance(a, Complex) else a for a in argv]
     assert main(argv + ["--budget", str(cost - 1)]) == 2
     err = capsys.readouterr().err.strip()
     prefix = "resource budget exceeded: "
     assert err.startswith(prefix) and MESSAGE.match(err[len(prefix):])
     assert main(argv + ["--budget", str(cost)]) == 0
+
+
+def test_bench_budget_bounds_the_naive_path(capsys, octa_file):
+    # on the octahedron at m = 2 the local path runs 602 tuples, the naive 676
+    assert main(["bench", octa_file, "-m", "2", "--budget", "675"]) == 2
+    assert capsys.readouterr().err.strip().endswith(
+        "naive w_2 of 26 simplices would cost 676 tuples, over the budget 675")
+    assert main(["bench", octa_file, "-m", "2", "--budget", "676"]) == 0
 
 
 def test_charpoly_refused_at_178_simplices(capsys, tmp_path):

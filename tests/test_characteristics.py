@@ -22,6 +22,7 @@ from higherchar.characteristics import (
     _sphere_sets,
     _sphere_wm,
     _star_weight_table,
+    _star_weights,
     _star_wm,
     _stars_of,
     _union_count,
@@ -46,12 +47,13 @@ from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import save_complex
 from higherchar.generators import cycle, path3, random_whitney
 from higherchar.product import topological_product
-from higherchar.topology import ball, star, unit_sphere
+from higherchar.topology import ball, barycentric, star, unit_sphere
 
 from oracles import (
     configuration_sum_by_walk,
     local_valuation_by_walk,
     star_intersection_by_scan,
+    star_weights_by_subsets,
 )
 from strategies import random_complexes
 
@@ -142,6 +144,33 @@ class TestWm:
     def test_naive_budget(self, octa):
         with pytest.raises(ResourceBudgetError):
             w_m_naive(octa, 8, op_budget=10**6)
+
+
+class TestStarWeights:
+    """The per-vertex superset sum N(z) against the literal subset pass, key
+    order included."""
+
+    @staticmethod
+    def _check(g):
+        got, want = _star_weights(g), star_weights_by_subsets(g)
+        assert list(got.items()) == list(want.items())
+
+    @given(random_complexes(max_vertices=9, max_edges=24))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_subset_pass(self, g):
+        self._check(g)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_subset_pass_on_products(self, seed):
+        # 13 591 and 12 696 simplices, up to 6 vertices each
+        self._check(topological_product(random_whitney(12, 30, seed), path3()))
+
+    def test_matches_subset_pass_on_refinement(self):
+        self._check(barycentric(random_whitney(12, 30, 1)))
+
+    def test_void_and_point(self):
+        assert _star_weights(Complex.empty()) == {}
+        assert _star_weights(closure([[4]])) == {1 << 4: 1}
 
 
 class TestFaceTermTables:

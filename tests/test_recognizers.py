@@ -345,6 +345,37 @@ class TestStarIndex:
         self._check(tuple(s.bits for s in barycentric(cross_polytope(3)).simplices))
 
 
+class TestDerivedStarIndex:
+    """The index of a vertex puncture p = g - U(v), derived from g's, equals
+    the index built from p: every star list in order, the candidate order and
+    every unit sphere, along a random chain of punctures."""
+
+    @staticmethod
+    def _check_chain(g, data):
+        idx = recognizers._StarIndex(g)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=len(idx.st)))):
+            vb = data.draw(st.sampled_from(sorted(idx.st)))
+            p = tuple(b for b in idx.g if not b & vb)
+            idx = idx.punctured(vb, p)
+            fresh = recognizers._StarIndex(p)
+            assert list(idx.st.items()) == list(fresh.st.items())
+            assert idx.vertices_by_star_size() == fresh.vertices_by_star_size()
+            for xb in p:
+                assert idx.unit_sphere(xb) == fresh.unit_sphere(xb)
+            if not p:
+                break
+
+    @given(random_complexes(max_vertices=8, max_edges=18), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_fresh_index(self, g, data):
+        self._check_chain(g.masks, data)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_chain_matches_fresh_index_on_refinement(self, data):
+        self._check_chain(barycentric(cross_polytope(2)).masks, data)
+
+
 def _puncture(g, xb):
     return Complex._of_bits(b for b in g.masks if b & xb != xb)
 
