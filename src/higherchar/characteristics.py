@@ -74,7 +74,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _close, _mask, _masks_of
+from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
+                        _vertex_stars)
 from .errors import DomainError, InputError, charge, charge_tuples
 from .topology import configuration, config_weight, star_intersection, unit_sphere
 
@@ -160,29 +161,20 @@ def _star_weights(g: Complex) -> dict[int, int]:
     """N(z) = sum of w(y) over the y ⊇ z in g, for every z of g, by a
     superset sum with one pass per vertex: Σ|y| updates, not Σ 2^|y|.
 
-    The pass of v adds out[y] to out[y - v] for every member y ∋ v with
-    |y| >= 2; after the passes of v_1..v_i, out[z] sums w(y) over the
-    members y ⊇ z with y - z inside {v_1..v_i}.  y - v is a member, as g is
-    closed, and a non-member needs no entry: no member contains it, so its
-    sum stays 0 and adds nothing.
+    The pass of v adds out[y] to out[y - v] for every member y ∋ v, read
+    from the vertex stars of ``_vertex_stars``; after the passes of
+    v_1..v_i, out[z] sums w(y) over the members y ⊇ z with y - z inside
+    {v_1..v_i}.  y - v is a member, as g is closed, or the empty set for
+    y = {v}, whose sum goes to a sink out[0] that is dropped.  A non-member
+    needs no entry: no member contains it, so its sum stays 0 and adds
+    nothing.
     """
-    out = {}
-    holders: dict[int, list[int]] = {}
-    for y in g.member_bits:
-        out[y] = 1 if y.bit_count() & 1 else -1
-        if y & (y - 1):
-            r = y
-            while r:
-                v = r & -r
-                lst = holders.get(v)
-                if lst is None:
-                    holders[v] = [y]
-                else:
-                    lst.append(y)
-                r ^= v
-    for v, ys in holders.items():
+    out = {y: 1 if y.bit_count() & 1 else -1 for y in g.member_bits}
+    out[0] = 0
+    for v, ys in _vertex_stars(g.member_bits).items():
         for y in ys:
             out[y ^ v] += out[y]
+    del out[0]
     return out
 
 
@@ -386,7 +378,7 @@ def _stars_of(g: Complex) -> dict[int, tuple[int, ...]]:
     return {b: tuple(v) for b, v in out.items()}
 
 
-def _joins(g: Complex, proper: bool) -> dict[int, tuple[int, ...]]:
+def _joins(g: Complex, proper: bool) -> dict[int, list[int]]:
     """Member bits of z̄ ∗ lk(z) = B(z), or with ``proper`` of ∂z ∗ lk(z) = S(z),
     for every z of g: the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y in U(z),
     except the empty set.  a = member & z and b = member & ~z, so each member
@@ -398,19 +390,18 @@ def _joins(g: Complex, proper: bool) -> dict[int, tuple[int, ...]]:
         while sub:
             faces.append(sub)
             sub = (sub - 1) & z
-        link = [y ^ z for y in star if y != z]
-        out[z] = (*faces, *link, *[a | b for a in faces for b in link])
+        out[z] = _join_bits(faces, [y ^ z for y in star if y != z])
     return out
 
 
 @lru_cache(maxsize=512)
-def _ball_members_of(g: Complex) -> dict[int, tuple[int, ...]]:
+def _ball_members_of(g: Complex) -> dict[int, list[int]]:
     """Member bits of B(z) = closure(U(z)) for every z of g."""
     return _joins(g, False)
 
 
 @lru_cache(maxsize=512)
-def _sphere_sets(g: Complex) -> tuple[tuple[int, ...], ...]:
+def _sphere_sets(g: Complex) -> tuple[list[int], ...]:
     """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
     joins = _joins(g, True)
     return tuple(joins[z] for z in g.masks)

@@ -267,6 +267,29 @@ class Complex:
         return tuple(map(Simplex.from_bits, top))
 
 
+def _vertex_stars(masks: Iterable[int]) -> dict[int, list[int]]:
+    """Each vertex bit -> the masks that hold it, in the order given; the
+    vertices come in the order of their first appearance."""
+    st: dict[int, list[int]] = {}
+    for b in masks:
+        r = b
+        while r:
+            low = r & -r
+            lst = st.get(low)
+            if lst is None:
+                st[low] = [b]
+            else:
+                lst.append(b)
+            r ^= low
+    return st
+
+
+def _join_bits(a, b) -> list[int]:
+    """The masks of the join A * B of two collections on disjoint vertex sets:
+    those of a, those of b, then every x | y with x in a and y in b."""
+    return [*a, *b, *[x | y for x in a for y in b]]
+
+
 def _vertex_mask(g: Complex) -> int:
     v = 0
     for b in g.member_bits:
@@ -511,8 +534,4 @@ def join(g: Complex, h: Complex, *, relabel: bool = False) -> Complex:
                 "vertex ids of the two complexes overlap; pass relabel=True to offset"
             )
         shift = gv.bit_length()
-    h_bits = [b << shift for b in h.member_bits]
-    members = set(g.member_bits)
-    members.update(h_bits)
-    members.update(gb | b for gb in g.member_bits for b in h_bits)
-    return Complex._of_bits(members)
+    return Complex._of_bits(_join_bits(g.member_bits, [b << shift for b in h.member_bits]))

@@ -33,7 +33,7 @@ from math import gcd
 from operator import add, sub
 
 from .characteristics import _star_weights
-from .complexes import Complex
+from .complexes import Complex, _vertex_stars
 from .errors import DomainError, ResourceBudgetError, SingularMatrixError, charge
 
 __all__ = [
@@ -341,16 +341,12 @@ def rank(mat) -> int:
 
 def _face_passes(g: Complex) -> list[list[tuple[int, int]]]:
     """One list per vertex v of the index pairs (x, x minus v), over the
-    simplices x that hold v and at least one other vertex."""
-    index = {b: i for i, b in enumerate(g.masks)}
-    passes: dict[int, list[tuple[int, int]]] = {}
-    for i, b in enumerate(g.masks):
-        rest = b if b & (b - 1) else 0
-        while rest:
-            low = rest & -rest
-            passes.setdefault(low, []).append((i, index[b ^ low]))
-            rest ^= low
-    return list(passes.values())
+    simplices x that hold v and at least one other vertex.  The vertices
+    lead the canonical order, so the members after them are those x."""
+    masks = g.masks
+    index = {b: i for i, b in enumerate(masks)}
+    stars = _vertex_stars(masks[sum(1 for b in masks if not b & (b - 1)):])
+    return [[(index[x], index[x ^ v]) for x in xs] for v, xs in stars.items()]
 
 
 def _add_scaled(target: dict[int, int], src: dict[int, int], f: int) -> None:

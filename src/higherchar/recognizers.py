@@ -14,20 +14,21 @@ These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
 A sub-complex g is the tuple of its members' bit masks in canonical order
-(by size, then by vertex list), indexed by vertex: st[v] holds the members
-that contain v, in g's order.  Unit spheres are read from these stars, never
-from a scan of g.  One index of g serves every step body that runs on g
-within a query: _sphere and its _manifold; _ball, its
-_manifold_with_boundary, its _contractible and its boundary scan.  It lives
-in the query's context while the outermost of them runs.  The index of a
-vertex puncture p = g - U(v), which _contractible and the vertex candidates
-of _sphere recurse on, is derived from g's when p's step body runs (a memo
-hit derives nothing): v's star is dropped, the stars of the vertices of
-lk(v) keep their members without v, and every other star holds no member
-with v and is shared as it is.  A filter keeps g's order and p is a filter
-of g, so each list is the one a scan of p would build: the candidate order,
-the unit spheres, the certificates and the call counts are those of an index
-built from p.  For a vertex,
+(by size, then by vertex list).  Each step is passed g's star index: g and
+its stars, st[v] holding the members that contain v, in g's order.  Unit
+spheres are read from these stars, never from a scan of g.  An index builds
+its stars the first time a body reads them, so a memo hit builds nothing,
+and the bodies that run on one sub-complex share its index because they are
+passed the same one: _sphere and its _manifold; _ball, its
+_manifold_with_boundary, its _contractible and its boundary scan; the
+_sphere and the _ball of one unit sphere.  The index of a vertex puncture
+p = g - U(v), which _contractible and the vertex candidates of _sphere
+recurse on, is derived from g's: v's star is dropped, the stars of the
+vertices of lk(v) keep their members without v, and every other star holds
+no member with v and is shared as it is.  A filter keeps g's order and p is
+a filter of g, so each list is the one a scan of p would build: the
+candidate order, the unit spheres, the certificates and the call counts are
+those of an index built from p.  For a vertex,
 S(v) = {y - v : y in st[v], y != v} is already canonical: two members of
 equal size are ordered by which holds the smallest vertex of their symmetric
 difference, and taking v out of two members that both hold v shrinks both by
@@ -150,7 +151,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 
-from .complexes import Complex, vertices_of
+from .complexes import Complex, _join_bits, _vertex_stars, vertices_of
 from .errors import DomainError, InputError
 
 __all__ = [
@@ -202,7 +203,7 @@ class _OutOfBudget(Exception):
 
 
 class _Ctx:
-    __slots__ = ("budget", "used", "memo", "indices", "hint")
+    __slots__ = ("budget", "used", "memo")
 
     def __init__(self, budget: int):
         if budget < 1:
@@ -210,54 +211,26 @@ class _Ctx:
         self.budget = budget
         self.used = 0
         self.memo: dict = {}
-        # id(g) -> the star index of g, None until a body asks for it, for
-        # each g with a step body running on it (which keeps g and its id
-        # alive); the outermost such body drops the entry
-        self.indices: dict[int, _StarIndex | None] = {}
-        # (p, index of g, v) for the last vertex puncture p = g - U(v) made
-        self.hint: tuple | None = None
 
     def charge(self) -> None:
         self.used += 1
         if self.used > self.budget:
             raise _OutOfBudget
 
-    def index(self, g: tuple[int, ...]) -> _StarIndex:
-        """The star index of g, built once for every step body running on g:
-        derived from the parent's index when g is the hinted puncture, built
-        from g otherwise."""
-        indices, gid = self.indices, id(g)
-        idx = indices.get(gid)
-        if idx is None:
-            hint = self.hint
-            if hint is not None and hint[0] is g:
-                idx = hint[1].punctured(hint[2], g)
-            else:
-                idx = _StarIndex(g)
-            if gid in indices:
-                indices[gid] = idx
-        return idx
-
-    def puncture(self, idx: _StarIndex, vb: int) -> tuple[int, ...]:
-        """g - U(v) for the vertex bit v of g = idx's complex; a step body that
-        runs on it derives its index from idx."""
-        p = _minus_star(idx.g, vb)
-        self.hint = (p, idx, vb)
-        return p
-
 
 def _step(base):
     """Make a recognizer body one budgeted, memoized step.
 
-    ``base(g, *args)`` settles trivial cases free of charge and returns None
-    otherwise.  Each evaluation of the body costs one call, and its YES or NO
-    is memoized on g, the canonical tuple of member bit masks.  The
-    outermost body on g opens the slot of g's shared star index
-    (``_Ctx.index``) and drops it when it returns.
+    The step takes the star index s of a sub-complex; ``base(s.g, *args)``
+    settles trivial cases free of charge and returns None otherwise.  Each
+    evaluation of the body costs one call, and its YES or NO is memoized on
+    s.g, the canonical tuple of member bit masks, so a memo hit reads no
+    star of s.
     """
 
     def wrap(body):
-        def step(ctx: _Ctx, g: tuple[int, ...], *args) -> tuple[Status, tuple]:
+        def step(ctx: _Ctx, s: _StarIndex, *args) -> tuple[Status, tuple]:
+            g = s.g
             res = base(g, *args)
             if res is not None:
                 return res
@@ -266,15 +239,7 @@ def _step(base):
             if hit is not None:
                 return hit
             ctx.charge()
-            indices = ctx.indices
-            gid = id(g)
-            if gid in indices:
-                res = body(ctx, g, *args)
-            else:
-                indices[gid] = None
-                res = body(ctx, g, *args)
-                del indices[gid]
-            ctx.memo[key] = res
+            res = ctx.memo[key] = body(ctx, s, *args)
             return res
 
         return step
@@ -301,47 +266,54 @@ def _nonnegative(g: tuple[int, ...], d: int):
 
 
 class _StarIndex:
-    """The stars of a sub-complex g: for each vertex bit, the members of g
-    that contain it, in g's order.  Unit spheres and the order of vertex
-    candidates are read from here."""
+    """A sub-complex g and its stars st: for each vertex bit, the members of
+    g that contain it, in g's order.  Unit spheres and the order of vertex
+    candidates are read from here.  The stars are built the first time they
+    are read: from the parent's stars for a vertex puncture made by
+    ``punctured``, which then drops the parent, and from g otherwise."""
 
-    __slots__ = ("st", "_rank", "g")
+    __slots__ = ("g", "_st", "_parent", "_rank")
 
-    def __init__(self, g: tuple[int, ...], st: dict[int, list[int]] | None = None):
-        if st is None:
-            st = {}
-            for b in g:
-                r = b
-                while r:
-                    low = r & -r
-                    lst = st.get(low)
-                    if lst is None:
-                        st[low] = [b]
-                    else:
-                        lst.append(b)
-                    r ^= low
-        self.st = st
+    def __init__(self, g: tuple[int, ...]):
         self.g = g
+        self._st: dict[int, list[int]] | None = None
+        self._parent: tuple[_StarIndex, int] | None = None
         self._rank: dict[int, int] | None = None
 
-    def punctured(self, vb: int, p: tuple[int, ...]) -> _StarIndex:
-        """The index of p = g - U(v) for a vertex bit v of g, from this one.
+    @property
+    def st(self) -> dict[int, list[int]]:
+        st = self._st
+        return self._stars() if st is None else st
 
-        Only the vertices u of lk(v) lose members, those that hold v; every
-        other star is shared as it is.  A filter keeps g's order, and p is a
-        filter of g, so each list is the one a scan of p would build."""
-        st = self.st
-        near = 0
-        for y in st[vb]:
-            near |= y
-        near ^= vb
-        pst = dict(st)
-        del pst[vb]
-        while near:
-            u = near & -near
-            pst[u] = [y for y in st[u] if not y & vb]
-            near ^= u
-        return _StarIndex(p, pst)
+    def _stars(self) -> dict[int, list[int]]:
+        parent = self._parent
+        if parent is None:
+            st = _vertex_stars(self.g)
+        else:
+            # g = parent - U(v): only the vertices u of lk(v) lose members,
+            # those that hold v; every other star is shared as it is
+            idx, vb = parent
+            pst = idx.st
+            near = 0
+            for y in pst[vb]:
+                near |= y
+            near ^= vb
+            st = dict(pst)
+            del st[vb]
+            while near:
+                u = near & -near
+                st[u] = [y for y in pst[u] if not y & vb]
+                near ^= u
+            self._parent = None
+        self._st = st
+        return st
+
+    def punctured(self, vb: int, p: tuple[int, ...]) -> _StarIndex:
+        """The index of p = g - U(v) for a vertex bit v of g, whose stars are
+        derived from this one's when first read."""
+        idx = _StarIndex(p)
+        idx._parent = (self, vb)
+        return idx
 
     def vertices_by_star_size(self) -> list[int]:
         st = self.st
@@ -349,7 +321,9 @@ class _StarIndex:
 
     def unit_sphere(self, xb: int) -> tuple[int, ...]:
         """S(x), canonical: lk(v) for a vertex, dx * lk(x) otherwise."""
-        st = self.st
+        st = self._st  # the slot, not the property: this is the hot path
+        if st is None:
+            st = self._stars()
         if not xb & (xb - 1):
             return tuple([y ^ xb for y in st[xb] if y != xb])
         low = xb & -xb
@@ -367,103 +341,97 @@ class _StarIndex:
         while a:
             faces.append(a)
             a = (a - 1) & xb
-        # a | b for every nonempty face a and every b, the empty link[0]
-        # included; then b alone for every nonempty b
-        joins = [a | b for b in link for a in faces]
-        joins += link[1:]
         rank = self._rank
         if rank is None:
             rank = self._rank = {b: i for i, b in enumerate(self.g)}
+        joins = _join_bits(faces, link[1:])
         joins.sort(key=rank.__getitem__)
         return tuple(joins)
 
 
-def _every_link(ctx: _Ctx, g: tuple[int, ...], members, d: int, test) -> tuple[Status, tuple]:
+def _every_link(ctx: _Ctx, s: _StarIndex, members, d: int, test) -> tuple[Status, tuple]:
     """YES when ``test(ctx, S(x), d - 1)`` is YES for every x in members, an
-    iterable of simplices of g."""
-    idx = ctx.index(g)
+    iterable of simplices of s.g."""
     for xb in members:
-        if test(ctx, idx.unit_sphere(xb), d - 1)[0] is NO:
+        if test(ctx, _StarIndex(s.unit_sphere(xb)), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
 
 
 @_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
-def _contractible(ctx: _Ctx, g: tuple[int, ...]) -> tuple[Status, tuple]:
-    idx = ctx.index(g)
-    for vbit in idx.vertices_by_star_size():
-        if _contractible(ctx, idx.unit_sphere(vbit))[0] is not YES:
+def _contractible(ctx: _Ctx, s: _StarIndex) -> tuple[Status, tuple]:
+    for vbit in s.vertices_by_star_size():
+        if _contractible(ctx, _StarIndex(s.unit_sphere(vbit)))[0] is not YES:
             continue
-        s2, cert2 = _contractible(ctx, ctx.puncture(idx, vbit))
+        s2, cert2 = _contractible(ctx, s.punctured(vbit, _minus_star(s.g, vbit)))
         if s2 is YES:
             return YES, (vbit.bit_length() - 1,) + cert2
     return NO, ()
 
 
 @_step(_void_sphere)
-def _sphere(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    if _manifold(ctx, g, d)[0] is NO:
+def _sphere(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+    if _manifold(ctx, s, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
-    idx = ctx.index(g)
-    candidates = idx.vertices_by_star_size()
-    candidates.extend(s for s in g if s & (s - 1))
+    g = s.g
+    candidates = s.vertices_by_star_size()
+    candidates.extend(b for b in g if b & (b - 1))
     for xb in candidates:
-        p = _minus_star(g, xb) if xb & (xb - 1) else ctx.puncture(idx, xb)
-        st, cert = _contractible(ctx, p)
+        p = _minus_star(g, xb)
+        st, cert = _contractible(ctx, _StarIndex(p) if xb & (xb - 1) else s.punctured(xb, p))
         if st is YES:
             return YES, vertices_of(xb) + cert
     return NO, ()
 
 
 @_step(_nonnegative)
-def _manifold(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
+def _manifold(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
     # vertex unit spheres suffice, by (E) of the module docstring; the
     # vertices are the leading members of size 1
-    vertices = takewhile(lambda b: not b & (b - 1), g)
-    return _every_link(ctx, g, vertices, d, _sphere)
+    vertices = takewhile(lambda b: not b & (b - 1), s.g)
+    return _every_link(ctx, s, vertices, d, _sphere)
 
 
-def _sphere_or_ball(ctx: _Ctx, h: tuple[int, ...], d: int) -> tuple[Status, tuple]:
+def _sphere_or_ball(ctx: _Ctx, h: _StarIndex, d: int) -> tuple[Status, tuple]:
     if _sphere(ctx, h, d)[0] is YES or _ball(ctx, h, d)[0] is YES:
         return YES, ()
     return NO, ()
 
 
 @_step(_nonnegative)
-def _manifold_with_boundary(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    return _every_link(ctx, g, g, d, _sphere_or_ball)
+def _manifold_with_boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+    return _every_link(ctx, s, s.g, d, _sphere_or_ball)
 
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
-def _ball(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    if _manifold_with_boundary(ctx, g, d)[0] is NO:
+def _ball(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+    if _manifold_with_boundary(ctx, s, d)[0] is NO:
         return NO, ()
-    ct, cert = _contractible(ctx, g)
+    ct, cert = _contractible(ctx, s)
     if ct is NO:
         return NO, ()
-    sb, _ = _sphere(ctx, _boundary_members(ctx, g, d), d - 1)
+    sb, _ = _sphere(ctx, _StarIndex(_boundary_members(ctx, s, d)), d - 1)
     return sb, (cert if sb is YES else ())
 
 
-def _boundary_members(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Simplices whose unit sphere is a (d-1)-ball; valid once g is a
+def _boundary_members(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[int, ...]:
+    """Simplices whose unit sphere is a (d-1)-ball; valid once s.g is a
     certified manifold with boundary, where every unit sphere is a
     (d-1)-sphere or a (d-1)-ball."""
-    idx = ctx.index(g)
     out = []
-    for xb in g:
-        sph = idx.unit_sphere(xb)
+    for xb in s.g:
+        sph = _StarIndex(s.unit_sphere(xb))
         if _sphere(ctx, sph, d - 1)[0] is NO and _ball(ctx, sph, d - 1)[0] is YES:
             out.append(xb)
     return tuple(out)
 
 
 @_step(_void_sphere)
-def _dehn_sommerville(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[Status, tuple]:
-    if sum(1 if s.bit_count() & 1 else -1 for s in g) != 1 + (-1) ** d:
+def _dehn_sommerville(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+    if sum(1 if b.bit_count() & 1 else -1 for b in s.g) != 1 + (-1) ** d:
         return NO, ()
-    return _every_link(ctx, g, g, d, _dehn_sommerville)
+    return _every_link(ctx, s, s.g, d, _dehn_sommerville)
 
 
 def _deep(fn, *args):
@@ -479,7 +447,7 @@ def _deep(fn, *args):
 def _run(fn, g: Complex, *args, budget: int) -> Verdict:
     ctx = _Ctx(budget)
     try:
-        status, cert = _deep(fn, ctx, g.masks, *args)
+        status, cert = _deep(fn, ctx, _StarIndex(g.masks), *args)
     except _OutOfBudget:
         return Verdict(UNKNOWN, (), ctx.used)
     return Verdict(status, cert, ctx.used)
@@ -519,12 +487,12 @@ def is_manifold_with_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) 
     return _run(_manifold_with_boundary, g, d, budget=budget)
 
 
-def _boundary(ctx: _Ctx, g: tuple[int, ...], d: int) -> tuple[int, ...]:
-    if _manifold_with_boundary(ctx, g, d)[0] is NO:
+def _boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[int, ...]:
+    if _manifold_with_boundary(ctx, s, d)[0] is NO:
         raise DomainError(
             "boundary extraction needs a manifold-with-boundary verdict of yes, got no"
         )
-    return _boundary_members(ctx, g, d)
+    return _boundary_members(ctx, s, d)
 
 
 def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Complex:
@@ -534,7 +502,7 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
     try:
-        bd = _deep(_boundary, _Ctx(budget), g.masks, d)
+        bd = _deep(_boundary, _Ctx(budget), _StarIndex(g.masks), d)
     except _OutOfBudget:
         raise DomainError("boundary classification ran out of budget") from None
     return Complex._of_bits(bd)

@@ -32,6 +32,34 @@ def vertices_by_popcount(g):
     return sorted(count, key=lambda vb: (count[vb], vb))
 
 
+def vertex_stars_by_filter(masks):
+    """Each vertex bit, in the order of its first appearance in masks, and
+    the masks that hold it, filtered from masks once per vertex."""
+    vertices = []
+    for b in masks:
+        for i in range(b.bit_length()):
+            if b >> i & 1 and 1 << i not in vertices:
+                vertices.append(1 << i)
+    return [(v, [b for b in masks if b & v]) for v in vertices]
+
+
+def join_by_pairs(a, b):
+    """The join A * B as a set: every x in a, every y in b and every union."""
+    return set(a) | set(b) | {x | y for x in a for y in b}
+
+
+def face_passes_by_scan(g):
+    """For each vertex v of g, the set of index pairs (x, x minus v) over the
+    members x that hold v and another vertex, by scanning g once per vertex."""
+    masks = g.masks
+    out = {}
+    for v in (b for b in masks if not b & (b - 1)):
+        pairs = {(i, masks.index(x ^ v)) for i, x in enumerate(masks) if x & v and x != v}
+        if pairs:
+            out[v] = pairs
+    return out
+
+
 def canonical_key(s):
     """Sort key of the canonical order on Simplex objects: size, then vertex list."""
     return (len(s.vertices), s.vertices)

@@ -14,7 +14,9 @@ from higherchar.complexes import (
     is_complex,
     join,
     whitney,
+    _join_bits,
     _mask_key,
+    _vertex_stars,
 )
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import format_facets, parse_facets
@@ -27,8 +29,10 @@ from oracles import (
     cliques_by_search,
     closure_by_simplices,
     facets_text_by_simplices,
+    join_by_pairs,
     product_by_chains,
     refinement_by_flags,
+    vertex_stars_by_filter,
 )
 from strategies import random_complexes
 
@@ -336,3 +340,34 @@ class TestMaskStorage:
         assert g.f_vector == (3, 3, 1) and g.dim == 2 and len(g) == 7
         assert g._masks is None and g._simplices is None
         assert g.masks is g.masks and g.simplices is g.simplices
+
+
+@st.composite
+def ordered_masks(draw, max_vertices=7, max_edges=12):
+    """The masks of a random complex, in canonical order or shuffled."""
+    masks = draw(random_complexes(max_vertices=max_vertices, max_edges=max_edges)).masks
+    return list(masks) if draw(st.booleans()) else draw(st.permutations(masks))
+
+
+class TestStarAndJoinBuilders:
+    """The shared per-vertex star and join builders against their literal
+    versions, on masks in canonical and in shuffled order."""
+
+    @given(ordered_masks())
+    @settings(max_examples=80, deadline=None)
+    def test_vertex_stars_match_filter(self, masks):
+        assert list(_vertex_stars(masks).items()) == vertex_stars_by_filter(masks)
+
+    @given(ordered_masks(max_vertices=5, max_edges=7), ordered_masks(max_vertices=4, max_edges=5))
+    @settings(max_examples=80, deadline=None)
+    def test_join_bits_match_pairs(self, a, b):
+        shift = max(a).bit_length()
+        b = [y << shift for y in b]
+        joined = _join_bits(a, b)
+        assert len(joined) == len(set(joined))
+        assert set(joined) == join_by_pairs(a, b)
+        assert join(Complex._of_bits(a), Complex._of_bits(b)).member_bits == set(joined)
+
+    def test_join_bits_with_an_empty_side(self):
+        assert _join_bits([1, 2, 3], []) == [1, 2, 3]
+        assert _join_bits([], [4]) == [4]

@@ -12,6 +12,7 @@ from higherchar.errors import DomainError, ResourceBudgetError, SingularMatrixEr
 from higherchar.generators import simplex_complex
 from higherchar.linalg import (
     MAX_DENSE_SIZE,
+    _face_passes,
     char_poly,
     connection_matrix,
     connection_matrix_via_cores,
@@ -25,6 +26,7 @@ from higherchar.linalg import (
     rank,
 )
 
+from oracles import face_passes_by_scan
 from strategies import random_complexes
 
 K2_L = [[1, 0, 1], [0, 1, 1], [1, 1, 1]]
@@ -291,6 +293,20 @@ class TestFaceRoutes:
         det_via_faces(octa, L)
         mat_mul_via_faces(octa, L, G)
         assert (L, G) == copies
+
+    @given(random_complexes(max_vertices=7, max_edges=12))
+    @settings(max_examples=60, deadline=None)
+    def test_face_passes_match_scan(self, g):
+        # one pass per vertex, compared as pair sets; the vertex of a pass is
+        # read from any of its pairs
+        masks = g.masks
+        by_vertex = {}
+        for pairs in _face_passes(g):
+            (v,) = {masks[x] ^ masks[face] for x, face in pairs}
+            assert v not in by_vertex
+            by_vertex[v] = set(pairs)
+            assert len(pairs) == len(by_vertex[v])
+        assert by_vertex == face_passes_by_scan(g)
 
     @given(random_complexes(max_vertices=7, max_edges=12))
     @settings(max_examples=60, deadline=None)

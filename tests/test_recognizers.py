@@ -12,6 +12,7 @@ from higherchar.errors import DomainError
 from higherchar.generators import (
     cross_polytope,
     cycle,
+    random_whitney,
     simplex_complex,
     star_complex,
 )
@@ -374,6 +375,43 @@ class TestDerivedStarIndex:
     @settings(max_examples=20, deadline=None)
     def test_chain_matches_fresh_index_on_refinement(self, data):
         self._check_chain(barycentric(cross_polytope(2)).masks, data)
+
+
+class TestIndexBuilds:
+    """How many star indexes a query builds afresh and how many it
+    derives from a parent's, pinned per query; a memo hit builds none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"fresh": 0, "derived": 0}
+        stars = recognizers._StarIndex._stars
+
+        def counting(idx):
+            counts["derived" if idx._parent is not None else "fresh"] += 1
+            return stars(idx)
+
+        monkeypatch.setattr(recognizers._StarIndex, "_stars", counting)
+        return counts
+
+    @pytest.mark.parametrize("query,fresh,derived,calls", [
+        (lambda: is_sphere(barycentric(barycentric(cross_polytope(2))), 2), 762, 732, 1929),
+        (lambda: is_contractible(random_whitney(12, 30, 2)), 336, 590, 926),
+        (lambda: is_ball(cross_polytope(3), 3), 213, 131, 536),
+        (lambda: is_dehn_sommerville(cross_polytope(3), 3), 239, 0, 239),
+    ], ids=["sphere-bary2-cp2", "contractible-rw12", "ball-cp3", "dehn-sommerville-cp3"])
+    def test_builds_per_query(self, builds, query, fresh, derived, calls):
+        assert query().calls_used == calls
+        assert (builds["fresh"], builds["derived"]) == (fresh, derived)
+
+    def test_memo_hit_builds_nothing(self, builds):
+        ctx = recognizers._Ctx(100)
+        g = cross_polytope(2).masks
+        assert recognizers._sphere(ctx, recognizers._StarIndex(g), 2)[0] is recognizers.YES
+        before = dict(builds), ctx.used
+        again = recognizers._StarIndex(g)
+        assert recognizers._sphere(ctx, again, 2)[0] is recognizers.YES
+        assert (dict(builds), ctx.used) == before
+        assert again._st is None
 
 
 def _puncture(g, xb):
