@@ -398,7 +398,7 @@ COMMANDS = {
         _COMPLEX,
         _arg("--support", default="all", help="all | none | star:LIST | core:LIST"),
         _arg("--relative", action="store_true",
-             help="use the ambient-restriction route (open supports)"),
+             help="require an open support; exit 3 on any other"),
         _JSON,
     )),
     "recognize": ("run a recursive recognizer", (

@@ -2,16 +2,18 @@
 
 A closed support carries the usual cochain complex.  An open support U
 carries the relative complex of cochains on the ambient complex that vanish
-on the closed complement; because the complement is a subcomplex, that
-subspace is invariant under the coboundary, d*d stays zero, and Betti
-vectors of open sets are well defined.  A single open cell {x} has Betti
-vector e_{|x|} (1 in position dim x), so every Betti vector is realized by
-some open set.
+on the closed complement.  Its coboundary is that of U's own simplices:
+every coface of a member of U is in U, and every face of a complement
+simplex is in the complement, a subcomplex.  So d*d stays zero, Betti
+vectors of open sets are well defined, and ``betti`` and ``betti_relative``
+share one rank pass over U's member masks.  A single open cell {x} has
+Betti vector e_{|x|} (1 in position dim x), so every Betti vector is
+realized by some open set.
 """
 
 from __future__ import annotations
 
-from .complexes import Complex, Simplex, SimplexSubset, _members
+from .complexes import Complex, Simplex, SimplexSubset
 from .errors import DomainError
 from .linalg import _sparse_rank
 
@@ -50,36 +52,40 @@ def support_kind(a) -> str:
     raise DomainError("support is neither closed nor open; no cochain complex")
 
 
-def _by_dim(members) -> list[list[Simplex]]:
-    if not members:
-        return []
-    d = max(s.dim for s in members)
-    out: list[list[Simplex]] = [[] for _ in range(d + 1)]
-    for s in members:
-        out[s.dim].append(s)
+def _by_dim(support) -> list[list[int]]:
+    """The support's member masks split by dimension, each level in canonical
+    order; levels below the lowest member are empty."""
+    if isinstance(support, Complex):
+        masks = support.masks
+    else:
+        mb = support.member_bits
+        masks = [b for b in support.ambient.masks if b in mb]
+    out: list[list[int]] = []
+    for b in masks:  # canonical order: by size, so b's level is the last one
+        while len(out) < b.bit_count():
+            out.append([])
+        out[-1].append(b)
     return out
 
 
-def _coboundary(lo: list[Simplex], hi: list[Simplex]) -> list[dict[int, int]]:
-    """Sparse rows, one per simplex y of hi, mapping the column index in lo
-    of each codimension-one face of y that lies in lo to its incidence sign."""
-    col = {x.bits: j for j, x in enumerate(lo)}
+def _coboundary(lo: list[int], hi: list[int]) -> list[dict[int, int]]:
+    """Sparse rows, one per mask y of hi, mapping the column index in lo of
+    each codimension-one face of y that lies in lo to its incidence sign:
+    (-1)^p for the removed vertex at ascending position p of y."""
+    col = {x: j for j, x in enumerate(lo)}
     out = []
     for y in hi:
         row = {}
-        for p, v in enumerate(y.vertices):
-            j = col.get(y.bits ^ (1 << v))
+        rest, p = y, 0
+        while rest:
+            low = rest & -rest
+            j = col.get(y ^ low)
             if j is not None:
                 row[j] = -1 if p & 1 else 1
+            rest ^= low
+            p += 1
         out.append(row)
     return out
-
-
-def _betti_vector(counts: list[int], ranks: list[int]) -> tuple[int, ...]:
-    """b_i = counts[i] - rank D_i - rank D_{i-1}, given the ranks of
-    D_0..D_{d-1}; D_d maps into nothing."""
-    ranks = [0, *ranks, 0]
-    return tuple(c - ranks[i] - ranks[i + 1] for i, c in enumerate(counts))
 
 
 def coboundary(support, i: int) -> list[list[int]]:
@@ -89,10 +95,17 @@ def coboundary(support, i: int) -> list[list[int]]:
     order; only incidences inside the support contribute.
     """
     support_kind(support)
-    levels = _by_dim(_members(support))
+    levels = _by_dim(support)
     lo = levels[i] if 0 <= i < len(levels) else []
     hi = levels[i + 1] if 0 <= i + 1 < len(levels) else []
     return [[row.get(j, 0) for j in range(len(lo))] for row in _coboundary(lo, hi)]
+
+
+def _betti(support) -> tuple[int, ...]:
+    """b_i = #level i - rank D_i - rank D_{i-1}; D_d maps into nothing."""
+    levels = _by_dim(support)
+    ranks = [0, *(_sparse_rank(_coboundary(lo, hi)) for lo, hi in zip(levels, levels[1:])), 0]
+    return tuple(len(lv) - ranks[i] - ranks[i + 1] for i, lv in enumerate(levels))
 
 
 def betti(support) -> tuple[int, ...]:
@@ -102,29 +115,16 @@ def betti(support) -> tuple[int, ...]:
     characteristic of the support whether it is open or closed.
     """
     support_kind(support)
-    levels = _by_dim(_members(support))
-    ranks = [_sparse_rank(_coboundary(lo, hi)) for lo, hi in zip(levels, levels[1:])]
-    return _betti_vector([len(lv) for lv in levels], ranks)
+    return _betti(support)
 
 
 def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
-    """Betti vector of an open set via the ambient complex.
+    """Betti vector of an open set U from its relative cochain complex.
 
-    Builds the sparse coboundaries of the ambient complex and restricts rows
-    and columns to the open support (the cochains vanishing on the closed
-    complement).  Shipped as a second route; it must agree with ``betti``.
+    The cochains on the ambient complex that vanish on the closed complement
+    have the coboundary of U's own simplices (see the module docstring), so
+    this is ``betti(u)`` for an open U.  Any other support is refused.
     """
     if not u.is_open_set():
         raise DomainError("betti_relative expects an open set")
-    levels = _by_dim(_members(u))
-    glevels = _by_dim(u.ambient.simplices)
-    keep = u.member_bits
-    ranks = []
-    for i in range(len(levels) - 1):
-        lo_all = glevels[i] if i < len(glevels) else []
-        hi_all = glevels[i + 1] if i + 1 < len(glevels) else []
-        cols = {c for c, x in enumerate(lo_all) if x.bits in keep}
-        sub = [{c: e for c, e in row.items() if c in cols}
-               for y, row in zip(hi_all, _coboundary(lo_all, hi_all)) if y.bits in keep]
-        ranks.append(_sparse_rank(sub))
-    return _betti_vector([len(lv) for lv in levels], ranks)
+    return _betti(u)

@@ -3,6 +3,7 @@
 from itertools import permutations, product
 
 from higherchar import characteristics
+from higherchar.cohomology import incidence_sign
 from higherchar.complexes import Simplex
 from higherchar.topology import OpenSet, configuration
 
@@ -63,6 +64,16 @@ def face_passes_by_scan(g):
 def canonical_key(s):
     """Sort key of the canonical order on Simplex objects: size, then vertex list."""
     return (len(s.vertices), s.vertices)
+
+
+def coboundary_by_incidence(support, i):
+    """The matrix of d: i-cochains -> (i+1)-cochains on a complex or a simplex
+    subset, every entry from ``incidence_sign``: rows the support's simplices
+    of i+2 vertices, columns those of i+1, both sorted by ``canonical_key``."""
+    members = sorted(support, key=canonical_key)
+    lo = [x for x in members if len(x.vertices) == i + 1]
+    hi = [y for y in members if len(y.vertices) == i + 2]
+    return [[incidence_sign(y, x) for x in lo] for y in hi]
 
 
 def closure_by_simplices(simplices):

@@ -470,6 +470,12 @@ class TestBetti:
         rc, out = run(capsys, ["betti", octa_file, "--support", "core:1-3", "--json"])
         assert rc == 0 and json.loads(out) == [1, 0]
 
+    def test_relative_refuses_closed_support(self, capsys, octa_file):
+        rc = main(["betti", octa_file, "--support", "core:1-3", "--relative", "--json"])
+        cap = capsys.readouterr()
+        assert rc == 3 and cap.out == ""
+        assert cap.err == "error: betti_relative expects an open set\n"
+
 
 class TestRecognize:
     def test_sphere_yes(self, capsys, octa_file):

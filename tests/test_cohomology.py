@@ -12,9 +12,11 @@ from higherchar.cohomology import (
 )
 from higherchar.complexes import Complex, Simplex, SimplexSubset
 from higherchar.errors import DomainError
+from higherchar.files import parse_complex
 from higherchar.linalg import rank
-from higherchar.topology import OpenSet
+from higherchar.topology import OpenSet, core
 
+from oracles import coboundary_by_incidence
 from strategies import random_complexes
 
 
@@ -85,6 +87,33 @@ class TestCoboundary:
                 continue
             for i in range(3):
                 assert _mat_mul_is_zero(coboundary(u, i + 1), coboundary(u, i))
+
+
+class TestCoboundaryOracle:
+    @given(random_complexes(max_vertices=7, max_edges=12),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_incidence_sign_entrywise(self, g, seed):
+        from higherchar.cli import random_open_set
+        from higherchar.generators import SplitMix64
+
+        u = random_open_set(g, SplitMix64(seed))
+        for support in (g, u):
+            for i in range(4):
+                assert coboundary(support, i) == coboundary_by_incidence(support, i)
+
+    def test_signs_above_edges(self, tetra):
+        # columns 123, 124, 134, 234 drop vertex 4, 3, 2, 1 at position 3, 2, 1, 0
+        assert coboundary(tetra, 2) == [[-1, 1, -1, 1]]
+
+
+class TestMaskPath:
+    def test_no_simplex_objects_built(self):
+        g = parse_complex("1 2 3\n2 3 4\n4 5\n")
+        assert betti(g) == (1, 0, 0)
+        coboundary(g, 1)
+        coboundary(SimplexSubset(g, [{2, 3}, {1, 2, 3}, {2, 3, 4}]), 1)
+        assert g._simplices is None
 
 
 class TestBetti:
@@ -162,6 +191,19 @@ class TestBetti:
         u = random_open_set(g, SplitMix64(seed))
         if len(u):
             assert betti_relative(u) == betti_relative_by_incidence(u)
+
+
+class TestRelativeRefusals:
+    def test_closed_subset_refused(self, p3):
+        with pytest.raises(DomainError, match="^betti_relative expects an open set$"):
+            betti_relative(SimplexSubset(p3, core(p3, {1, 2})))
+
+    def test_mixed_subset_refused(self, p3):
+        with pytest.raises(DomainError):
+            betti_relative(SimplexSubset(p3, [{2}, {1, 2}]))
+
+    def test_empty_subset(self, p3):
+        assert betti_relative(SimplexSubset(p3, [])) == ()
 
 
 class TestSupportKind:
