@@ -150,8 +150,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
     if suite == "green-inverse":
         t0 = time.perf_counter()
         n = len(g)
-        prod = linalg.mat_mul_via_faces(g, linalg.connection_matrix(g), linalg.green_matrix(g),
-                                        op_budget=args.budget)
+        prod = linalg._mat_mul_of_rows(g, linalg._connection_rows(g), linalg._green_rows(g),
+                                       args.budget)
         # entries of L * g that differ from the identity, from its sparse rows
         mismatches = sum(
             sum(1 for j, x in row.items() if x != (i == j)) + (i not in row)
@@ -162,7 +162,7 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
                                 mismatches == 0, n, elapsed)]
     if suite == "det-fermi":
         t0 = time.perf_counter()
-        lhs = linalg.det_via_faces(g, linalg.connection_matrix(g), op_budget=args.budget)
+        lhs = linalg._det_of_rows(g, linalg._connection_rows(g), args.budget)
         rhs = ch.fermi(g)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("det-fermi", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]

@@ -123,8 +123,9 @@ def betti_relative(u: SimplexSubset) -> tuple[int, ...]:
 
     The cochains on the ambient complex that vanish on the closed complement
     have the coboundary of U's own simplices (see the module docstring), so
-    this is ``betti(u)`` for an open U.  Any other support is refused.
+    this is ``betti(u)`` for an open U.  Any other support, a Complex
+    included, is refused.
     """
-    if not u.is_open_set():
+    if not isinstance(u, SimplexSubset) or not u.is_open_set():
         raise DomainError("betti_relative expects an open set")
     return _betti(u)

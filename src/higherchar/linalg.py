@@ -11,17 +11,21 @@ Rank runs a sparse fraction-free elimination over rows stored as dicts
 (column -> nonzero entry); it prefers unit pivots and divides each reduced
 row by the gcd of its entries.
 
-Matrices indexed by the simplices of a complex g have a second route.  With
+Matrices indexed by the simplices of a complex g have a second route, on
+the same sparse rows.  L is listed from the vertex stars and the Green
+matrix from the face pairs of each simplex, so neither costs n^2.  With
 K(x, z) = [z ⊆ x], unitriangular in canonical order, the congruence
 M = K^-1 A K^-T is computed exactly by Möbius passes over the face poset:
 for each vertex v, row[x] -= row[x minus v] for every x ∋ v other than {v},
-first on the rows and then on the columns, which is sum |x| row operations
-rather than n^3.  Then det A = det M (``det_via_faces``) and
+first on the sparse rows and then on the sparse columns, which is sum |x|
+row operations rather than n^3.  Then det A = det M (``det_via_faces``) and
 A B = K (M (K^T B)) (``mat_mul_via_faces``), where K^T is a superset pass
-on the rows of B and K a subset pass.  Both are exact for every integer A
-and B.  For the connection matrix L = K W K^T, so M is the diagonal of the
-Fermi weights and the sparse elimination of M costs O(n); nothing here
-assumes that.
+on the sparse rows of B and K a subset pass.  Both are exact for every
+integer A and B; their dense forms, like ``connection_matrix`` and
+``green_matrix``, are adapters onto the sparse rows.  For the connection
+matrix L = K W K^T, so M is the diagonal of the Fermi weights and the
+sparse elimination of M costs O(n); nothing here assumes that, and L is
+built from the share-a-vertex relation itself.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, sub
 
-from .characteristics import _star_weights
+from . import characteristics
 from .complexes import Complex, _vertex_stars
 from .errors import DomainError, ResourceBudgetError, SingularMatrixError, charge
 
@@ -93,16 +96,44 @@ def mat_mul(a, b) -> list[list[int]]:
     return out
 
 
+def _simplex_index(g: Complex, what: str) -> dict[int, int]:
+    """mask -> position in g's canonical order, for a matrix indexed by the
+    simplices of g; the empty complex and the dense cap are refused."""
+    if len(g) == 0:
+        raise DomainError(f"the {what} matrix of the empty complex is undefined")
+    _check_size(len(g))
+    return {b: i for i, b in enumerate(g.masks)}
+
+
+def _connection_rows(g: Complex) -> list[dict[int, int]]:
+    """L as sparse rows: row x holds a 1 in the column of every simplex that
+    shares a vertex with x, the union of the vertex stars of x's vertices.
+    In canonical order x minus its lowest vertex v comes first, so row x is
+    that row joined with the star of v."""
+    index = _simplex_index(g, "connection")
+    stars = {v: dict.fromkeys([index[y] for y in ys], 1)
+             for v, ys in _vertex_stars(index).items()}
+    rows: dict[int, dict[int, int]] = {}
+    for x in index:
+        v = x & -x
+        rows[x] = stars[v] if x == v else rows[x ^ v] | stars[v]
+    return list(rows.values())
+
+
+def _densify(rows: list[dict[int, int]], n: int) -> list[list[int]]:
+    out = [[0] * n for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
+
+
 def connection_matrix(g: Complex) -> list[list[int]]:
     """L(x,y) = 1 iff the simplices x and y share a vertex; symmetric 0/1.
 
     Rows and columns follow the canonical simplex order of g.
     """
-    if len(g) == 0:
-        raise DomainError("the connection matrix of the empty complex is undefined")
-    _check_size(len(g))
-    bits = g.masks
-    return [[1 if a & b else 0 for b in bits] for a in bits]
+    return _densify(_connection_rows(g), len(g))
 
 
 def connection_matrix_via_cores(g: Complex) -> list[list[int]]:
@@ -127,6 +158,32 @@ def connection_matrix_via_cores(g: Complex) -> list[list[int]]:
     return [[chi_core(a & b) for b in bits] for a in bits]
 
 
+def _green_rows(g: Complex) -> list[dict[int, int]]:
+    """The Green matrix as sparse rows, one entry per pair of faces x, y of a
+    simplex z with x ∪ y = z and N(z) != 0: fewer than Σ 3^|z| pairs, each
+    written once, since x ∪ y determines z.  y runs over (z minus x) ∪ t
+    for the subsets t of x."""
+    index = _simplex_index(g, "Green")
+    rows: list[dict[int, int]] = [{} for _ in index]
+    for z, n in characteristics._star_weights(g).items():
+        if not n:
+            continue
+        x = z
+        while x:
+            row = rows[index[x]]
+            wn = n if x.bit_count() & 1 else -n  # w(x) N(z)
+            rest, t = z ^ x, x
+            while True:
+                y = rest | t
+                if y:
+                    row[index[y]] = wn if y.bit_count() & 1 else -wn
+                if not t:
+                    break
+                t = (t - 1) & x
+            x = (x - 1) & z
+    return rows
+
+
 def green_matrix(g: Complex) -> list[list[int]]:
     """g(x,y) = weight(x) weight(y) * Euler characteristic of U(x) ∩ U(y).
 
@@ -134,20 +191,7 @@ def green_matrix(g: Complex) -> list[list[int]]:
     star weight N(x ∪ y) when x ∪ y is a simplex and 0 otherwise.  Exact
     integer matrix; satisfies L * g = g * L = identity.
     """
-    if len(g) == 0:
-        raise DomainError("the Green matrix of the empty complex is undefined")
-    _check_size(len(g))
-    bits = g.masks
-    ws = [1 if b.bit_count() & 1 else -1 for b in bits]
-    n = len(bits)
-    chi_star = _star_weights(g).get
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            chi = chi_star(bits[i] | bits[j], 0)
-            if chi:
-                out[i][j] = ws[i] * ws[j] * chi
-    return out
+    return _densify(_green_rows(g), len(g))
 
 
 def _eliminate(rows: list[list[int]], ncols: int, *, full: bool = False) -> tuple[int, int, int]:
@@ -333,7 +377,7 @@ def rank(mat) -> int:
     rows = [row for row in mat if any(row)]
     _check_size(len(rows))
     _check_integer(rows)
-    return _sparse_rank([{j: row[j] for j in compress(range(len(row)), row)} for row in rows])
+    return _sparse_rank(_sparse_rows(rows))
 
 
 # -- the face-poset route: M = K^-1 A K^-T, K(x, z) = [z ⊆ x] -------------
@@ -359,21 +403,29 @@ def _add_scaled(target: dict[int, int], src: dict[int, int], f: int) -> None:
             del target[j]
 
 
-def _face_congruence(g: Complex, mat, passes) -> list[dict[int, int]]:
-    """The columns of M = K^-1 mat K^-T as sparse dicts, column y ->
-    {x: M[x][y]}.  The row pass runs on dense rows without touching
-    ``mat``'s own lists; the column pass on the sparse transpose."""
-    n = len(g)
-    if _check_square(mat) != n:
+def _sparse_rows(mat, n: int | None = None) -> list[dict[int, int]]:
+    """The rows of a dense matrix as dicts, column -> nonzero entry; with n,
+    the matrix must be n x n, one row per simplex."""
+    if n is not None and _check_square(mat) != n:
         raise DomainError(f"matrix must be {n} x {n}, one row per simplex")
-    rows = list(mat)
+    return [{j: row[j] for j in compress(range(len(row)), row)} for row in mat]
+
+
+def _face_congruence(rows: list[dict[int, int]], passes) -> list[dict[int, int]]:
+    """The columns of M = K^-1 A K^-T as sparse dicts, column y ->
+    {x: M[x][y]}, for A given by its sparse ``rows``.  The row pass copies
+    each row it writes to, so ``rows`` is left as it is; the column pass
+    runs on the sparse transpose."""
+    rows = list(rows)
+    for x in {x for pairs in passes for x, _ in pairs}:
+        rows[x] = dict(rows[x])
     for pairs in passes:
         for x, face in pairs:
-            rows[x] = list(map(sub, rows[x], rows[face]))
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
+            _add_scaled(rows[x], rows[face], -1)
+    cols: list[dict[int, int]] = [{} for _ in rows]
     for i, row in enumerate(rows):
-        for j in compress(range(n), row):
-            cols[j][i] = row[j]
+        for j, x in row.items():
+            cols[j][i] = x
     del rows
     for pairs in passes:
         for y, face in pairs:
@@ -381,15 +433,11 @@ def _face_congruence(g: Complex, mat, passes) -> list[dict[int, int]]:
     return cols
 
 
-def det_via_faces(g: Complex, mat, *, op_budget: int | None = None) -> int:
-    """det of the integer matrix ``mat``, indexed by g's simplices in
-    canonical order, as det of M = K^-1 mat K^-T; equals ``det(mat)``.
-    The two face passes are charged against ``op_budget`` first; one pass is
-    sum |x| row operations over the simplices x with two or more vertices."""
+def _det_of_rows(g: Complex, rows: list[dict[int, int]], op_budget: int | None = None) -> int:
+    """``det_via_faces`` of the integer matrix with these sparse rows."""
     passes = _face_passes(g)
     charge("2 face passes", 2 * sum(map(len, passes)), op_budget, "row operations")
-    _check_integer(mat)
-    cols = _face_congruence(g, mat, passes)
+    cols = _face_congruence(rows, passes)
     n = len(cols)
     pivots, scale = _sparse_eliminate(cols)
     if len(pivots) < n:
@@ -403,24 +451,29 @@ def det_via_faces(g: Complex, mat, *, op_budget: int | None = None) -> int:
     return int(value)
 
 
-def mat_mul_via_faces(g: Complex, mat, b, *, op_budget: int | None = None) -> list[dict[int, int]]:
-    """mat * b as sparse rows (column -> nonzero entry), computed as
-    K (M (K^T b)) with M = K^-1 mat K^-T; mat is indexed by g's simplices in
-    canonical order and b has one row per simplex.  Densified, it equals
-    ``mat_mul(mat, b)``.  The four face passes (two for M, one for K^T and
-    one for K) are charged against ``op_budget`` first, as in ``det_via_faces``."""
+def det_via_faces(g: Complex, mat, *, op_budget: int | None = None) -> int:
+    """det of the integer matrix ``mat``, indexed by g's simplices in
+    canonical order, as det of M = K^-1 mat K^-T; equals ``det(mat)``.
+    The two face passes are charged against ``op_budget`` before they run;
+    one pass is sum |x| row operations over the simplices x with two or
+    more vertices."""
+    _check_integer(mat)
+    return _det_of_rows(g, _sparse_rows(mat, len(g)), op_budget)
+
+
+def _mat_mul_of_rows(g: Complex, rows: list[dict[int, int]], b: list[dict[int, int]],
+                     op_budget: int | None = None) -> list[dict[int, int]]:
+    """``mat_mul_via_faces`` on sparse rows; the K^T pass copies each row of
+    b it writes to, so neither input is modified."""
     passes = _face_passes(g)
     charge("4 face passes", 4 * sum(map(len, passes)), op_budget, "row operations")
-    mt = _face_congruence(g, mat, passes)
-    m = len(b[0]) if b else 0
-    if len(b) != len(mt) or any(len(row) != m for row in b):
-        raise DomainError(f"the right factor must have {len(mt)} rows of one length")
-    rows = list(b)
+    mt = _face_congruence(rows, passes)
+    c = list(b)
+    for face in {face for pairs in passes for _, face in pairs}:
+        c[face] = dict(c[face])
     for pairs in passes:
         for x, face in pairs:
-            rows[face] = list(map(add, rows[face], rows[x]))
-    c = [{j: row[j] for j in compress(range(m), row)} for row in rows]
-    del rows
+            _add_scaled(c[face], c[x], 1)
     out: list[dict[int, int]] = [{} for _ in mt]
     for y, col in enumerate(mt):
         for x, f in col.items():
@@ -429,3 +482,17 @@ def mat_mul_via_faces(g: Complex, mat, b, *, op_budget: int | None = None) -> li
         for x, face in pairs:
             _add_scaled(out[x], out[face], 1)
     return out
+
+
+def mat_mul_via_faces(g: Complex, mat, b, *, op_budget: int | None = None) -> list[dict[int, int]]:
+    """mat * b as sparse rows (column -> nonzero entry), computed as
+    K (M (K^T b)) with M = K^-1 mat K^-T; mat is indexed by g's simplices in
+    canonical order and b has one row per simplex.  Densified, it equals
+    ``mat_mul(mat, b)``.  The four face passes (two for M, one for K^T and
+    one for K) are charged against ``op_budget`` before they run, as in
+    ``det_via_faces``."""
+    rows = _sparse_rows(mat, len(g))
+    m = len(b[0]) if b else 0
+    if len(b) != len(g) or any(len(row) != m for row in b):
+        raise DomainError(f"the right factor must have {len(g)} rows of one length")
+    return _mat_mul_of_rows(g, rows, _sparse_rows(b), op_budget)

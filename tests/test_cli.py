@@ -223,17 +223,20 @@ class TestVerify:
         octa = cross_polytope(2)
         green = linalg.green_matrix(octa)
         j = next(j for j in range(1, len(octa)) if green[j][0])
-        build = linalg.connection_matrix
+        want = linalg.connection_matrix(octa)
+        want[0][j] = 1 - want[0][j]
+        build = linalg._connection_rows
 
         def flipped(g):
-            mat = build(g)
-            mat[0][j] = 1 - mat[0][j]
-            return mat
+            rows = build(g)
+            if rows[0].pop(j, None) is None:
+                rows[0][j] = 1
+            return rows
 
-        monkeypatch.setattr(linalg, "connection_matrix", flipped)
+        monkeypatch.setattr(linalg, "_connection_rows", flipped)
         rc, out = run(capsys, ["verify", "det-fermi", octa_file, "--json"])
         d = json.loads(out)
-        assert d["lhs"] == linalg.det(flipped(octa))
+        assert d["lhs"] == linalg.det(want)
         assert d["lhs"] != fermi(octa) == d["rhs"]
         assert rc == 1
 
@@ -241,20 +244,44 @@ class TestVerify:
         import higherchar.linalg as linalg
 
         octa = cross_polytope(2)
-        build = linalg.green_matrix
+        corrupted = linalg.green_matrix(octa)
+        corrupted[3][5] += 2
+        build = linalg._green_rows
 
-        def corrupted(g):
-            mat = build(g)
-            mat[3][5] += 2
-            return mat
+        def corrupt(g):
+            rows = build(g)
+            x = rows[3].get(5, 0) + 2
+            if x:
+                rows[3][5] = x
+            else:
+                del rows[3][5]
+            return rows
 
-        monkeypatch.setattr(linalg, "green_matrix", corrupted)
-        prod = linalg.mat_mul(linalg.connection_matrix(octa), corrupted(octa))
+        prod = linalg.mat_mul(linalg.connection_matrix(octa), corrupted)
         want = sum(1 for i, row in enumerate(prod) for j, x in enumerate(row)
                    if x != (i == j))
+        monkeypatch.setattr(linalg, "_green_rows", corrupt)
         rc, out = run(capsys, ["verify", "green-inverse", octa_file, "--json"])
         d = json.loads(out)
         assert want > 0 and d["rhs"] == want and d["lhs"] == 0
+        assert rc == 1
+
+    def test_green_inverse_reads_the_star_weights(self, capsys, monkeypatch, octa_file):
+        # g is built from N(z); random star weights must break L * g = 1
+        import random
+
+        import higherchar.characteristics as ch
+
+        real = ch._star_weights
+
+        def scrambled(g):
+            rng = random.Random(7)
+            return {z: rng.randint(-5, 5) for z in real(g)}
+
+        monkeypatch.setattr(ch, "_star_weights", scrambled)
+        rc, out = run(capsys, ["verify", "green-inverse", octa_file, "--json"])
+        d = json.loads(out)
+        assert d["pass"] is False and d["rhs"] > 0
         assert rc == 1
 
     @pytest.mark.parametrize("corrupt", ["product", "product-refinement"])

@@ -166,7 +166,7 @@ class TestBetti:
             bv = betti(u) if len(u) else ()
             assert sum((-1) ** i * b for i, b in enumerate(bv)) == w_m(u, 1)
             if len(u):
-                assert betti_relative(u) == bv
+                assert betti_relative(u) == betti_relative_by_incidence(u) == bv
 
 
     @given(random_complexes(max_vertices=7, max_edges=12),
@@ -178,7 +178,7 @@ class TestBetti:
 
         u = random_open_set(g, SplitMix64(seed))
         if len(u):
-            assert betti_relative(u) == betti(u)
+            assert betti(u) == betti_relative_by_incidence(u)
 
 
     @given(random_complexes(max_vertices=7, max_edges=12),
@@ -201,6 +201,10 @@ class TestRelativeRefusals:
     def test_mixed_subset_refused(self, p3):
         with pytest.raises(DomainError):
             betti_relative(SimplexSubset(p3, [{2}, {1, 2}]))
+
+    def test_complex_refused(self, p3):
+        with pytest.raises(DomainError, match="^betti_relative expects an open set$"):
+            betti_relative(p3)
 
     def test_empty_subset(self, p3):
         assert betti_relative(SimplexSubset(p3, [])) == ()

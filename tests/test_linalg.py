@@ -12,7 +12,12 @@ from higherchar.errors import DomainError, ResourceBudgetError, SingularMatrixEr
 from higherchar.generators import simplex_complex
 from higherchar.linalg import (
     MAX_DENSE_SIZE,
+    _connection_rows,
+    _det_of_rows,
     _face_passes,
+    _green_rows,
+    _mat_mul_of_rows,
+    _sparse_rows,
     char_poly,
     connection_matrix,
     connection_matrix_via_cores,
@@ -165,6 +170,18 @@ class TestSizeCap:
     def test_rank_cap_enforced(self):
         with pytest.raises(ResourceBudgetError):
             rank([[1]] * (MAX_DENSE_SIZE + 1))
+
+    @pytest.mark.parametrize("build", [_connection_rows, _green_rows, connection_matrix,
+                                       green_matrix])
+    def test_row_builders_capped(self, monkeypatch, octa, build):
+        monkeypatch.setattr("higherchar.linalg.MAX_DENSE_SIZE", len(octa) - 1)
+        with pytest.raises(ResourceBudgetError):
+            build(octa)
+
+    @pytest.mark.parametrize("build", [_connection_rows, _green_rows])
+    def test_row_builders_refuse_the_empty_complex(self, build):
+        with pytest.raises(DomainError):
+            build(Complex.empty())
 
 
 class TestRank:
@@ -381,3 +398,62 @@ def fraction_rank(m) -> int:
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+# -- the sparse rows against independent dense routes ----------------------
+
+class TestSparseRows:
+    @given(random_complexes(max_vertices=7, max_edges=12))
+    @settings(max_examples=60, deadline=None)
+    def test_connection_rows_are_the_core_formula(self, g):
+        if len(g) == 0:
+            return
+        rows = _connection_rows(g)
+        assert all(row and 0 not in row.values() for row in rows)
+        assert densify(rows, len(g)) == connection_matrix_via_cores(g)
+
+    @given(random_complexes(max_vertices=7, max_edges=12))
+    @settings(max_examples=60, deadline=None)
+    def test_green_rows_are_the_exact_inverse_of_l(self, g):
+        # L from the core formula, inverted by Bareiss elimination
+        if len(g) == 0:
+            return
+        rows = _green_rows(g)
+        assert all(0 not in row.values() for row in rows)
+        assert densify(rows, len(g)) == inverse(connection_matrix_via_cores(g))
+
+    @given(complex_and_matrix())
+    @settings(max_examples=120, deadline=None)
+    def test_det_from_sparse_and_dense_rows(self, gm):
+        g, a = gm
+        rows = _sparse_rows(a)
+        copies = [dict(r) for r in rows], [list(r) for r in a]
+        assert _det_of_rows(g, rows) == det_via_faces(g, a) == det(a)
+        assert (rows, a) == copies
+
+    @given(complex_and_matrix(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_product_from_sparse_and_dense_rows(self, gm, m, seed):
+        g, a = gm
+        rng = random.Random(seed)
+        b = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(m)] for _ in a]
+        rows, brows = _sparse_rows(a), _sparse_rows(b)
+        copies = ([dict(r) for r in rows], [dict(r) for r in brows], [list(r) for r in a],
+                  [list(r) for r in b])
+        sparse = _mat_mul_of_rows(g, rows, brows)
+        assert sparse == mat_mul_via_faces(g, a, b)
+        assert densify(sparse, m) == mat_mul(a, b)
+        assert (rows, brows, a, b) == copies
+
+    @given(random_complexes(max_vertices=7, max_edges=12))
+    @settings(max_examples=40, deadline=None)
+    def test_duality_on_the_row_builders(self, g):
+        # the two suites' inputs, and both left as built
+        if len(g) == 0:
+            return
+        L, G = _connection_rows(g), _green_rows(g)
+        copies = [dict(r) for r in L], [dict(r) for r in G]
+        assert _det_of_rows(g, L) == fermi(g)
+        assert densify(_mat_mul_of_rows(g, L, G), len(g)) == identity_matrix(len(g))
+        assert (L, G) == copies
