@@ -52,6 +52,19 @@ def _emit(obj: dict, as_json: bool) -> None:
     print(line)
 
 
+def _rows_json(rows: list[dict[int, int]], n: int) -> str:
+    """The text ``json.dumps`` gives the dense n-column matrix of the sparse
+    ``rows`` (column -> entry), written from the nonzeros alone."""
+    zeros = ["0"] * n
+    texts = []
+    for row in rows:
+        cells = zeros.copy()
+        for j, x in row.items():
+            cells[j] = str(x)
+        texts.append("[" + ", ".join(cells) + "]")
+    return "[" + ", ".join(texts) + "]"
+
+
 def _parse_simplex_token(tok: str) -> Simplex:
     try:
         return Simplex(int(p) for p in tok.split("-"))
@@ -314,10 +327,12 @@ def cmd_matrix(args) -> int:
         n = len(g)
         charge(f"{which} of {n} simplices", (2 if which == "isospectral" else 1) * n**4,
                ch.DEFAULT_OP_BUDGET)
+    # L and g are printed from their sparse rows; the charpoly kinds need
+    # the dense matrices of the public functions
     if which == "connection":
-        print(json.dumps(linalg.connection_matrix(g)))
+        print(_rows_json(linalg._connection_rows(g), len(g)))
     elif which == "green":
-        print(json.dumps(linalg.green_matrix(g)))
+        print(_rows_json(linalg._green_rows(g), len(g)))
     elif which == "charpoly-connection":
         print(json.dumps(linalg.char_poly(linalg.connection_matrix(g))))
     elif which == "charpoly-green":

@@ -1,14 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from higherchar import linalg
 from higherchar.cli import (
     COMMANDS,
     VERIFY_SUITES,
+    _rows_json,
     build_command_parser,
     build_parser,
     main,
@@ -20,7 +24,8 @@ from higherchar.complexes import Complex, closure
 from higherchar.errors import DomainError
 from higherchar.files import save_complex
 from higherchar.generators import SplitMix64, cross_polytope, cycle, path3, random_whitney
-from higherchar.topology import star
+from higherchar.linalg import connection_matrix_via_cores, inverse
+from higherchar.topology import barycentric, star
 
 from strategies import random_complexes
 
@@ -574,6 +579,105 @@ class TestMatrix:
         main(["generate", "--kind", "simplex", "--n", "2", "-o", str(p)])
         rc, out = run(capsys, ["matrix", str(p), "--which", which])
         assert rc == 0 and json.loads(out) == want
+
+    @given(random_complexes())
+    @settings(max_examples=25, deadline=None)
+    def test_dumps_match_core_oracle_and_its_inverse(self, tmp_path_factory, g):
+        # neither oracle shares a row builder with the printed rows
+        p = tmp_path_factory.mktemp("matrix") / "g.facets"
+        save_complex(g, p)
+        rc, out = main_stdout(["matrix", str(p), "--which", "connection"])
+        assert rc == 0
+        ell = connection_matrix_via_cores(g)
+        assert json.loads(out) == ell
+        rc, out = main_stdout(["matrix", str(p), "--which", "green"])
+        assert rc == 0 and json.loads(out) == inverse(ell)
+
+    @pytest.mark.parametrize("which", ["connection", "green"])
+    def test_empty_complex_exits_3(self, capsys, tmp_path, which):
+        p = tmp_path / "void.facets"
+        p.write_text("")
+        assert main(["matrix", str(p), "--which", which]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty complex" in captured.err
+
+    @pytest.mark.parametrize("which", ["connection", "green"])
+    def test_over_the_dense_cap_exits_2(self, capsys, monkeypatch, octa_file, which):
+        monkeypatch.setattr("higherchar.linalg.MAX_DENSE_SIZE", 25)  # the octahedron has 26
+        assert main(["matrix", octa_file, "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "capped at 25 rows, got 26" in captured.err
+
+    def test_green_prints_the_rows_it_builds(self, capsys, monkeypatch, octa_file):
+        rc, out = run(capsys, ["matrix", octa_file, "--which", "green"])
+        assert rc == 0
+        want = json.loads(out)
+        i, j = 3, len(want) - 1
+        build = linalg._green_rows
+
+        def corrupted(g):
+            rows = build(g)
+            rows[i] = {**rows[i], j: rows[i].get(j, 0) - 1000}
+            return rows
+
+        monkeypatch.setattr("higherchar.linalg._green_rows", corrupted)
+        rc, out = run(capsys, ["matrix", octa_file, "--which", "green"])
+        assert rc == 0
+        got = json.loads(out)
+        want[i][j] -= 1000
+        assert got == want
+
+    @pytest.mark.parametrize("which", ["connection", "green"])
+    def test_printed_without_a_dense_matrix(self, capsys, monkeypatch, octa_file, which):
+        rc, want = run(capsys, ["matrix", octa_file, "--which", which])
+        assert rc == 0
+        for name in ("_densify", "connection_matrix", "green_matrix"):
+            monkeypatch.setattr(f"higherchar.linalg.{name}", None)
+        assert run(capsys, ["matrix", octa_file, "--which", which]) == (0, want)
+
+
+def main_stdout(argv):
+    """Exit code and stdout of one CLI run, without a function-scoped fixture."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return rc, buf.getvalue()
+
+
+def densify(rows, n):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+@st.composite
+def sparse_square_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    entries = st.dictionaries(st.integers(0, n - 1), st.integers(-10**12, 10**12))
+    return draw(st.lists(entries, min_size=n, max_size=n)), n
+
+
+class TestRowsJson:
+    @given(sparse_square_rows())
+    @example(([{}], 1))
+    @example(([{0: -7}], 1))
+    @example(([{}, {}, {}], 3))
+    @example(([{2: -123456789}, {}, {0: 10**30, 1: 0}], 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps_of_the_dense_matrix(self, drawn):
+        rows, n = drawn
+        assert _rows_json(rows, n) == json.dumps(densify(rows, n))
+
+    def test_no_rows(self):
+        assert _rows_json([], 0) == json.dumps([])
+
+    @pytest.mark.parametrize(
+        "g", [cross_polytope(1), cross_polytope(2), barycentric(cross_polytope(2))],
+        ids=["cp:1", "octahedron", "bary:cp:2"],
+    )
+    @pytest.mark.parametrize("build", [linalg._connection_rows, linalg._green_rows],
+                             ids=["connection", "green"])
+    def test_real_rows(self, g, build):
+        rows = build(g)
+        assert _rows_json(rows, len(g)) == json.dumps(densify(rows, len(g)))
 
 
 # argv that parse; the files need not exist, as only the parsing is checked
