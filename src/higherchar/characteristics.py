@@ -35,8 +35,10 @@ N_B(a ⊔ b) carries the factor sum of (-1)^|a'| over a ⊆ a' ⊆ z, which is 0
 unless a = z; for q ⊇ z, N_B(q) = N(q).  S(z) = ∂z ∗ lk(z) then follows
 from the local identity w_m(B) = w_m(U) - (-1)^m * w_m(S).  T_m is one
 superset-sum pass per m, and each distinct N(z) is raised to the m'th power
-once.  The member lists of B(z) and S(z), which the dual-sphere walk and the
-energized tables read, are listed as the same joins (``_joins``).
+once.  The member lists of B(z) and S(z) are the joins of z's faces with
+the link {y ^ z : y in U(z), y != z} of the star list (``_join_at``); the
+dual-sphere walk, the energized tables and the local-valuation check, which
+evaluates w_m of U(z), B(z) and S(z) literally (``_local_at``), read them.
 
 The k-point configuration sums rest on one lemma: in a closed complex the
 weighted count of the k-tuples of simplices whose union is exactly z is
@@ -74,10 +76,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
-                        _vertex_stars)
+from .complexes import (Complex, Simplex, SimplexSubset, _join_bits, _mask, _masks_of,
+                        _vertex_mask, _vertex_stars)
 from .errors import DomainError, InputError, charge, charge_tuples
-from .topology import configuration, config_weight, star_intersection, unit_sphere
+from .topology import configuration, config_weight, star_intersection
 
 __all__ = [
     "DEFAULT_OP_BUDGET",
@@ -378,33 +380,30 @@ def _stars_of(g: Complex) -> dict[int, tuple[int, ...]]:
     return {b: tuple(v) for b, v in out.items()}
 
 
-def _joins(g: Complex, proper: bool) -> dict[int, list[int]]:
+def _join_at(z: int, star: Iterable[int], proper: bool) -> list[int]:
     """Member bits of z̄ ∗ lk(z) = B(z), or with ``proper`` of ∂z ∗ lk(z) = S(z),
-    for every z of g: the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y in U(z),
-    except the empty set.  a = member & z and b = member & ~z, so each member
-    arises once."""
-    out = {}
-    for z, star in _stars_of(g).items():
-        faces = []
-        sub = (z - 1) & z if proper else z
-        while sub:
-            faces.append(sub)
-            sub = (sub - 1) & z
-        out[z] = _join_bits(faces, [y ^ z for y in star if y != z])
-    return out
+    from the star list U(z): the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y
+    in U(z), except the empty set.  a = member & z and b = member & ~z, so
+    each member arises once."""
+    faces = []
+    sub = (z - 1) & z if proper else z
+    while sub:
+        faces.append(sub)
+        sub = (sub - 1) & z
+    return _join_bits(faces, [y ^ z for y in star if y != z])
 
 
 @lru_cache(maxsize=512)
 def _ball_members_of(g: Complex) -> dict[int, list[int]]:
     """Member bits of B(z) = closure(U(z)) for every z of g."""
-    return _joins(g, False)
+    return {z: _join_at(z, star, False) for z, star in _stars_of(g).items()}
 
 
 @lru_cache(maxsize=512)
 def _sphere_sets(g: Complex) -> tuple[list[int], ...]:
     """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
-    joins = _joins(g, True)
-    return tuple(joins[z] for z in g.masks)
+    stars = _stars_of(g)
+    return tuple(_join_at(z, stars[z], True) for z in g.masks)
 
 
 @lru_cache(maxsize=512)
@@ -702,22 +701,28 @@ def valuation_check(
     )
 
 
-def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
-    """Check w_m(B(X)) = w_m(U(X)) - (-1)^m * w_m(S(X)) for a configuration.
+def _local_at(g: Complex, z: int, m: int) -> tuple[int, int]:
+    """(w_m(B(z)), w_m(U(z)) - (-1)^m * w_m(S(z))) for the union z of a
+    configuration: B(z) and S(z) are the joins of the star list U(z), each
+    evaluated as a closed complex, and U(z) goes through ``_face_terms_of``.
+    If z is not in g all three sets are empty, though a join with the empty
+    link would be z̄, so both sides are 0."""
+    star = _stars_of(g).get(z)
+    if star is None:
+        return 0, 0
+    ball = w_m(Complex._of_bits(_join_at(z, star, False)), m)
+    sphere = w_m(Complex._of_bits(_join_at(z, star, True)), m)
+    return ball, _eval_terms(_face_terms_of(star), m, DEFAULT_OP_BUDGET) - (-1) ** m * sphere
 
-    U(X) is built once; B(X) is its closure and S(X) the unit sphere of the
-    union of the points.
-    """
+
+def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
+    """Check w_m(B(X)) = w_m(U(X)) - (-1)^m * w_m(S(X)) for a configuration:
+    the three sets are those of its union (``_local_at``)."""
     X = configuration(g, xs)
     if m < 1:
         raise InputError("the arity m must be at least 1")
     t0 = time.perf_counter()
-    u = star_intersection(g, X)
-    xb = 0
-    for x in X:
-        xb |= x.bits
-    lhs = w_m(_close(u.member_bits), m)
-    rhs = w_m(u, m) - (-1) ** m * w_m(unit_sphere(g, xb), m)
+    lhs, rhs = _local_at(g, _vertex_mask(x.bits for x in X), m)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(
         "local-valuation", m, len(X), lhs, rhs, lhs == rhs, len(g), elapsed
@@ -741,25 +746,20 @@ def local_valuation_sum(
     literal check per union; lhs is |G|^k and rhs the number that pass.
 
     U(X), B(X) and S(X), and so the verdict of ``local_valuation_check``,
-    depend on X only through its union.  The check therefore runs once on
-    the one-point configuration (z,) for each simplex z of G, and its verdict
-    counts for the c(|z|, k) configurations whose union is exactly z.  As G
-    is closed, the configurations whose union lies inside z are the k-tuples
-    of nonempty subsets of z, and (2^j - 1)^k of them have every entry inside
-    a given j-subset of z.  Inclusion-exclusion over the subsets of z leaves
+    depend on X only through its union.  The per-union check ``_local_at``
+    therefore runs once for each simplex z of G, and its verdict counts for
+    the c(|z|, k) configurations whose union is exactly z.  As G is closed,
+    the configurations whose union lies inside z are the k-tuples of
+    nonempty subsets of z, and (2^j - 1)^k of them have every entry inside a
+    given j-subset of z.  Inclusion-exclusion over the subsets of z leaves
     those whose union is z itself:
 
         c(s, k) = sum over j of (-1)^(s-j) * C(s, j) * (2^j - 1)^k,
 
     so c(s, 1) = 1 and c(s, 2) = 3^s - 2.  The other |G|^k - sum of c(|z|, k)
-    configurations have a union outside G, where U, B and S are all empty,
-    and the check of one of them stands for them all.  A largest simplex F
-    of G is a facet, so for any simplex y not inside F the union F ∪ y
-    strictly contains F and is not in G; such a y exists exactly when G has
-    a second facet.  If G is a closed simplex, or k = 1, every union is in G
-    and the class is empty.  The shortest configurations, (z,) and (F, y),
-    stand for the k-tuples, which would hold k entries each, and no charge
-    bounds k when |G| <= 1.
+    configurations have a union outside G, where U, B and S are all empty;
+    the check of the vertex set of G, which is outside G whenever this class
+    is nonempty, stands for them all.
 
     The cost is |G| + 1 checks at any k.  ``op_budget`` is still charged the
     |G|^k configurations, which bound the counts the report holds.
@@ -771,16 +771,14 @@ def local_valuation_sum(
     t0 = time.perf_counter()
     total = n**k
     c = [_union_count(s, k) for s in range(g.dim + 2)]
-    inside = passed = 0
-    for z in g.simplices:
-        inside += c[len(z)]
-        if local_valuation_check(g, (z,), m).passed:
-            passed += c[len(z)]
-    if total > inside:
-        f = g.masks[-1]
-        y = next(b for b in g.masks if b & ~f)
-        if local_valuation_check(g, (Simplex.from_bits(f), Simplex.from_bits(y)), m).passed:
-            passed += total - inside
+    counts = {z: c[z.bit_count()] for z in g.member_bits}
+    outside = total - sum(counts.values())
+    if outside:
+        counts[_vertex_mask(g.member_bits)] = outside
+    passed = 0
+    for z, cz in counts.items():
+        lhs, rhs = _local_at(g, z, m)
+        passed += cz if lhs == rhs else 0
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("local-valuation", m, k, total, passed, total == passed, n, elapsed)
 

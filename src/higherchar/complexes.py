@@ -249,7 +249,7 @@ class Complex:
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        return vertices_of(_vertex_mask(self))
+        return vertices_of(_vertex_mask(self.member_bits))
 
     def facets(self) -> tuple[Simplex, ...]:
         """Locally maximal simplices: members contained in no strictly larger one.
@@ -290,9 +290,10 @@ def _join_bits(a, b) -> list[int]:
     return [*a, *b, *[x | y for x in a for y in b]]
 
 
-def _vertex_mask(g: Complex) -> int:
+def _vertex_mask(masks: Iterable[int]) -> int:
+    """The union of the masks: the vertex set they span."""
     v = 0
-    for b in g.member_bits:
+    for b in masks:
         v |= b
     return v
 
@@ -526,9 +527,9 @@ def join(g: Complex, h: Complex, *, relabel: bool = False) -> Complex:
     complex's ids are offset past the first one's maximum on collision.
     The join of a p-sphere and a q-sphere is a (p+q+1)-sphere.
     """
-    gv = _vertex_mask(g)
+    gv = _vertex_mask(g.member_bits)
     shift = 0
-    if gv & _vertex_mask(h):
+    if gv & _vertex_mask(h.member_bits):
         if not relabel:
             raise InputError(
                 "vertex ids of the two complexes overlap; pass relabel=True to offset"

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Simplex, SimplexSubset, _close, _coerce_simplex, closure
+from .complexes import (Complex, Simplex, SimplexSubset, _close, _coerce_simplex, _vertex_mask,
+                        closure)
 from .errors import DomainError, InputError, charge
 from .product import POINT, topological_product
 
@@ -103,10 +104,7 @@ def core(g: Complex, x) -> Complex:
 
 
 def _union_bits(g: Complex, xs) -> int:
-    u = 0
-    for x in configuration(g, xs):
-        u |= x.bits
-    return u
+    return _vertex_mask(x.bits for x in configuration(g, xs))
 
 
 def star_intersection(g: Complex, xs) -> OpenSet:

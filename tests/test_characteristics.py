@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -538,6 +537,13 @@ class TestLocalValuation:
         rep = local_valuation_check(octa, [{1}], 2)
         assert rep.passed and rep.lhs == 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_union_outside_the_complex(self, octa, m):
+        # 1 and 2 are opposite vertices: U, B and S of {1, 2} are all empty,
+        # although a join with the empty link would be the closed edge
+        rep = local_valuation_check(octa, [{1}, {2}], m)
+        assert (rep.lhs, rep.rhs, rep.passed, rep.k) == (0, 0, True, 2)
+
     @given(random_complexes(max_vertices=6, max_edges=8))
     @settings(max_examples=10, deadline=None)
     def test_pairs(self, g):
@@ -554,15 +560,14 @@ def _or(bits):
 
 
 def _failing_where(pred):
-    """``local_valuation_check`` with its verdict turned to a failure on the
-    configurations whose union u has pred(g, u)."""
-    check = ch.local_valuation_check
+    """The per-union check ``_local_at`` with its verdict turned to a failure
+    on the unions u that have pred(g, u); ``local_valuation_check``, and so
+    the walk, reads it as the sum does."""
+    check = ch._local_at
 
-    def failing(g, xs, m):
-        rep = check(g, xs, m)
-        if pred(g, _or(x.bits for x in xs)):
-            return dataclasses.replace(rep, passed=False)
-        return rep
+    def failing(g, u, m):
+        lhs, rhs = check(g, u, m)
+        return (lhs, rhs + 1) if pred(g, u) else (lhs, rhs)
 
     return failing
 
@@ -586,13 +591,18 @@ class TestLocalValuationSum:
         for way, pred in ways.items():
             with pytest.MonkeyPatch.context() as mp:
                 if pred is not None:
-                    mp.setattr(ch, "local_valuation_check", _failing_where(pred))
+                    mp.setattr(ch, "_local_at", _failing_where(pred))
                 for m in (1, 2):
                     rep = local_valuation_sum(g, m, k)
                     assert (rep.lhs, rep.rhs) == local_valuation_by_walk(g, m, k), (way, m)
                     assert rep.lhs == len(g) ** k and rep.passed == (rep.lhs == rep.rhs)
                     if pred is None:
                         assert rep.passed
+
+    def test_no_simplex_objects_built(self):
+        g = closure([[1, 2, 3], [2, 3, 4], [4, 5]])
+        assert local_valuation_sum(g, 2, 2).passed
+        assert g._simplices is None
 
     def test_union_count_closed_forms(self):
         for s in range(1, 12):

@@ -20,7 +20,7 @@ from higherchar.cli import (
     parse_set_token,
     random_open_set,
 )
-from higherchar.complexes import Complex, closure
+from higherchar.complexes import closure
 from higherchar.errors import DomainError
 from higherchar.files import save_complex
 from higherchar.generators import SplitMix64, cross_polytope, cycle, path3, random_whitney
@@ -197,22 +197,22 @@ class TestVerify:
     def test_local_valuation_fails_on_a_wrong_sphere(self, capsys, monkeypatch, octa_file,
                                                      size, m, k):
         # S(z) of an octahedron vertex or edge is a 4-cycle; dropping one of
-        # its edges fails the check of every configuration with union z,
-        # and of no other
+        # its edges from the sphere join fails the check of every
+        # configuration with union z, and of no other
         import higherchar.characteristics as ch
 
         octa = cross_polytope(2)
         z = next(b for b in octa.masks if b.bit_count() == size)
-        sphere = ch.unit_sphere
+        join = ch._join_at
 
-        def dropped(g, xb):
-            s = sphere(g, xb)
-            if xb != z:
+        def dropped(zb, star, proper):
+            s = join(zb, star, proper)
+            if zb != z or not proper:
                 return s
-            edge = next(b for b in s.member_bits if b.bit_count() == 2)
-            return Complex._of_bits(s.member_bits - {edge})
+            edge = next(b for b in s if b.bit_count() == 2)
+            return [b for b in s if b != edge]
 
-        monkeypatch.setattr(ch, "unit_sphere", dropped)
+        monkeypatch.setattr(ch, "_join_at", dropped)
         rc, out = run(capsys, ["verify", "local-valuation", octa_file, "-m", m,
                                "-k", str(k), "--json"])
         d = json.loads(out)
