@@ -467,57 +467,43 @@ def boundary_set(a) -> SimplexSubset:
     return SimplexSubset._of_bits(ambient, cl.member_bits - masks)
 
 
-def _maximal_cliques(adj: dict[int, int], verts: list[int]) -> list[int]:
-    """Maximal cliques as vertex bit masks (Bron-Kerbosch, pivot on largest neighbourhood)."""
-    out: list[int] = []
-    if not verts:
-        return out
-    full = bits_of(verts)
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        px = p | x
-        pivot, best = -1, -1
-        m = px
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            cnt = (p & adj[v]).bit_count()
-            if cnt > best:
-                pivot, best = v, cnt
-        cand = p & ~adj[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(r | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-
-    expand(0, full, 0)
-    return out
-
-
 def whitney(vertices: Iterable[int], edges: Iterable, *, simplex_budget: int | None = None) -> Complex:
-    """The clique complex of a graph: all vertex sets of complete subgraphs."""
+    """The clique complex of a graph: all vertex sets of complete subgraphs.
+
+    Every clique is listed once, as a mask, and nothing is searched for or
+    closed.  ``up[v]`` holds the neighbours of v above v; each vertex v
+    starts the clique {v} with candidates ``up[v]``, and a clique c with
+    candidates cand is extended by each u in cand, the extension's
+    candidates being ``cand & up[u]``.  With a ``simplex_budget``, the
+    listing stops as soon as it holds more cliques than the budget, so a
+    complex of exactly ``simplex_budget`` simplices still builds.
+    """
     verts = sorted(set(int(v) for v in vertices))
     if verts and verts[0] < 0:
         raise InputError(f"vertex ids must be non-negative, got {verts[0]}")
-    vset = set(verts)
-    adj = {v: 0 for v in verts}
+    up = dict.fromkeys(verts, 0)
     for e in edges:
         u, v = tuple(e)
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
-        if u not in vset or v not in vset:
+        if u not in up or v not in up:
             raise InputError(f"edge ({u},{v}) references an unknown vertex")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    cliques = _maximal_cliques(adj, verts)
-    return _close(cliques, simplex_budget)
+        if u > v:
+            u, v = v, u
+        up[u] |= 1 << v
+    found: list[int] = []
+    stack = [(1 << v, up[v]) for v in verts]
+    while stack:
+        c, cand = stack.pop()
+        found.append(c)
+        if simplex_budget is not None and len(found) > simplex_budget:
+            charge("the clique complex", len(found), simplex_budget, "simplices or more",
+                   len(found))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            stack.append((c | low, cand & up[low.bit_length() - 1]))
+    return Complex._of_bits(found)
 
 
 def join(g: Complex, h: Complex, *, relabel: bool = False) -> Complex:

@@ -70,6 +70,10 @@ def parse_edge_list(text: str) -> Complex:
             u, v = int(toks[0]), int(toks[1])
         except ValueError as exc:
             raise InputError(f"expected integers, got {line!r}", lineno=lineno) from exc
+        if min(u, v) < 0:
+            raise InputError("negative vertex id", lineno=lineno)
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}", lineno=lineno)
         vertices.update((u, v))
         edges.append((u, v))
     return whitney(vertices, edges, simplex_budget=MAX_SIMPLICES)

@@ -1,6 +1,6 @@
 """Literal reference paths that tests compare the library's fast paths against."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from higherchar import characteristics
 from higherchar.cohomology import incidence_sign
@@ -87,6 +87,16 @@ def closure_by_simplices(simplices):
             found.setdefault(sub, Simplex.from_bits(sub))
             sub = (sub - 1) & s.bits
     return tuple(sorted(found.values(), key=canonical_key))
+
+
+def cliques_by_brute_force(vertices, edges):
+    """Every clique of a graph as a vertex mask: each nonempty vertex subset
+    whose pairs are all edges, edges taken as unordered pairs."""
+    pairs = {frozenset(e) for e in edges}
+    vs = sorted(set(vertices))
+    return {sum(1 << v for v in sub)
+            for r in range(1, len(vs) + 1) for sub in combinations(vs, r)
+            if all(frozenset(p) in pairs for p in combinations(sub, 2))}
 
 
 def cliques_by_search(vertices, edges):

@@ -19,13 +19,14 @@ from higherchar.complexes import (
     _vertex_stars,
 )
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
-from higherchar.files import format_facets, parse_facets
+from higherchar.files import MAX_SIMPLICES, format_facets, parse_edge_list, parse_facets
 from higherchar.generators import cross_polytope, cycle, path3
 from higherchar.product import product_simplex_count, topological_product
 from higherchar.topology import barycentric
 
 from oracles import (
     canonical_key,
+    cliques_by_brute_force,
     cliques_by_search,
     closure_by_simplices,
     facets_text_by_simplices,
@@ -35,6 +36,22 @@ from oracles import (
     vertex_stars_by_filter,
 )
 from strategies import random_complexes
+
+
+@st.composite
+def graphs(draw):
+    """A graph on at most 9 vertices with ids from 0..40, isolated vertices
+    allowed; each edge in a random orientation, sometimes twice, as a tuple,
+    a list or a frozenset."""
+    vertices = draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        for _ in range(draw(st.integers(1, 2))):
+            e = (u, v) if draw(st.booleans()) else (v, u)
+            edges.append(draw(st.sampled_from([tuple, list, frozenset]))(e))
+    return vertices, edges
 
 
 def verts(g):
@@ -190,6 +207,26 @@ class TestWhitney:
         with pytest.raises(ResourceBudgetError):
             whitney(range(12), [(i, j) for i in range(12) for j in range(i + 1, 12)],
                     simplex_budget=50)
+
+    def test_complete_graph_at_its_budget(self):
+        # K8 has 2^8 - 1 = 255 simplices: a budget of 255 builds it, 254 stops the listing
+        k8 = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        assert len(whitney(range(8), k8, simplex_budget=255)) == 255
+        with pytest.raises(ResourceBudgetError) as exc:
+            whitney(range(8), k8, simplex_budget=254)
+        assert exc.value.partial <= 255
+
+    def test_edge_list_refusal_stops_one_past_the_cap(self):
+        edges = "".join(f"{u} {v}\n" for u in range(24) for v in range(u + 1, 24))
+        with pytest.raises(ResourceBudgetError) as exc:
+            parse_edge_list("graph\n" + edges)
+        assert exc.value.partial == MAX_SIMPLICES + 1
+
+    @given(graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_brute_force_clique_oracle(self, graph):
+        vertices, edges = graph
+        assert whitney(vertices, edges).member_bits == cliques_by_brute_force(vertices, edges)
 
 
 class TestJoin:

@@ -73,6 +73,16 @@ class TestEdgeList:
             parse_edge_list("graph\n1 2 3\n")
         assert exc.value.lineno == 2
 
+    def test_negative_id_names_its_line(self):
+        with pytest.raises(InputError) as exc:
+            parse_edge_list("graph\n1 2\n2 -3\n")
+        assert exc.value.lineno == 3
+
+    def test_self_loop_names_its_line(self):
+        with pytest.raises(InputError) as exc:
+            parse_edge_list("graph\n1 2\n3 3\n")
+        assert exc.value.lineno == 3
+
     def test_autodetect(self):
         assert parse_complex("graph\n1 2\n").f_vector == (2, 1)
         assert parse_complex("1 2\n").f_vector == (2, 1)
