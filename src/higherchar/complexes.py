@@ -483,7 +483,10 @@ def whitney(vertices: Iterable[int], edges: Iterable, *, simplex_budget: int | N
         raise InputError(f"vertex ids must be non-negative, got {verts[0]}")
     up = dict.fromkeys(verts, 0)
     for e in edges:
-        u, v = tuple(e)
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InputError(f"an edge is two vertex ids, got {e!r}") from None
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if u not in up or v not in up:

@@ -1,5 +1,5 @@
-"""Budgeted recursive recognizers for contractibility, spheres, balls and
-manifolds.
+"""Budgeted recursive recognizers for contractibility, spheres, balls,
+manifolds and Dehn-Sommerville spaces.
 
 The definitions are mutually recursive in the dimension: the void complex is
 the (-1)-sphere and the one-point complex is the smallest contractible
@@ -9,6 +9,12 @@ unit sphere a (d-1)-sphere, which the test checks on the unit spheres of the
 vertices alone (see "Vertex links suffice" below); a d-sphere is a
 d-manifold that some puncture makes contractible; a d-ball is recognized as
 a contractible d-manifold with boundary whose boundary is a (d-1)-sphere.
+The manifold-with-boundary step asks, for every simplex x, whether S(x) is a
+(d-1)-sphere and, if not, whether it is a (d-1)-ball; it returns the
+simplices of the second kind, the boundary, so nothing walks the unit
+spheres again to find it.  A Dehn-Sommerville d-space has Euler
+characteristic 1 + (-1)^d and every unit sphere a Dehn-Sommerville
+(d-1)-space; the test reads the vertices' unit spheres alone, by (F) below.
 
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
@@ -20,8 +26,8 @@ spheres are read from these stars, never from a scan of g.  An index builds
 its stars the first time a body reads them, so a memo hit builds nothing,
 and the bodies that run on one sub-complex share its index because they are
 passed the same one: _sphere and its _manifold; _ball, its
-_manifold_with_boundary, its _contractible and its boundary scan; the
-_sphere and the _ball of one unit sphere.  The index of a vertex puncture
+_manifold_with_boundary and its _contractible; the _sphere and the _ball of
+one unit sphere.  The index of a vertex puncture
 p = g - U(v), which _contractible and the vertex candidates of _sphere
 recurse on, is derived from g's: v's star is dropped, the stars of the
 vertices of lk(v) keep their members without v, and every other star holds
@@ -43,10 +49,11 @@ canonicalization), so repeated sub-complexes are checked once per query.
 
 Vertex links suffice
 --------------------
-``_manifold(g, d)`` tests S(v) only for the vertices v of g; manifolds with
-boundary and Dehn-Sommerville spaces still test every simplex.  The vertex
-test gives the YES/NO of the test over every simplex, by the theorem (E)
-below, proved for the definitions this module implements.
+``_manifold(g, d)`` and ``_dehn_sommerville(g, d)`` test S(v) only for the
+vertices v of g; manifolds with boundary still test every simplex, whose
+classification is also the boundary.  The vertex test gives the YES/NO of
+the test over every simplex, by the theorems (E) and (F) below, proved for
+the definitions this module implements.
 
 Notation.  A complex is a finite set of nonempty finite sets (simplices)
 closed under nonempty subsets; the void complex is the empty set.  For x in
@@ -65,7 +72,11 @@ Definitions, as the code implements them:
   (-1)-sphere    the void complex;
   d-sphere       (d >= 0) a nonempty d-manifold G with some x in G whose
                  puncture G - U(x) is contractible;
-  d-manifold     (d >= 0) S(x) is a (d-1)-sphere for every x in G.
+  d-manifold     (d >= 0) S(x) is a (d-1)-sphere for every x in G;
+  DS_{-1}        the void complex alone;
+  DS_d           (d >= 0) the nonempty G with chi(G) = 1 + (-1)^d and
+                 S(x) in DS_{d-1} for every x in G, where
+                 chi(G) = sum of w(x) over x in G and w(x) = (-1)^(|x|-1).
 A sphere of dimension >= 0 is a manifold by definition.
 
 Two formulas.  (S) Write y in S(x) as a | b with a = y & x and b = y - x:
@@ -142,6 +153,44 @@ induction on d the two tests agree on every complex, and so do the balls
 and manifolds with boundary built on them.  The budgeted search may settle
 with fewer calls, so an UNKNOWN at some budget can become YES or NO, but no
 YES or NO changes.
+
+(F) Dehn-Sommerville spaces by vertex links.  The same steps, with the Euler
+characteristic in place of the puncture.
+  Join.  w(a | b) = -w(a) w(b) for disjoint a and b, as
+|a | b| - 1 = (|a| - 1) + (|b| - 1) + 1.  So
+chi(A * B) = chi(A) + chi(B) - chi(A) chi(B), that is
+1 - chi(A * B) = (1 - chi(A))(1 - chi(B)).
+  Boundary.  The nonempty subsets a of s have weights summing to 1, since
+the sum of (-1)^|a| over all subsets is 0; ds omits s, so
+chi(ds) = 1 - (-1)^(|s|-1) = 1 + (-1)^(|s|-2), which is 0 for a vertex.
+  (C') If d >= 0 and S(v) is in DS_{d-1} for every vertex v of G, then
+lk(x) is in DS_{d-|x|} for every x in G, so |x| <= d + 1.  Induction on |x|
+as in (C): lk(x) = S(x) for |x| = 1; for |x| >= 2 and w in x,
+L = lk(x - w) is in DS_{d-|x|+1} and holds {w}, so it is not void,
+d - |x| + 1 >= 0, and every unit sphere of L is in DS_{d-|x|}; by (A),
+lk(x) = S_L(w) is one of them.
+  (D') For p, q >= -1 the join of A in DS_p and B in DS_q is in
+DS_{p+q+1}, and ds is in DS_{|s|-2} for every simplex s.  Strong induction
+on the dimension n claimed, as in (D).  Join, n = -1: A and B are void, and
+so is A * B.  Join, n >= 0: say A is not void, so p >= 0 and A * B is not
+void.  Its characteristic: 1 - chi(A * B) = (-(-1)^p)(-(-1)^q) by the join
+formula, so chi(A * B) = 1 + (-1)^n.  Its unit spheres: for x = a | b,
+(C') and lk_A(empty) = A, lk_B(empty) = B put lk_A(a) in DS_{p-|a|} and
+lk_B(b) in DS_{q-|b|}, so |x| <= n + 1.  In
+S_{A*B}(x) = dx * (lk_A(a) * lk_B(b)) the inner join is in DS_{n-|x|} and
+dx in DS_{|x|-2}, by induction as both dimensions are below n, and so their
+join, of dimension n - 1, is in DS_{n-1}.  So A * B is in DS_n.  Boundary,
+n = -1: ds is void.  Boundary, n >= 0: ds is not void,
+chi(ds) = 1 + (-1)^n by the boundary formula, and
+S_{ds}(x) = dx * d(s - x), as in (D), is in DS_{n-1} by induction.  So ds is
+in DS_n.
+  Conclusion.  Let d >= 0, G be nonempty with chi(G) = 1 + (-1)^d, and S(v)
+be in DS_{d-1} for every vertex v.  For |x| >= 2, S(x) = dx * lk(x) with dx
+in DS_{|x|-2} by (D') and lk(x) in DS_{d-|x|} by (C'), so S(x) is in
+DS_{d-1} by (D'), and G is in DS_d; the converse is immediate.  The
+induction on d of (E) carries over word for word: the vertex-only test and
+the test over every simplex agree on every complex, and only the number of
+calls a query uses can change.
 """
 
 from __future__ import annotations
@@ -349,10 +398,10 @@ class _StarIndex:
         return tuple(joins)
 
 
-def _every_link(ctx: _Ctx, s: _StarIndex, members, d: int, test) -> tuple[Status, tuple]:
-    """YES when ``test(ctx, S(x), d - 1)`` is YES for every x in members, an
-    iterable of simplices of s.g."""
-    for xb in members:
+def _every_link(ctx: _Ctx, s: _StarIndex, d: int, test) -> tuple[Status, tuple]:
+    """YES when ``test(ctx, S(v), d - 1)`` is YES for every vertex v of s.g,
+    the leading members of size 1."""
+    for xb in takewhile(lambda b: not b & (b - 1), s.g):
         if test(ctx, _StarIndex(s.unit_sphere(xb)), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
@@ -387,51 +436,43 @@ def _sphere(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
 
 @_step(_nonnegative)
 def _manifold(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    # vertex unit spheres suffice, by (E) of the module docstring; the
-    # vertices are the leading members of size 1
-    vertices = takewhile(lambda b: not b & (b - 1), s.g)
-    return _every_link(ctx, s, vertices, d, _sphere)
-
-
-def _sphere_or_ball(ctx: _Ctx, h: _StarIndex, d: int) -> tuple[Status, tuple]:
-    if _sphere(ctx, h, d)[0] is YES or _ball(ctx, h, d)[0] is YES:
-        return YES, ()
-    return NO, ()
+    # vertex unit spheres suffice, by (E) of the module docstring
+    return _every_link(ctx, s, d, _sphere)
 
 
 @_step(_nonnegative)
 def _manifold_with_boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    return _every_link(ctx, s, s.g, d, _sphere_or_ball)
+    """YES with the boundary, the members whose unit sphere is a (d-1)-ball
+    and not a (d-1)-sphere, when every unit sphere is one or the other."""
+    boundary = []
+    for xb in s.g:
+        h = _StarIndex(s.unit_sphere(xb))
+        if _sphere(ctx, h, d - 1)[0] is YES:
+            continue
+        if _ball(ctx, h, d - 1)[0] is NO:
+            return NO, ()
+        boundary.append(xb)
+    return YES, tuple(boundary)
 
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
 def _ball(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    if _manifold_with_boundary(ctx, s, d)[0] is NO:
+    mb, boundary = _manifold_with_boundary(ctx, s, d)
+    if mb is NO:
         return NO, ()
     ct, cert = _contractible(ctx, s)
     if ct is NO:
         return NO, ()
-    sb, _ = _sphere(ctx, _StarIndex(_boundary_members(ctx, s, d)), d - 1)
+    sb, _ = _sphere(ctx, _StarIndex(boundary), d - 1)
     return sb, (cert if sb is YES else ())
-
-
-def _boundary_members(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[int, ...]:
-    """Simplices whose unit sphere is a (d-1)-ball; valid once s.g is a
-    certified manifold with boundary, where every unit sphere is a
-    (d-1)-sphere or a (d-1)-ball."""
-    out = []
-    for xb in s.g:
-        sph = _StarIndex(s.unit_sphere(xb))
-        if _sphere(ctx, sph, d - 1)[0] is NO and _ball(ctx, sph, d - 1)[0] is YES:
-            out.append(xb)
-    return tuple(out)
 
 
 @_step(_void_sphere)
 def _dehn_sommerville(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
     if sum(1 if b.bit_count() & 1 else -1 for b in s.g) != 1 + (-1) ** d:
         return NO, ()
-    return _every_link(ctx, s, s.g, d, _dehn_sommerville)
+    # vertex unit spheres suffice, by (F) of the module docstring
+    return _every_link(ctx, s, d, _dehn_sommerville)
 
 
 def _deep(fn, *args):
@@ -484,15 +525,8 @@ def is_manifold(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def is_manifold_with_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """YES when every unit sphere is a (d-1)-sphere or a (d-1)-ball."""
-    return _run(_manifold_with_boundary, g, d, budget=budget)
-
-
-def _boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[int, ...]:
-    if _manifold_with_boundary(ctx, s, d)[0] is NO:
-        raise DomainError(
-            "boundary extraction needs a manifold-with-boundary verdict of yes, got no"
-        )
-    return _boundary_members(ctx, s, d)
+    v = _run(_manifold_with_boundary, g, d, budget=budget)
+    return Verdict(v.status, (), v.calls_used)
 
 
 def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Complex:
@@ -501,17 +535,22 @@ def manifold_boundary(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Compl
     Requires g to be certified as a d-manifold with boundary first; the
     result is itself a (d-1)-manifold without boundary (possibly empty).
     """
-    try:
-        bd = _deep(_boundary, _Ctx(budget), _StarIndex(g.masks), d)
-    except _OutOfBudget:
-        raise DomainError("boundary classification ran out of budget") from None
-    return Complex._of_bits(bd)
+    v = _run(_manifold_with_boundary, g, d, budget=budget)
+    if v.is_unknown:
+        raise DomainError("boundary classification ran out of budget")
+    if v.is_no:
+        raise DomainError(
+            "boundary extraction needs a manifold-with-boundary verdict of yes, got no"
+        )
+    return Complex._of_bits(v.certificate)
 
 
 def is_dehn_sommerville(g: Complex, d: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """YES when chi(g) = 1 + (-1)^d and every unit sphere is recursively so.
 
-    The recursion is anchored at the void complex for d = -1.
+    The recursion is anchored at the void complex for d = -1.  Only the
+    vertices' unit spheres are tested, which suffices by (F) of the module
+    docstring.
     """
     if d < -1:
         raise InputError("dimension must be at least -1")

@@ -214,6 +214,13 @@ def ball_by_every_link(g, d):
     return _EveryLink().ball(g.masks, d)
 
 
+def dehn_sommerville_by_every_link(g, d):
+    """g is a Dehn-Sommerville d-space by the definition read literally:
+    void at d = -1; otherwise nonempty, chi(g) = 1 + (-1)^d, and the unit
+    sphere of every simplex a Dehn-Sommerville (d-1)-space; no budget."""
+    return _EveryLink().dehn_sommerville(g.masks, d)
+
+
 def _memoized(method):
     """One result per (method, member tuple, d) for the life of the instance."""
 
@@ -263,6 +270,13 @@ class _EveryLink:
         boundary = tuple(x for x, s in zip(g, _unit_spheres(g))
                          if not self.sphere(s, d - 1) and self.ball(s, d - 1))
         return self.sphere(boundary, d - 1)
+
+    @_memoized
+    def dehn_sommerville(self, g, d):
+        if d == -1:
+            return not g
+        return (bool(g) and sum(1 if b.bit_count() & 1 else -1 for b in g) == 1 + (-1) ** d
+                and all(self.dehn_sommerville(s, d - 1) for s in _unit_spheres(g)))
 
 
 def _unit_spheres(g):

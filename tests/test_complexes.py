@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,12 @@ class TestWhitney:
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             whitney([1, 2], [(1, 1)])
+
+    @pytest.mark.parametrize("edge", [frozenset({3}), (1, 2, 3), 3],
+                             ids=["one id", "three ids", "not a pair"])
+    def test_malformed_edge_rejected(self, edge):
+        with pytest.raises(InputError, match=re.escape(repr(edge))):
+            whitney([1, 2, 3], [(1, 2), edge])
 
     def test_against_brute_force_clique_oracle(self):
         # oracle: test every vertex subset for pairwise adjacency

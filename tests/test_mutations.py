@@ -7,9 +7,10 @@ import json
 import pytest
 
 import higherchar.characteristics as ch
+import higherchar.recognizers as rec
 from higherchar.cli import main
 from higherchar.files import save_complex
-from higherchar.generators import cross_polytope
+from higherchar.generators import cross_polytope, simplex_complex
 
 OCTA = cross_polytope(2)
 
@@ -65,3 +66,46 @@ def test_local_valuation_fails_at_exactly_the_unions_z(capsys, monkeypatch, tmp_
     d = json.loads(capsys.readouterr().out)
     assert rc == 1 and d["pass"] is False
     assert d["lhs"] == len(OCTA) ** k and d["rhs"] == d["lhs"] - ch._union_count(size, k)
+
+
+def _unit_sphere_without_its_last_member():
+    """Every unit sphere listed without its last member, a top member of it,
+    so the rest is still closed."""
+    unit_sphere = rec._StarIndex.unit_sphere
+
+    def wrong(self, xb):
+        return unit_sphere(self, xb)[:-1]
+
+    return rec._StarIndex, "unit_sphere", wrong
+
+
+def _boundary_without_its_last_member():
+    """The manifold-with-boundary step's boundary without its last member,
+    a top member of it, so the rest is still closed."""
+    step = rec._manifold_with_boundary
+
+    def wrong(ctx, s, d):
+        status, boundary = step(ctx, s, d)
+        return status, boundary[:-1]
+
+    return rec, "_manifold_with_boundary", wrong
+
+
+RECOGNIZER_COMPLEXES = {"cross_polytope(3)": cross_polytope(3),
+                        "simplex_complex(3)": simplex_complex(3)}
+
+
+@pytest.mark.parametrize("variant,what,name,d", [
+    (_unit_sphere_without_its_last_member, "dehn-sommerville", "cross_polytope(3)", 3),
+    (_unit_sphere_without_its_last_member, "sphere", "cross_polytope(3)", 3),
+    (_unit_sphere_without_its_last_member, "ball", "simplex_complex(3)", 2),
+    (_unit_sphere_without_its_last_member, "manifold-with-boundary", "simplex_complex(3)", 2),
+    (_boundary_without_its_last_member, "ball", "simplex_complex(3)", 2),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_recognizer_turns_to_no(capsys, monkeypatch, tmp_path, variant, what, name, d):
+    p = tmp_path / "g.facets"
+    save_complex(RECOGNIZER_COMPLEXES[name], p)
+    argv = ["recognize", str(p), "--what", what, "--d", str(d), "--json"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["verdict"] == "yes"
+    monkeypatch.setattr(*variant())
+    assert main(argv) == 1 and json.loads(capsys.readouterr().out)["verdict"] == "no"
