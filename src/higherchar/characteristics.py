@@ -169,13 +169,18 @@ def _star_weights(g: Complex) -> dict[int, int]:
     {v_1..v_i}.  y - v is a member, as g is closed, or the empty set for
     y = {v}, whose sum goes to a sink out[0] that is dropped.  A non-member
     needs no entry: no member contains it, so its sum stays 0 and adds
-    nothing.
+    nothing.  A member list that is not closed (``Complex._of_bits`` checks
+    nothing) lacks some y - v, which is refused with a ``DomainError``.
     """
     out = {y: 1 if y.bit_count() & 1 else -1 for y in g.member_bits}
     out[0] = 0
-    for v, ys in _vertex_stars(g.member_bits).items():
-        for y in ys:
-            out[y ^ v] += out[y]
+    try:
+        for v, ys in _vertex_stars(g.member_bits).items():
+            for y in ys:
+                out[y ^ v] += out[y]
+    except KeyError as exc:
+        raise DomainError(f"not closed under subsets: {Simplex.from_bits(exc.args[0])!r},"
+                          " a face of a member, is missing") from None
     del out[0]
     return out
 

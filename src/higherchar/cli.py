@@ -323,7 +323,9 @@ def cmd_matrix(args) -> int:
     g = load_complex(args.complex)
     which = args.which
     if which.startswith("charpoly") or which == "isospectral":
-        # Faddeev-LeVerrier: n products of n x n matrices, each n^3
+        # n^4 per polynomial is kept as the refusal rule (from 178 simplices,
+        # 150 for isospectral), though the modular Hessenberg route costs
+        # about n^3 per prime
         n = len(g)
         charge(f"{which} of {n} simplices", (2 if which == "isospectral" else 1) * n**4,
                ch.DEFAULT_OP_BUDGET)

@@ -487,6 +487,9 @@ def whitney(vertices: Iterable[int], edges: Iterable, *, simplex_budget: int | N
             u, v = e
         except (TypeError, ValueError):
             raise InputError(f"an edge is two vertex ids, got {e!r}") from None
+        if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) \
+                or isinstance(v, bool):
+            raise InputError(f"edge vertex ids must be integers, got {e!r}")
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         if u not in up or v not in up:

@@ -7,6 +7,17 @@ integers.  The only rational step is the final division of d * M^-1 by
 d = det M inside ``inverse``, and only when |d| != 1; nothing here ever
 rounds.
 
+The characteristic polynomial takes one modular route, exact and
+deterministic: the matrix is reduced to upper Hessenberg form modulo primes
+below 2^61 (each proven prime by Miller-Rabin with the first 12 primes as
+bases), the polynomial is read off the Hessenberg recurrence, and the
+residues are combined by the Chinese remainder theorem until the product of
+the primes is over twice the Hadamard bound on the coefficients (Cohen,
+GTM 138, 2.2).  The reduction is elimination by elementary similarities in
+its direct, column by column form, O(n^3) word-size work per prime, in
+which every multiply-add is part of a dot product and the matrix itself is
+read through the nonzeros of its rows.
+
 Rank runs a sparse fraction-free elimination over rows stored as dicts
 (column -> nonzero entry); it prefers unit pivots and divides each reduced
 row by the gcd of its entries.
@@ -33,7 +44,8 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from math import gcd
+from math import comb, gcd, isqrt
+from operator import mul
 
 from . import characteristics
 from .complexes import Complex, _vertex_stars
@@ -337,30 +349,168 @@ def inverse(mat) -> list[list[int]] | list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row in inv]
 
 
+# Miller-Rabin with the first 12 primes as bases is exact for every q below
+# 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86, 2017), so for every
+# candidate below 2^61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(q: int) -> bool:
+    for a in _MR_BASES:
+        if q % a == 0:
+            return q == a
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^61, from 2^61 - 1 down."""
+    q = (1 << 61) - 1
+    while True:
+        if _is_prime(q):
+            yield q
+        q -= 2
+
+
+def _hadamard_bound(mat) -> int:
+    """B with |c_k| <= B for every coefficient of the characteristic
+    polynomial of the integer matrix ``mat``: c_k is, up to sign, the sum of
+    the C(n, k) principal k x k minors, and by Hadamard each is at most the
+    product of its k row norms, so at most the product of the k largest row
+    norms of ``mat``.  The norms are square roots rounded up, in integers."""
+    norms = []
+    for row in mat:
+        s = sum(x * x for x in row)
+        r = isqrt(s)
+        norms.append(r + (r * r < s))
+    norms.sort(reverse=True)
+    n, bound, prod = len(norms), 1, 1
+    for k, r in enumerate(norms, 1):
+        prod *= r
+        bound = max(bound, comb(n, k) * prod)
+    return bound
+
+
+def _char_poly_mod(mat, p: int) -> list[int]:
+    """The characteristic polynomial of the nonempty square ``mat`` modulo
+    the prime p, ascending powers, with entries in [0, p).
+
+    An upper Hessenberg H similar to the matrix A is found by the direct
+    (column by column) form of elimination by elementary similarities:
+    A X = X H, where the columns x_0, x_1, ... of X are unit lower
+    triangular in a pivot order i_0, i_1, ... of the indices, that is
+    x_j[i_j] = 1 and x_j[i_k] = 0 for k < j, and x_0 is the unit vector at
+    i_0 = 0.  Column j of H comes from v = A x_j, each entry a dot product
+    over the nonzeros of a row of A.  H[k][j] for k <= j follows from
+    v[i_k] = sum over k' <= k of x_k'[i_k] H[k'][j], by forward
+    substitution, and w = v - sum over k <= j of H[k][j] x_k on the indices
+    not yet in the order.  The first of them with w != 0 becomes i_{j+1},
+    H[j+1][j] is its entry of w and x_{j+1} = w / H[j+1][j].  When w is
+    zero, H[j+1][j] = 0 and the first unordered index starts a new block,
+    x_{j+1} being the unit vector there.  Each entry of v, H and w is one
+    dot product, reduced once.
+
+    The polynomial p_m of the leading m x m block of H then follows from
+    those of the smaller blocks: p_m = (x - H[m-1][m-1]) p_{m-1} - sum over
+    j < m - 1 of H[j][m-1] * (H[j+1][j] ... H[m-1][m-2]) * p_j.
+    """
+    n = len(mat)
+    rows = []
+    for row in mat:
+        row = [a % p for a in row]
+        rows.append((list(compress(range(n), row)), list(compress(row, row))))
+    # xs[i] lists x_0[i], x_1[i], ... up to the column that puts i in order
+    xs = [[1]] + [[0] for _ in range(1, n)]
+    order, rest = [0], list(range(1, n))
+    x = [1] + [0] * (n - 1)
+    hcols, sub = [], []
+    while True:
+        get = x.__getitem__
+        v = [sum(map(mul, vals, map(get, cols))) for cols, vals in rows]
+        hcol: list[int] = []
+        for i in order:
+            hcol.append((v[i] - sum(map(mul, xs[i], hcol))) % p)
+        hcols.append(hcol)
+        if not rest:
+            break
+        w = [(v[i] - sum(map(mul, xs[i], hcol))) % p for i in rest]
+        at = next((at for at, wr in enumerate(w) if wr), None)
+        x = [0] * n
+        if at is None:
+            sub.append(0)
+            i = rest.pop(0)
+            for r in rest:
+                xs[r].append(0)
+        else:
+            piv = w.pop(at)
+            i = rest.pop(at)
+            sub.append(piv)
+            inv = pow(piv, -1, p)
+            for r, wr in zip(rest, w):
+                x[r] = xr = wr * inv % p
+                xs[r].append(xr)
+        x[i] = 1
+        xs[i].append(1)
+        order.append(i)
+    # cols[k] lists coefficient k of p_k, p_{k+1}, ..., so the sum over j
+    # for coefficient k is one dot product with the scalars from j = k on
+    cols: list[list[int]] = [[1]]
+    poly = [1]
+    for m, hcol in enumerate(hcols, 1):
+        scal = [0] * m
+        t = 1
+        for j in range(m - 1, -1, -1):
+            scal[j] = hcol[j] * t % p
+            if not j:
+                break
+            t = t * sub[j - 1] % p
+            if not t:
+                break
+        poly = [((poly[k - 1] if k else 0) - sum(map(mul, cols[k], scal[k:]))) % p
+                for k in range(m)] + [1]
+        for col, c in zip(cols, poly):
+            col.append(c)
+        cols.append([1])
+    return poly
+
+
 def char_poly(mat) -> list[int]:
     """Coefficients of det(lambda*I - M), descending powers, leading 1.
 
-    Faddeev-LeVerrier recurrence; the trace divisions are exact over the
-    integers and asserted so.
+    Exact and deterministic for every square integer matrix: the polynomial
+    is computed modulo primes below 2^61 (``_char_poly_mod``) until their
+    product is over 2B + 1, B the Hadamard bound of ``_hadamard_bound``;
+    the residues are combined by the Chinese remainder theorem and each
+    coefficient is lifted to the symmetric range, where it is the only
+    value of absolute value at most B.
     """
     n = _check_square(mat)
     _check_size(n)
-    coeffs = [1]
+    _check_integer(mat)
     if n == 0:
-        return coeffs
-    mk = [list(row) for row in mat]
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace division was not exact")
-        c = -(tr // k)
-        coeffs.append(c)
-        if k == n:
+        return [1]
+    limit = 2 * _hadamard_bound(mat) + 1
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in _primes():
+        inv = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((y - x) * inv % p)
+                  for x, y in zip(coeffs, reversed(_char_poly_mod(mat, p)))]
+        modulus *= p
+        if modulus > limit:
             break
-        for i in range(n):
-            mk[i][i] += c
-        mk = mat_mul(mat, mk)
-    return coeffs
+    half = modulus >> 1
+    return [x - modulus if x > half else x for x in coeffs]
 
 
 def _sparse_rank(rows: list[dict[int, int]]) -> int:

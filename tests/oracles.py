@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 from higherchar import characteristics
 from higherchar.cohomology import incidence_sign
 from higherchar.complexes import Simplex
+from higherchar.linalg import mat_mul
 from higherchar.topology import OpenSet, configuration
 
 
@@ -59,6 +60,27 @@ def face_passes_by_scan(g):
         if pairs:
             out[v] = pairs
     return out
+
+
+def char_poly_by_faddeev_leverrier(mat):
+    """Coefficients of det(lambda*I - M), descending powers, leading 1, by
+    the Faddeev-LeVerrier recurrence over the integers: M_1 = M and
+    c_k = -tr(M_k) / k, M_{k+1} = M (M_k + c_k I).  Each trace division is
+    exact and asserted so."""
+    n = len(mat)
+    coeffs = [1]
+    mk = [list(row) for row in mat]
+    for k in range(1, n + 1):
+        tr = sum(mk[i][i] for i in range(n))
+        assert tr % k == 0, "Faddeev-LeVerrier trace division was not exact"
+        c = -(tr // k)
+        coeffs.append(c)
+        if k == n:
+            break
+        for i in range(n):
+            mk[i][i] += c
+        mk = mat_mul(mat, mk)
+    return coeffs
 
 
 def canonical_key(s):

@@ -171,6 +171,13 @@ class TestStarWeights:
         assert _star_weights(Complex.empty()) == {}
         assert _star_weights(closure([[4]])) == {1 << 4: 1}
 
+    @pytest.mark.parametrize("masks", [[0b1, 0b10, 0b111], [0b1, 0b11], [0b11]],
+                             ids=["edges missing", "vertex missing", "no vertices"])
+    def test_non_closed_member_list_refused(self, masks):
+        # Complex._of_bits checks nothing; the pass meets the missing face
+        with pytest.raises(DomainError, match="not closed"):
+            w_m(Complex._of_bits(masks), 2)
+
 
 class TestFaceTermTables:
     """The cached per-complex tables against w_m_naive of U(z), B(z) and S(z)

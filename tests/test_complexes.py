@@ -192,6 +192,13 @@ class TestWhitney:
         with pytest.raises(InputError, match=re.escape(repr(edge))):
             whitney([1, 2, 3], [(1, 2), edge])
 
+    @pytest.mark.parametrize("edge", [(1.0, 2), (True, 2), (1, 2.0)],
+                             ids=["float first", "bool first", "float second"])
+    def test_non_integer_edge_id_rejected(self, edge):
+        # 1.0 and True hash like the vertex 1, and 2.0 cannot be shifted
+        with pytest.raises(InputError, match=re.escape(repr(edge))):
+            whitney([1, 2, 3], [(2, 3), edge])
+
     def test_against_brute_force_clique_oracle(self):
         # oracle: test every vertex subset for pairwise adjacency
         edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5), (1, 5)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from higherchar.characteristics import fermi
 from higherchar.complexes import Complex
 from higherchar.errors import DomainError, ResourceBudgetError, SingularMatrixError
-from higherchar.generators import simplex_complex
+from higherchar.generators import cross_polytope, random_whitney, simplex_complex
 from higherchar.linalg import (
     MAX_DENSE_SIZE,
     _connection_rows,
@@ -31,7 +31,7 @@ from higherchar.linalg import (
     rank,
 )
 
-from oracles import face_passes_by_scan
+from oracles import char_poly_by_faddeev_leverrier, face_passes_by_scan
 from strategies import random_complexes
 
 K2_L = [[1, 0, 1], [0, 1, 1], [1, 1, 1]]
@@ -159,6 +159,49 @@ class TestCharPoly:
         pg = char_poly(green_matrix(k2))
         assert pl != pg
         assert pl == list(reversed(pg))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of order 0..10, not symmetric in general,
+    with entries of either sign up to 10^40 in size, where the CRT needs up
+    to 23 primes; some are made singular by a repeated row, and some have a
+    first column that is zero below the diagonal, where the first pivot
+    search finds nothing."""
+    n = draw(st.integers(0, 10))
+    size = draw(st.sampled_from([1, 10**4, 10**40]))
+    entry = st.integers(-size, size)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["any", "singular", "no first pivot"]))
+    if shape == "singular" and n >= 2:
+        mat[-1] = list(mat[draw(st.integers(0, n - 2))])
+    elif shape == "no first pivot":
+        for row in mat[1:]:
+            row[0] = 0
+    return mat
+
+
+class TestCharPolyAgainstFaddeevLeVerrier:
+    @given(integer_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_random_integer_matrices(self, mat):
+        assert char_poly(mat) == char_poly_by_faddeev_leverrier(mat)
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(DomainError):
+            char_poly([[1, 2], [3, 4.0]])
+
+    def test_zero_column_below_the_diagonal(self):
+        mat = [[5, -1, 2, 0], [0, 3, 1, 7], [0, -2, 0, 4], [0, 6, 1, -3]]
+        assert char_poly(mat) == char_poly_by_faddeev_leverrier(mat)
+
+    @pytest.mark.parametrize("g", [cross_polytope(2), cross_polytope(3),
+                                   *(random_whitney(12, 30, s) for s in range(1, 6))],
+                             ids=["cp2", "cp3", *(f"rw:12:30:{s}" for s in range(1, 6))])
+    @pytest.mark.parametrize("matrix", [connection_matrix, green_matrix], ids=["L", "g"])
+    def test_connection_and_green_matrices(self, g, matrix):
+        mat = matrix(g)
+        assert char_poly(mat) == char_poly_by_faddeev_leverrier(mat)
 
 
 class TestSizeCap:

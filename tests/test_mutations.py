@@ -1,12 +1,16 @@
 """Named wrong variants of the program, each applied with ``monkeypatch``:
 the CLI verdict of the suite that covers the patched code must turn to
-fail.  A check that passes on a wrong program shows nothing."""
+fail, or the value computed by the patched code must turn wrong.  A check
+that passes on a wrong program shows nothing."""
 
 import json
+from itertools import islice
+from math import isqrt
 
 import pytest
 
 import higherchar.characteristics as ch
+import higherchar.linalg as la
 import higherchar.recognizers as rec
 from higherchar.cli import main
 from higherchar.files import save_complex
@@ -109,3 +113,41 @@ def test_recognizer_turns_to_no(capsys, monkeypatch, tmp_path, variant, what, na
     assert main(argv) == 0 and json.loads(capsys.readouterr().out)["verdict"] == "yes"
     monkeypatch.setattr(*variant())
     assert main(argv) == 1 and json.loads(capsys.readouterr().out)["verdict"] == "no"
+
+
+def _bound_halved():
+    """The Hadamard bound halved, so the CRT may stop one prime early."""
+    bound = la._hadamard_bound
+
+    def wrong(mat):
+        return bound(mat) // 2
+
+    return la, "_hadamard_bound", wrong
+
+
+def test_char_poly_turns_wrong_one_prime_early(monkeypatch):
+    # a * H4, H4 the 4 x 4 Sylvester Hadamard matrix (H4^2 = 4I), has the
+    # polynomial x^4 - 8a^2 x^2 + 16a^4; its row norms are 2a, so its
+    # Hadamard bound is 16a^4, met by the constant term.  a is chosen with
+    # 16a^4 just under the product M of the first three primes: the CRT then
+    # needs a fourth prime, and with the bound halved it stops at M and
+    # lifts 16a^4 to 16a^4 - M.
+    m3 = 1
+    for p in islice(la._primes(), 3):
+        m3 *= p
+    a = isqrt(isqrt((m3 - 2) // 16))
+    h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    mat = [[a * x for x in row] for row in h4]
+    want = [1, 0, -8 * a * a, 0, 16 * a**4]
+    used = []
+    per_prime = la._char_poly_mod
+
+    def counted(mat, p):
+        used.append(p)
+        return per_prime(mat, p)
+
+    monkeypatch.setattr(la, "_char_poly_mod", counted)
+    assert la.char_poly(mat) == want and len(used) == 4
+    used.clear()
+    monkeypatch.setattr(*_bound_halved())
+    assert la.char_poly(mat) == want[:-1] + [16 * a**4 - m3] and len(used) == 3
