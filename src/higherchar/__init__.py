@@ -24,15 +24,12 @@ from .characteristics import (
     w_m_multi,
     w_m_naive,
 )
-from .cohomology import betti, betti_relative, coboundary, incidence_sign
+from .cohomology import betti, betti_relative, coboundary
 from .complexes import (
     Complex,
     Simplex,
     SimplexSubset,
-    boundary_set,
     closure,
-    f_vector,
-    is_complex,
     join,
     whitney,
 )
@@ -45,12 +42,7 @@ from .errors import (
 )
 from .generators import GeneratorSpec, generate
 from .linalg import char_poly, connection_matrix, det, green_matrix, inverse
-from .product import (
-    complex_from_ring,
-    ring_from_complex,
-    topological_product,
-    topological_product_via_ring,
-)
+from .product import topological_product
 from .recognizers import (
     Status,
     Verdict,
@@ -67,9 +59,6 @@ from .topology import (
     ball,
     barycentric,
     core,
-    dual_sphere,
-    generate_topology,
-    is_open,
     open_hull,
     open_refinement,
     sphere,

@@ -764,7 +764,10 @@ def local_valuation_sum(
     so c(s, 1) = 1 and c(s, 2) = 3^s - 2.  The other |G|^k - sum of c(|z|, k)
     configurations have a union outside G, where U, B and S are all empty;
     the check of the vertex set of G, which is outside G whenever this class
-    is nonempty, stands for them all.
+    is nonempty, stands for them all.  As that class takes whatever the
+    counts leave, a c(s, k) of 0 would hide the verdict of every z of size s;
+    each is at least 1 (the tuple (z, ..., z)), and a smaller one raises
+    ``ArithmeticError``.
 
     The cost is |G| + 1 checks at any k.  ``op_budget`` is still charged the
     |G|^k configurations, which bound the counts the report holds.
@@ -776,6 +779,8 @@ def local_valuation_sum(
     t0 = time.perf_counter()
     total = n**k
     c = [_union_count(s, k) for s in range(g.dim + 2)]
+    if min(c[1:], default=1) < 1:
+        raise ArithmeticError("a union count c(s, k) was below 1")
     counts = {z: c[z.bit_count()] for z in g.member_bits}
     outside = total - sum(counts.values())
     if outside:

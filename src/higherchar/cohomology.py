@@ -13,30 +13,16 @@ realized by some open set.
 
 from __future__ import annotations
 
-from .complexes import Complex, Simplex, SimplexSubset
+from .complexes import Complex, SimplexSubset
 from .errors import DomainError
 from .linalg import _sparse_rank
 
 __all__ = [
-    "incidence_sign",
     "coboundary",
     "betti",
     "betti_relative",
     "support_kind",
 ]
-
-
-def incidence_sign(y: Simplex, x: Simplex) -> int:
-    """0 unless x is a codimension-one face of y; else (-1)^p where p is the
-    position of the removed vertex within y's ascending vertex list."""
-    if len(y.vertices) != len(x.vertices) + 1:
-        return 0
-    if x.bits & y.bits != x.bits:
-        return 0
-    removed = y.bits ^ x.bits
-    v = removed.bit_length() - 1
-    p = y.vertices.index(v)
-    return -1 if p & 1 else 1
 
 
 def support_kind(a) -> str:

@@ -30,11 +30,8 @@ __all__ = [
     "bits_of",
     "vertices_of",
     "closure",
-    "boundary_set",
     "whitney",
-    "f_vector",
     "join",
-    "is_complex",
 ]
 
 
@@ -221,9 +218,6 @@ class Complex:
         except TypeError:
             return False
 
-    def contains_bits(self, bits: int) -> bool:
-        return bits in self.member_bits
-
     def __eq__(self, other):
         if isinstance(other, Complex):
             return self.member_bits == other.member_bits
@@ -242,6 +236,7 @@ class Complex:
 
     @property
     def f_vector(self) -> tuple[int, ...]:
+        """Simplex counts per dimension; empty for the empty complex."""
         counts = [0] * (self.dim + 1)
         for b in self.member_bits:
             counts[b.bit_count() - 1] += 1
@@ -339,17 +334,6 @@ def _missing_face(masks: Iterable[int], bs) -> tuple[int, int] | None:
                 return b, low.bit_length() - 1
             rest ^= low
     return None
-
-
-def is_complex(simplices: Iterable) -> bool:
-    """True iff the collection is closed under taking nonempty subsets."""
-    items = [_mask(s) for s in simplices]
-    return _missing_face(items, set(items)) is None
-
-
-def f_vector(g: Complex) -> tuple[int, ...]:
-    """Simplex counts per dimension; empty for the empty complex."""
-    return g.f_vector
 
 
 class SimplexSubset:
@@ -451,20 +435,10 @@ def _masks_of(a) -> Iterable[int]:
     return [*map(_mask, a)]
 
 
-def _members(a) -> tuple[Simplex, ...]:
-    """The members of a complex or a simplex subset, in canonical order."""
-    if isinstance(a, Complex):
-        return a.simplices
+def _members(a: SimplexSubset) -> tuple[Simplex, ...]:
+    """The members of a simplex subset, in canonical order."""
     mb = a.member_bits
     return tuple(s for s in a.ambient.simplices if s.bits in mb)
-
-
-def boundary_set(a) -> SimplexSubset:
-    """closure(A) minus A, the topological boundary of an arbitrary collection."""
-    masks = frozenset(_masks_of(a))
-    cl = _close(masks)
-    ambient = a.ambient if isinstance(a, SimplexSubset) else a if isinstance(a, Complex) else cl
-    return SimplexSubset._of_bits(ambient, cl.member_bits - masks)
 
 
 def whitney(vertices: Iterable[int], edges: Iterable, *, simplex_budget: int | None = None) -> Complex:

@@ -60,7 +60,6 @@ __all__ = [
     "inverse",
     "char_poly",
     "rank",
-    "identity_matrix",
     "mat_mul",
     "det_via_faces",
     "mat_mul_via_faces",
@@ -87,10 +86,6 @@ def _check_size(n: int) -> None:
 def _check_integer(rows) -> None:
     if not all(map(isinstance, chain.from_iterable(rows), repeat(int))):
         raise DomainError("exact elimination needs integer entries")
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b) -> list[list[int]]:

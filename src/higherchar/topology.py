@@ -3,18 +3,17 @@
 The stars U(x) = {y : x is a face of y} form the base of a non-Hausdorff
 topology on the set of simplices.  Closed sets are exactly the subcomplexes;
 an arbitrary union of stars is open, and ``open_hull`` builds one in a
-single pass over the complex.  Balls, spheres, dual spheres, topology
-generation and the refinement of complexes and open sets live here.
+single pass over the complex.  Balls, spheres and the refinement of
+complexes and open sets live here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .complexes import (Complex, Simplex, SimplexSubset, _close, _coerce_simplex, _vertex_mask,
                         closure)
-from .errors import DomainError, InputError, charge
+from .errors import DomainError, InputError
 from .product import POINT, topological_product
 
 __all__ = [
@@ -28,14 +27,9 @@ __all__ = [
     "ball",
     "sphere",
     "unit_sphere",
-    "dual_sphere",
-    "is_open",
-    "generate_topology",
     "barycentric",
     "open_refinement",
 ]
-
-DEFAULT_TOPOLOGY_BUDGET = 10**6
 
 
 class OpenSet(SimplexSubset):
@@ -141,51 +135,6 @@ def unit_sphere(g: Complex, xb: int) -> Complex:
     """
     members = g.member_bits
     return Complex._of_bits(b for b in members if b & xb != xb and b | xb in members)
-
-
-def dual_sphere(g: Complex, xs) -> Complex:
-    """Intersection of the unit spheres S(x_j) of the points of a configuration."""
-    spheres = (unit_sphere(g, x.bits).member_bits for x in configuration(g, xs))
-    return Complex._of_bits(frozenset.intersection(*spheres))
-
-
-def is_open(g: Complex, a) -> bool:
-    """True iff the sub-collection is upward closed in g."""
-    if isinstance(a, SimplexSubset) and a.ambient == g:
-        return a.is_open_set()
-    return SimplexSubset(g, a).is_open_set()
-
-
-def generate_topology(g: Complex, budget: int = DEFAULT_TOPOLOGY_BUDGET) -> tuple[OpenSet, ...]:
-    """Every open set of g: all unions of base stars, plus the empty set.
-
-    The lattice of open sets can grow exponentially; when more than ``budget``
-    sets have been found the enumeration aborts with a resource error that
-    carries the partial count.
-    """
-    base: list[frozenset[int]] = []
-    seen_base: set[frozenset[int]] = set()
-    for sb in g.masks:
-        st = frozenset(y for y in g.member_bits if sb & y == sb)
-        if st not in seen_base:
-            seen_base.add(st)
-            base.append(st)
-    found: set[frozenset[int]] = {frozenset()}
-    queue: deque[frozenset[int]] = deque([frozenset()])
-    for st in base:
-        if st not in found:
-            found.add(st)
-            queue.append(st)
-    while queue:
-        cur = queue.popleft()
-        for st in base:
-            u = cur | st
-            if u not in found:
-                found.add(u)
-                charge("topology enumeration", len(found), budget, "open sets", len(found))
-                queue.append(u)
-    ordered = sorted(found, key=lambda fs: (len(fs), sorted(fs)))
-    return tuple(OpenSet._of_bits(g, fs) for fs in ordered)
 
 
 def barycentric(g: Complex) -> Complex:

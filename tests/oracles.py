@@ -1,12 +1,37 @@
 """Literal reference paths that tests compare the library's fast paths against."""
 
-from itertools import combinations, permutations, product
+import math
+from collections import Counter, deque
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from higherchar import characteristics
-from higherchar.cohomology import incidence_sign
-from higherchar.complexes import Simplex
+from higherchar.complexes import Complex, Simplex
+from higherchar.errors import charge
 from higherchar.linalg import mat_mul
-from higherchar.topology import OpenSet, configuration
+from higherchar.topology import OpenSet, configuration, unit_sphere
+
+DEFAULT_TOPOLOGY_BUDGET = 10**6
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def is_complex(simplices):
+    """True iff the collection is closed under taking nonempty subsets: every
+    face of a member with one vertex removed is a member."""
+    members = {frozenset(s) for s in simplices}
+    return all(s - {v} in members for s in members if len(s) > 1 for v in s)
+
+
+def incidence_sign(y, x):
+    """0 unless the Simplex x is a codimension-one face of the Simplex y; else
+    (-1)^p where p is the position of the removed vertex within y's
+    ascending vertex list."""
+    if len(y.vertices) != len(x.vertices) + 1 or not x.is_face_of(y):
+        return 0
+    (v,) = set(y.vertices) - set(x.vertices)
+    return -1 if y.vertices.index(v) & 1 else 1
 
 
 def star_intersection_by_scan(g, xs):
@@ -16,6 +41,50 @@ def star_intersection_by_scan(g, xs):
         s = frozenset(y for y in g.simplices if x.is_face_of(y))
         members = s if members is None else members & s
     return OpenSet(g, members)
+
+
+def dual_sphere(g, xs):
+    """D(X): the intersection of the unit spheres S(x_j) of the points of a
+    configuration."""
+    spheres = (unit_sphere(g, x.bits).member_bits for x in configuration(g, xs))
+    return Complex._of_bits(frozenset.intersection(*spheres))
+
+
+def dual_sphere_total_by_walk(sph, ws, m, k):
+    """The exchanged dual-sphere sum over the sets ``sph`` with weights
+    ``ws``: every multiset of k set indices, the w_m of the intersection of
+    its sets, times the weight and k!/prod(c!)."""
+    total = 0
+    for combo in combinations_with_replacement(range(len(sph)), k):
+        inter = frozenset(sph[combo[0]]).intersection(*(sph[i] for i in combo[1:]))
+        if not inter:
+            continue
+        mult = math.factorial(k)
+        for c in Counter(combo).values():
+            mult //= math.factorial(c)
+        w = math.prod(ws[i] for i in combo)
+        total += mult * w * characteristics._eval_terms(characteristics._face_terms_of(inter), m)
+    return total
+
+
+def generate_topology(g, budget=DEFAULT_TOPOLOGY_BUDGET):
+    """Every open set of g, as OpenSets ordered by size and members: all
+    unions of base stars, plus the empty set, found breadth first.  Past
+    ``budget`` open sets the enumeration is refused by ``charge``."""
+    base = list(dict.fromkeys(frozenset(y for y in g.member_bits if sb & y == sb)
+                              for sb in g.masks))
+    found = {frozenset(), *base}
+    queue = deque([frozenset(), *base])
+    while queue:
+        cur = queue.popleft()
+        for st in base:
+            u = cur | st
+            if u not in found:
+                found.add(u)
+                charge("topology enumeration", len(found), budget, "open sets", len(found))
+                queue.append(u)
+    ordered = sorted(found, key=lambda fs: (len(fs), sorted(fs)))
+    return tuple(OpenSet._of_bits(g, fs) for fs in ordered)
 
 
 def unit_sphere_by_scan(g, members, xb):

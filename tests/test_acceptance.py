@@ -32,7 +32,6 @@ from higherchar.linalg import (
     connection_matrix,
     det,
     green_matrix,
-    identity_matrix,
     mat_mul,
 )
 from higherchar.product import topological_product
@@ -53,7 +52,7 @@ from higherchar.topology import (
     star_intersection,
 )
 
-from oracles import refinement_by_flags
+from oracles import identity_matrix, refinement_by_flags
 
 N_CORPUS = 50
 BUDGET = 10**6
@@ -158,7 +157,7 @@ def test_acceptance_05_local_valuation(corpus):
             reps.setdefault(x.bits, (x,))
         for X in itertools.product(g.simplices, repeat=2):
             u = X[0].bits | X[1].bits
-            key = u if g.contains_bits(u) else None
+            key = u if u in g.member_bits else None
             reps.setdefault(key, X)
         for X in reps.values():
             for m in (1, 2, 3):

@@ -23,7 +23,8 @@ from higherchar.complexes import Complex, Simplex, closure
 from higherchar.errors import ResourceBudgetError, charge, charge_tuples
 from higherchar.files import save_complex
 from higherchar.generators import cross_polytope, path3, random_whitney
-from higherchar.topology import generate_topology
+
+from oracles import generate_topology
 
 MESSAGE = re.compile(r"^.+ would cost \d+ \S.*, over the budget -?\d+$")
 

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -50,6 +49,8 @@ from higherchar.topology import ball, barycentric, star, unit_sphere
 
 from oracles import (
     configuration_sum_by_walk,
+    dual_sphere,
+    dual_sphere_total_by_walk,
     local_valuation_by_walk,
     star_intersection_by_scan,
     star_weights_by_subsets,
@@ -386,22 +387,6 @@ class TestSphereSum:
             assert sphere_sum(octa, m, k).rhs == walk
 
 
-def _dual_sphere_walk(sph, ws, m, k):
-    """Oracle for _dual_sphere_total: every multiset of k sphere indices, the
-    w_m of the intersection of its sets, times the weight and k!/prod(c!)."""
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(len(sph)), k):
-        inter = frozenset(sph[combo[0]]).intersection(*(sph[i] for i in combo[1:]))
-        if not inter:
-            continue
-        mult = math.factorial(k)
-        for c in Counter(combo).values():
-            mult //= math.factorial(c)
-        w = math.prod(ws[i] for i in combo)
-        total += mult * w * _eval_terms(_face_terms_of(inter), m)
-    return total
-
-
 class TestDualSphereSum:
     def test_k1_identical_to_sphere_sum(self, small_corpus):
         for g in small_corpus:
@@ -413,7 +398,7 @@ class TestDualSphereSum:
         assert dual_sphere_sum(octa, 1, 2).passed
 
     def test_brute_force_oracle(self, p3, c4):
-        from higherchar.topology import config_weight, dual_sphere
+        from higherchar.topology import config_weight
 
         for g in (p3, c4):
             for m, k in [(1, 2), (2, 2), (1, 3)]:
@@ -429,7 +414,7 @@ class TestDualSphereSum:
         ws = [s.weight for s in g.simplices]
         for m in (1, 2, 3):
             for k in (1, 2, 3):
-                assert dual_sphere_sum(g, m, k).rhs == _dual_sphere_walk(sph, ws, m, k)
+                assert dual_sphere_sum(g, m, k).rhs == dual_sphere_total_by_walk(sph, ws, m, k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corrupted_spheres(self, seed):
@@ -440,7 +425,7 @@ class TestDualSphereSum:
         ws = [s.weight for s in g.simplices]
         for m in (1, 2, 3):
             for k in (2, 3):
-                total = _dual_sphere_walk(sph, ws, m, k)
+                total = dual_sphere_total_by_walk(sph, ws, m, k)
                 assert total != 0, (m, k)
                 assert _dual_sphere_total(sph, ws, m, k) == total
 
@@ -461,7 +446,7 @@ class TestDualSphereSum:
         sph = _sphere_sets(g)
         ws = [s.weight for s in g.simplices]
         for m in (5000, 5001):
-            assert dual_sphere_sum(g, m, 2).rhs == _dual_sphere_walk(sph, ws, m, 2) == 0
+            assert dual_sphere_sum(g, m, 2).rhs == dual_sphere_total_by_walk(sph, ws, m, 2) == 0
 
     def test_huge_m_without_covered_simplices(self):
         # a point has an empty unit sphere, so L = 0 and the walk has nothing
@@ -658,7 +643,7 @@ class TestMulti:
             for x in sorted(slots[0].members):
                 for y in sorted(slots[1].members):
                     z = x.bits & y.bits
-                    if z and c4.contains_bits(z):
+                    if z in c4.member_bits:
                         expected += x.weight * y.weight
             assert w_m_multi(slots) == expected
 

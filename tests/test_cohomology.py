@@ -7,7 +7,6 @@ from higherchar.cohomology import (
     betti,
     betti_relative,
     coboundary,
-    incidence_sign,
     support_kind,
 )
 from higherchar.complexes import Complex, Simplex, SimplexSubset
@@ -16,7 +15,7 @@ from higherchar.files import parse_complex
 from higherchar.linalg import rank
 from higherchar.topology import OpenSet, core
 
-from oracles import coboundary_by_incidence
+from oracles import coboundary_by_incidence, incidence_sign
 from strategies import random_complexes
 
 

@@ -9,10 +9,7 @@ from higherchar.complexes import (
     Complex,
     Simplex,
     SimplexSubset,
-    boundary_set,
     closure,
-    f_vector,
-    is_complex,
     join,
     whitney,
     _join_bits,
@@ -31,6 +28,7 @@ from oracles import (
     cliques_by_search,
     closure_by_simplices,
     facets_text_by_simplices,
+    is_complex,
     join_by_pairs,
     product_by_chains,
     refinement_by_flags,
@@ -147,13 +145,13 @@ class TestComplex:
 
 class TestFVector:
     def test_octahedron(self):
-        assert f_vector(cross_polytope(2)) == (6, 12, 8)
+        assert cross_polytope(2).f_vector == (6, 12, 8)
 
     def test_k2(self):
-        assert f_vector(closure([{1, 2}])) == (2, 1)
+        assert closure([{1, 2}]).f_vector == (2, 1)
 
     def test_c4(self):
-        assert f_vector(cycle(4)) == (4, 4)
+        assert cycle(4).f_vector == (4, 4)
 
     @given(random_complexes())
     @settings(max_examples=100, deadline=None)
@@ -275,24 +273,6 @@ class TestJoin:
         b = Complex([[3], [4]])
         c = Complex([[5], [6]])
         assert join(join(a, b), c) == join(a, join(b, c))
-
-
-class TestBoundarySet:
-    def test_edge(self):
-        b = boundary_set([Simplex([1, 2])])
-        assert sorted(s.vertices for s in b.members) == [(1,), (2,)]
-
-    def test_closed_has_empty_boundary(self):
-        g = closure([{1, 2, 3}])
-        assert len(boundary_set(g)) == 0
-
-    def test_star_boundary_in_cycle(self):
-        from higherchar.topology import star
-
-        g = cycle(4)
-        u = star(g, {1})
-        b = boundary_set(u)
-        assert sorted(s.vertices for s in b.members) == [(2,), (4,)]
 
 
 class TestSimplexSubset:

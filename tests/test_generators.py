@@ -1,7 +1,6 @@
 import pytest
 
 from higherchar.characteristics import w_m
-from higherchar.complexes import is_complex
 from higherchar.errors import InputError, ResourceBudgetError
 from higherchar.files import MAX_SIMPLICES, format_facets
 from higherchar.generators import (
@@ -17,6 +16,8 @@ from higherchar.generators import (
     star_complex,
 )
 from higherchar.recognizers import is_sphere
+
+from oracles import is_complex
 
 
 class TestKinds:

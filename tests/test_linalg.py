@@ -24,14 +24,13 @@ from higherchar.linalg import (
     det,
     det_via_faces,
     green_matrix,
-    identity_matrix,
     inverse,
     mat_mul,
     mat_mul_via_faces,
     rank,
 )
 
-from oracles import char_poly_by_faddeev_leverrier, face_passes_by_scan
+from oracles import char_poly_by_faddeev_leverrier, face_passes_by_scan, identity_matrix
 from strategies import random_complexes
 
 K2_L = [[1, 0, 1], [0, 1, 1], [1, 1, 1]]

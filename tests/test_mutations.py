@@ -1,22 +1,48 @@
 """Named wrong variants of the program, each applied with ``monkeypatch``:
 the CLI verdict of the suite that covers the patched code must turn to
 fail, or the value computed by the patched code must turn wrong.  A check
-that passes on a wrong program shows nothing."""
+that passes on a wrong program shows nothing.
 
+A variant is a wrapper around the function it breaks or, where the wrong
+step sits inside a function body, the function recompiled with one source
+fragment replaced (``_edited``).  Where no CLI verdict sees a variant, its
+test names the oracle test that does."""
+
+import __future__
+import inspect
 import json
-from itertools import islice
+from itertools import islice, product
 from math import isqrt
 
 import pytest
 
 import higherchar.characteristics as ch
+import higherchar.cohomology as co
 import higherchar.linalg as la
 import higherchar.recognizers as rec
+import higherchar.topology as top
 from higherchar.cli import main
 from higherchar.files import save_complex
-from higherchar.generators import cross_polytope, simplex_complex
+from higherchar.generators import cross_polytope, random_whitney, simplex_complex
 
 OCTA = cross_polytope(2)
+
+
+def _edited(module, name, old, new):
+    """``module.name`` recompiled from its source with the one fragment
+    ``old`` replaced by ``new``, its globals a copy of the module's."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+    code = compile(source.replace(old, new), module.__file__, "exec",
+                   __future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return module, name, namespace[name]
+
+
+def _cli_json(capsys, argv):
+    rc = main(argv)
+    return rc, json.loads(capsys.readouterr().out)
 
 
 def _sphere_join_without_an_edge(z):
@@ -151,3 +177,138 @@ def test_char_poly_turns_wrong_one_prime_early(monkeypatch):
     used.clear()
     monkeypatch.setattr(*_bound_halved())
     assert la.char_poly(mat) == want[:-1] + [16 * a**4 - m3] and len(used) == 3
+
+
+def _union_count_zero_at(size):
+    """c(size, k) = 0: the configurations whose union has that size fall to
+    the outside class, whose verdict then stands for them."""
+    count = ch._union_count
+
+    def wrong(s, k):
+        return 0 if s == size else count(s, k)
+
+    return ch, "_union_count", wrong
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_zero_union_count_cannot_hide_a_failing_union(capsys, monkeypatch, tmp_path, k):
+    # the wrong sphere join alone fails c(2, k) configurations; with c(2, k)
+    # also 0 the outside class would take them and the suite would pass
+    # (26/26 at k = 1, 676/676 at k = 2), so a count below 1 is refused
+    p = tmp_path / "octa.facets"
+    save_complex(OCTA, p)
+    edge = next(b for b in OCTA.masks if b.bit_count() == 2)
+    argv = ["verify", "local-valuation", str(p), "-m", "2", "-k", str(k), "--json"]
+    monkeypatch.setattr(ch, *_sphere_join_without_an_edge(edge))
+    rc, d = _cli_json(capsys, argv)
+    assert rc == 1 and d["rhs"] == d["lhs"] - ch._union_count(2, k)
+    monkeypatch.setattr(*_union_count_zero_at(2))
+    with pytest.raises(ArithmeticError):
+        main(argv)
+
+
+def _union_count_plus_one_at(size):
+    count = ch._union_count
+
+    def wrong(s, k):
+        return count(s, k) + (s == size)
+
+    return ch, "_union_count", wrong
+
+
+def test_union_count_plus_one(monkeypatch):
+    # the outside class absorbs an over-count too, so every local-valuation
+    # verdict stands; TestLocalValuationSum.test_counts_and_outside_remainder_add_up
+    # sees it, and so does the count of the pairs whose union is a triangle
+    z = next(b for b in OCTA.masks if b.bit_count() == 3)
+    literal = sum(1 for x, y in product(OCTA.masks, repeat=2) if x | y == z)
+    assert ch._union_count(3, 2) == literal == 25
+    monkeypatch.setattr(*_union_count_plus_one_at(3))
+    assert ch._union_count(3, 2) != literal
+
+
+def _coboundary_sign_flipped_above_edges():
+    """The incidence sign of a removed vertex at ascending position p >= 2,
+    which only rows of triangles and up have, flipped."""
+    return _edited(co, "_coboundary", "row[j] = -1 if p & 1 else 1",
+                   "row[j] = -1 if (p & 1) != (p > 1) else 1")
+
+
+def test_coboundary_sign_flipped_above_edges(capsys, monkeypatch, tmp_path):
+    # test_acceptance_10 sees it too: d d is no longer 0
+    p = tmp_path / "rw.facets"
+    save_complex(random_whitney(12, 30, seed=1), p)
+    argv = ["betti", str(p), "--support", "all", "--json"]
+    assert _cli_json(capsys, argv) == (0, [1, 6, 0, 0])
+    monkeypatch.setattr(*_coboundary_sign_flipped_above_edges())
+    assert _cli_json(capsys, argv)[1] != [1, 6, 0, 0]
+
+
+def _face_passes_without_a_pair():
+    """The first face pass without its first pair (x, x minus v)."""
+    passes_of = la._face_passes
+
+    def wrong(g):
+        passes = passes_of(g)
+        i = next(i for i, pairs in enumerate(passes) if pairs)
+        passes[i] = passes[i][1:]
+        return passes
+
+    return la, "_face_passes", wrong
+
+
+def test_face_pass_without_a_pair(capsys, monkeypatch, tmp_path):
+    p = tmp_path / "octa.facets"
+    save_complex(OCTA, p)
+    argv = ["verify", "green-inverse", str(p), "--json"]
+    assert _cli_json(capsys, argv)[0] == 0
+    monkeypatch.setattr(*_face_passes_without_a_pair())
+    rc, d = _cli_json(capsys, argv)
+    assert rc == 1 and d["pass"] is False
+
+
+def _sparse_eliminate_without_its_scalings():
+    """The determinant factor s = contents / scalings returned as contents."""
+    return _edited(la, "_sparse_eliminate", "Fraction(contents, scalings)", "Fraction(contents)")
+
+
+def test_sparse_eliminate_without_its_scalings(monkeypatch):
+    # L and g reduce to unit pivots, so no CLI verdict sees it;
+    # TestFaceRoutes.test_det_of_any_integer_matrix_is_bareiss does, and so
+    # does a pivot that does not divide the entry below it
+    k2 = simplex_complex(2)
+    mat = [[2, 3, 0], [3, 2, 0], [0, 0, 1]]
+    assert la.det_via_faces(k2, mat) == la.det(mat) == -5
+    monkeypatch.setattr(*_sparse_eliminate_without_its_scalings())
+    assert la.det_via_faces(k2, mat) != -5
+
+
+def _unit_sphere_keeping_x():
+    return _edited(top, "unit_sphere", "b & xb != xb and", "(b & xb != xb or b == xb) and")
+
+
+def test_unit_sphere_keeping_x(monkeypatch):
+    # no CLI path reads topology.unit_sphere; test_acceptance_06 sees it in
+    # the local data of the manifolds, here w_1 of a vertex link of the
+    # octahedron, a 4-cycle
+    x = OCTA.simplices[0]
+    assert ch.w_m(top.sphere(OCTA, [x]), 1) == 0
+    monkeypatch.setattr(*_unit_sphere_keeping_x())
+    assert ch.w_m(top.sphere(OCTA, [x]), 1) != 0
+
+
+def _dual_sphere_multiplicity_without_its_run_factor():
+    """The multiplicity of a nondecreasing m-tuple without the factor
+    m / (m - j) for the run that closes it."""
+    return _edited(ch, "_dual_sphere_total", "ways * m // (m - j)", "ways")
+
+
+def test_dual_sphere_multiplicity_without_its_run_factor(monkeypatch):
+    # the dual-sphere suite still reads 0 on the octahedron, so no CLI
+    # verdict sees it; TestDualSphereSum.test_corrupted_spheres does, and so
+    # does one closed edge: with a single set of weight 1 the k = 2 sum is
+    # w_2 of that edge, -1
+    edge = [0b01, 0b10, 0b11]
+    assert ch._dual_sphere_total([edge], [1], 2, 2) == -1
+    monkeypatch.setattr(*_dual_sphere_multiplicity_without_its_run_factor())
+    assert ch._dual_sphere_total([edge], [1], 2, 2) != -1

@@ -5,18 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higherchar.characteristics import w_m
-from higherchar.complexes import SimplexSubset, closure, is_complex
+from higherchar.complexes import SimplexSubset, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.topology import (
-    DEFAULT_TOPOLOGY_BUDGET,
     OpenSet,
     ball,
     barycentric,
     configuration,
     core,
-    dual_sphere,
-    generate_topology,
-    is_open,
     open_hull,
     open_refinement,
     sphere,
@@ -24,7 +20,13 @@ from higherchar.topology import (
     star_intersection,
 )
 
-from oracles import star_intersection_by_scan
+from oracles import (
+    DEFAULT_TOPOLOGY_BUDGET,
+    dual_sphere,
+    generate_topology,
+    is_complex,
+    star_intersection_by_scan,
+)
 from strategies import random_complexes
 
 
@@ -142,7 +144,7 @@ class TestBallSphere:
         for x in g.simplices:
             assert is_complex(sphere(g, [x]).simplices)
             assert is_complex(ball(g, [x]).simplices)
-            assert is_open(g, star(g, x))
+            assert star(g, x).is_open_set()
 
 
 class TestDualSphere:
@@ -162,15 +164,15 @@ class TestDualSphere:
 
 class TestIsOpen:
     def test_star_open(self, c4):
-        assert is_open(c4, star(c4, {1}))
+        assert star(c4, {1}).is_open_set()
 
     def test_core_not_open(self, p3):
         # the core of a positive-dimensional simplex is not open once the
         # ambient complex extends past it
-        assert not is_open(p3, SimplexSubset(p3, core(p3, {1, 2}).simplices))
+        assert not SimplexSubset(p3, core(p3, {1, 2}).simplices).is_open_set()
 
     def test_locally_maximal_singleton_open(self, k2):
-        assert is_open(k2, SimplexSubset(k2, [{1, 2}]))
+        assert SimplexSubset(k2, [{1, 2}]).is_open_set()
 
     def test_openset_constructor_validates(self, k2):
         with pytest.raises(DomainError):
