@@ -13,7 +13,7 @@ realized by some open set.
 
 from __future__ import annotations
 
-from .complexes import Complex, SimplexSubset
+from .complexes import Complex, SimplexSubset, _mask_key
 from .errors import DomainError
 from .linalg import _sparse_rank
 
@@ -43,9 +43,8 @@ def _by_dim(support) -> list[list[int]]:
     order; levels below the lowest member are empty."""
     if isinstance(support, Complex):
         masks = support.masks
-    else:
-        mb = support.member_bits
-        masks = [b for b in support.ambient.masks if b in mb]
+    else:  # the ambient's order on the support's members alone: no ambient sort
+        masks = sorted(support.member_bits, key=_mask_key)
     out: list[list[int]] = []
     for b in masks:  # canonical order: by size, so b's level is the last one
         while len(out) < b.bit_count():

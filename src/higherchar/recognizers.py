@@ -15,6 +15,9 @@ simplices of the second kind, the boundary, so nothing walks the unit
 spheres again to find it.  A Dehn-Sommerville d-space has Euler
 characteristic 1 + (-1)^d and every unit sphere a Dehn-Sommerville
 (d-1)-space; the test reads the vertices' unit spheres alone, by (F) below.
+The Euler characteristic also refutes: a contractible complex and a ball have
+chi = 1 and a d-sphere has chi = 1 + (-1)^d, by (H) below, so those four
+tests answer NO on any other chi before they build a link or a puncture.
 
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
@@ -191,11 +194,31 @@ DS_{d-1} by (D'), and G is in DS_d; the converse is immediate.  The
 induction on d of (E) carries over word for word: the vertex-only test and
 the test over every simplex agree on every complex, and only the number of
 calls a query uses can change.
+
+(H) The Euler characteristic refutes.  For x in G,
+U(x) = {x | b : b in lk(x) or b empty}, and w(x | b) = -w(x) w(b) as in (F),
+so chi(G) = chi(G - U(x)) + w(x) (1 - chi(lk(x))); for a vertex this is
+chi(G) = chi(G - U(v)) + 1 - chi(S(v)), the Poincare-Hopf index of Knill,
+"A graph theoretical Poincare-Hopf theorem" (2012).
+  Contractible.  chi(G) = 1, by induction on |G|: a one-point complex has
+chi = 1, and if S(v) and G - U(v) are contractible, chi(G) = 1 + 1 - 1.
+  Sphere.  A d-sphere has chi = 1 + (-1)^d, by induction on d.  The void
+complex has chi = 0.  For d >= 0, G is a d-manifold and G - U(x) is
+contractible for some x in G.  By (C), lk(x) is a (d-|x|)-sphere, of
+dimension below d, so 1 - chi(lk(x)) = -(-1)^(d-|x|), and
+w(x) (1 - chi(lk(x))) = -(-1)^(|x|-1) (-1)^(d-|x|) = (-1)^d.  So
+chi(G) = 1 + (-1)^d.
+  A d-ball is contractible, so chi = 1, and DS_d has chi = 1 + (-1)^d by
+definition.  A complex with any other chi has no witness for the search of
+its body to find, which could only have answered NO.  So the body answers NO
+at once, and every sub-query answers as before or, where a spent budget
+ended it, NO: no YES, NO or certificate changes, only the number of calls.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
@@ -299,6 +322,19 @@ def _step(base):
 def _minus_star(g: tuple[int, ...], xb: int) -> tuple[int, ...]:
     """G minus U(x), a filter of g."""
     return tuple(s for s in g if s & xb != xb)
+
+
+def _chi_refutes(g: tuple[int, ...], chi: int) -> bool:
+    """True when the Euler characteristic of g is not chi, a NO by (H) of the
+    module docstring.  The sizes of a canonical tuple do not decrease, so
+    each level is found by bisection."""
+    total = lo = 0
+    k, n = 1, len(g)
+    while lo < n:
+        hi = bisect_left(g, k + 1, lo, key=int.bit_count)
+        total += hi - lo if k & 1 else lo - hi
+        lo, k = hi, k + 1
+    return total != chi
 
 
 def _void_sphere(g: tuple[int, ...], d: int):
@@ -409,6 +445,8 @@ def _every_link(ctx: _Ctx, s: _StarIndex, d: int, test) -> tuple[Status, tuple]:
 
 @_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
 def _contractible(ctx: _Ctx, s: _StarIndex) -> tuple[Status, tuple]:
+    if _chi_refutes(s.g, 1):
+        return NO, ()
     for vbit in s.vertices_by_star_size():
         if _contractible(ctx, _StarIndex(s.unit_sphere(vbit)))[0] is not YES:
             continue
@@ -420,7 +458,7 @@ def _contractible(ctx: _Ctx, s: _StarIndex) -> tuple[Status, tuple]:
 
 @_step(_void_sphere)
 def _sphere(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    if _manifold(ctx, s, d)[0] is NO:
+    if _chi_refutes(s.g, 1 + (-1) ** d) or _manifold(ctx, s, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
     g = s.g
@@ -457,6 +495,8 @@ def _manifold_with_boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, t
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
 def _ball(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+    if _chi_refutes(s.g, 1):
+        return NO, ()
     mb, boundary = _manifold_with_boundary(ctx, s, d)
     if mb is NO:
         return NO, ()
@@ -469,7 +509,7 @@ def _ball(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
 
 @_step(_void_sphere)
 def _dehn_sommerville(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    if sum(1 if b.bit_count() & 1 else -1 for b in s.g) != 1 + (-1) ** d:
+    if _chi_refutes(s.g, 1 + (-1) ** d):
         return NO, ()
     # vertex unit spheres suffice, by (F) of the module docstring
     return _every_link(ctx, s, d, _dehn_sommerville)

@@ -74,11 +74,11 @@ def star(g: Complex, x) -> OpenSet:
 def open_hull(g: Complex, xs) -> OpenSet:
     """The smallest open set holding every simplex of xs: the union of their stars.
 
-    One pass over g in canonical order, faces before cofaces: y is kept when it
-    is one of xs or when one of its codimension-one faces was kept.
+    One pass over g by size, faces before cofaces: y is kept when it is one of
+    xs or when one of its codimension-one faces was kept.
     """
     kept = {_require_member(g, x).bits for x in xs}
-    for yb in g.masks:
+    for yb in sorted(g.member_bits, key=int.bit_count):
         if yb in kept:
             continue
         rest = yb

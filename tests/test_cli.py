@@ -523,7 +523,8 @@ class TestRecognize:
         assert rc == 1
 
     def test_unknown_gives_exit_2(self, capsys, octa_file):
-        rc, out = run(capsys, ["recognize", octa_file, "--what", "contractible",
+        # chi = 2 passes the sphere test of dimension 2, whose search needs 23 calls
+        rc, out = run(capsys, ["recognize", octa_file, "--what", "sphere", "--d", "2",
                                "--budget", "2", "--json"])
         assert rc == 2
 

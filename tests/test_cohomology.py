@@ -97,7 +97,7 @@ class TestCoboundaryOracle:
         from higherchar.generators import SplitMix64
 
         u = random_open_set(g, SplitMix64(seed))
-        for support in (g, u):
+        for support in (g, u, u.complement()):
             for i in range(4):
                 assert coboundary(support, i) == coboundary_by_incidence(support, i)
 

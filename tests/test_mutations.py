@@ -121,6 +121,17 @@ def _boundary_without_its_last_member():
     return rec, "_manifold_with_boundary", wrong
 
 
+def _chi_target_of_the_other_parity():
+    """The chi check against 2 - chi: the target 1 of contractible and ball
+    stays, and a sphere's 1 + (-1)^d becomes 1 - (-1)^d."""
+    refutes = rec._chi_refutes
+
+    def wrong(g, chi):
+        return refutes(g, 2 - chi)
+
+    return rec, "_chi_refutes", wrong
+
+
 RECOGNIZER_COMPLEXES = {"cross_polytope(3)": cross_polytope(3),
                         "simplex_complex(3)": simplex_complex(3)}
 
@@ -131,6 +142,7 @@ RECOGNIZER_COMPLEXES = {"cross_polytope(3)": cross_polytope(3),
     (_unit_sphere_without_its_last_member, "ball", "simplex_complex(3)", 2),
     (_unit_sphere_without_its_last_member, "manifold-with-boundary", "simplex_complex(3)", 2),
     (_boundary_without_its_last_member, "ball", "simplex_complex(3)", 2),
+    (_chi_target_of_the_other_parity, "sphere", "cross_polytope(3)", 3),
 ], ids=lambda p: getattr(p, "__name__", None))
 def test_recognizer_turns_to_no(capsys, monkeypatch, tmp_path, variant, what, name, d):
     p = tmp_path / "g.facets"

@@ -67,7 +67,8 @@ class TestContractible:
         assert is_manifold(bowtie, 2).is_no
 
     def test_budget_exhaustion_unknown(self):
-        v = is_contractible(cross_polytope(2), budget=3)
+        # chi = 1 passes, and the search needs 10 calls
+        v = is_contractible(barycentric(simplex_complex(3)), budget=3)
         assert v.is_unknown
 
     def test_verdicts_stable_across_repeat_calls(self):
@@ -237,42 +238,43 @@ class TestSphereTheorems:
 
 # (complex, recognizer, status, certificate, calls_used) with d = dim of the
 # complex and the default budget.  The certificates and call counts pin the
-# search order and the memoization, not only the verdicts.
+# search order, the memoization and the refutations by chi, not only the
+# verdicts.
 PINNED = [
     # cross_polytope(2), d = 2
-    ("cross_polytope(2)", "is_contractible", "no", (), 7),
+    ("cross_polytope(2)", "is_contractible", "no", (), 1),
     ("cross_polytope(2)", "is_sphere", "yes", (1, 3, 5, 2, 4), 23),
-    ("cross_polytope(2)", "is_ball", "no", (), 102),
+    ("cross_polytope(2)", "is_ball", "no", (), 1),
     ("cross_polytope(2)", "is_manifold", "yes", (), 19),
     ("cross_polytope(2)", "is_manifold_with_boundary", "yes", (), 94),
     ("cross_polytope(2)", "is_dehn_sommerville", "yes", (), 7),
     # cross_polytope(3), d = 3
-    ("cross_polytope(3)", "is_contractible", "no", (), 15),
+    ("cross_polytope(3)", "is_contractible", "no", (), 1),
     ("cross_polytope(3)", "is_sphere", "yes", (1, 3, 5, 7, 2, 4, 6), 58),
-    ("cross_polytope(3)", "is_ball", "no", (), 536),
+    ("cross_polytope(3)", "is_ball", "no", (), 1),
     ("cross_polytope(3)", "is_manifold", "yes", (), 53),
     ("cross_polytope(3)", "is_manifold_with_boundary", "yes", (), 520),
     ("cross_polytope(3)", "is_dehn_sommerville", "yes", (), 15),
     # simplex_complex(3), d = 2
     ("simplex_complex(3)", "is_contractible", "yes", (1, 2), 2),
-    ("simplex_complex(3)", "is_sphere", "no", (), 6),
-    ("simplex_complex(3)", "is_ball", "yes", (1, 2), 53),
-    ("simplex_complex(3)", "is_manifold", "no", (), 5),
-    ("simplex_complex(3)", "is_manifold_with_boundary", "yes", (), 51),
+    ("simplex_complex(3)", "is_sphere", "no", (), 1),
+    ("simplex_complex(3)", "is_ball", "yes", (1, 2), 44),
+    ("simplex_complex(3)", "is_manifold", "no", (), 2),
+    ("simplex_complex(3)", "is_manifold_with_boundary", "yes", (), 42),
     ("simplex_complex(3)", "is_dehn_sommerville", "no", (), 1),
     # barycentric(cross_polytope(2)), d = 2
-    ("barycentric(cross_polytope(2))", "is_contractible", "no", (), 75),
+    ("barycentric(cross_polytope(2))", "is_contractible", "no", (), 1),
     ("barycentric(cross_polytope(2))", "is_sphere", "yes",
      (6, 18, 8, 14, 0, 7, 9, 19, 15, 2, 10, 20, 16, 4, 22, 12, 21, 17, 3, 24, 11, 1, 23, 5, 13),
-     306),
-    ("barycentric(cross_polytope(2))", "is_ball", "no", (), 773),
+     284),
+    ("barycentric(cross_polytope(2))", "is_ball", "no", (), 1),
     ("barycentric(cross_polytope(2))", "is_manifold", "yes", (), 233),
     ("barycentric(cross_polytope(2))", "is_manifold_with_boundary", "yes", (), 697),
     ("barycentric(cross_polytope(2))", "is_dehn_sommerville", "yes", (), 75),
     # the heavy recognizer queries of the benchmark's corpus workload
     # (cross_polytope(3), is_ball is pinned above)
     ("cross_polytope(4)", "is_sphere", "yes", (1, 3, 5, 7, 9, 2, 4, 6, 8), 137),
-    ("cross_polytope(4)", "is_contractible", "no", (), 31),
+    ("cross_polytope(4)", "is_contractible", "no", (), 1),
     ("barycentric(barycentric(cross_polytope(2)))", "is_sphere", "yes",
      (26, 98, 30, 74, 6, 42, 75, 99, 31, 114, 46, 115, 47, 102, 28, 78,
       8, 58, 79, 103, 32, 130, 62, 18, 90, 118, 44, 131, 63, 134, 60, 14,
@@ -284,13 +286,15 @@ PINNED = [
       85, 109, 41, 1, 37, 112, 88, 23, 143, 72, 113, 89, 13, 140, 67, 125,
       57, 3, 53, 128, 96, 21, 139, 71, 129, 97, 17, 144, 69, 5, 141, 25,
       73),
-     1929),
+     1787),
     ("barycentric(barycentric(cross_polytope(2)))", "is_dehn_sommerville", "yes", (), 435),
-    ("barycentric(barycentric(cross_polytope(2)))", "is_contractible", "no", (), 435),
+    ("barycentric(barycentric(cross_polytope(2)))", "is_contractible", "no", (), 1),
     # the manifold test reads the unit spheres of the vertices only: 10 of
     # the 242 simplices of cross_polytope(4), 12 of the 728 of cross_polytope(5)
     ("cross_polytope(4)", "is_manifold", "yes", (), 131),
     ("cross_polytope(5)", "is_sphere", "yes", (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10), 312),
+    # chi = 2 refutes a ball at once; the manifold-with-boundary walk took 12 282
+    ("cross_polytope(5)", "is_ball", "no", (), 1),
 ]
 
 PINNED_COMPLEXES = {
@@ -306,7 +310,8 @@ PINNED_COMPLEXES = {
 
 
 class TestPinnedVerdicts:
-    @pytest.mark.parametrize("name,fn,status,certificate,calls", PINNED)
+    @pytest.mark.parametrize("name,fn,status,certificate,calls", PINNED,
+                             ids=[f"{name}-{fn}" for name, fn, *_ in PINNED])
     def test_verdict_certificate_and_calls(self, name, fn, status, certificate, calls):
         g = PINNED_COMPLEXES[name]()
         if fn == "is_contractible":
@@ -321,7 +326,8 @@ class TestPinnedVerdicts:
         assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 51)
 
     def test_spent_budget_ends_search(self):
-        g = barycentric(barycentric(cross_polytope(2)))
+        # a 2-ball, so chi = 1 passes; the whole query takes 132 calls
+        g = barycentric(simplex_complex(3))
         v = is_ball(g, 2, budget=50)
         assert (v.status.value, v.certificate, v.calls_used) == ("unknown", (), 51)
 
@@ -400,11 +406,15 @@ class TestIndexBuilds:
         return counts
 
     @pytest.mark.parametrize("query,fresh,derived,calls", [
-        (lambda: is_sphere(barycentric(barycentric(cross_polytope(2))), 2), 762, 732, 1929),
-        (lambda: is_contractible(random_whitney(12, 30, 2)), 336, 590, 926),
-        (lambda: is_ball(cross_polytope(3), 3), 213, 131, 536),
+        (lambda: is_sphere(barycentric(barycentric(cross_polytope(2))), 2), 549, 732, 1787),
+        # chi refutes these two before any star is built
+        (lambda: is_contractible(random_whitney(12, 30, 2)), 0, 0, 1),
+        (lambda: is_ball(cross_polytope(3), 3), 0, 0, 1),
         (lambda: is_dehn_sommerville(cross_polytope(3), 3), 15, 0, 15),
-    ], ids=["sphere-bary2-cp2", "contractible-rw12", "ball-cp3", "dehn-sommerville-cp3"])
+        (lambda: is_contractible(barycentric(simplex_complex(4))), 22, 24, 46),
+        (lambda: is_ball(barycentric(simplex_complex(3)), 2), 45, 16, 132),
+    ], ids=["sphere-bary2-cp2", "contractible-rw12", "ball-cp3", "dehn-sommerville-cp3",
+            "contractible-bary-sx4", "ball-bary-sx3"])
     def test_builds_per_query(self, builds, query, fresh, derived, calls):
         assert query().calls_used == calls
         assert (builds["fresh"], builds["derived"]) == (fresh, derived)
@@ -540,6 +550,52 @@ class TestDehnSommervilleOracle:
         fast = [is_dehn_sommerville(g, e).status.value for e in dims]
         assert fast == [_status(e == d) for e in dims]
         assert fast == [_status(dehn_sommerville_by_every_link(g, e)) for e in dims]
+
+
+def _verdicts(g, dims):
+    """Contractible, then sphere, ball, manifold and manifold with boundary at
+    each d of dims."""
+    out = [is_contractible(g)]
+    for d in dims:
+        out.append(is_sphere(g, d))
+        out.append(is_ball(g, d))
+        if d >= 0:
+            out.append(is_manifold(g, d))
+            out.append(is_manifold_with_boundary(g, d))
+    return out
+
+
+class TestChiRefutation:
+    """The chi check of (H) in the recognizers module docstring only ends
+    searches early: with it never refuting, every status and certificate is
+    the same, and no query takes fewer calls.  Dehn-Sommerville spaces are
+    left out, as chi is part of their definition, not a shortcut."""
+
+    @staticmethod
+    def _check(g, dims):
+        fast = _verdicts(g, dims)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(recognizers, "_chi_refutes", lambda g, chi: False)
+            slow = _verdicts(g, dims)
+        assert [(v.status, v.certificate) for v in fast] == [
+            (v.status, v.certificate) for v in slow]
+        assert all(a.calls_used <= b.calls_used for a, b in zip(fast, slow))
+        return sum(v.calls_used for v in fast), sum(v.calls_used for v in slow)
+
+    @given(recognizer_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_random_complexes(self, g):
+        self._check(g, range(max(g.dim - 1, -1), g.dim + 2))
+
+    @pytest.mark.parametrize("name", list(PINNED_COMPLEXES))
+    def test_pinned_complexes(self, name):
+        g = PINNED_COMPLEXES[name]()
+        fast, slow = self._check(g, (g.dim,))
+        assert fast < slow
+
+    @pytest.mark.parametrize("name,make,d", _DS_SPACES, ids=[n for n, _, _ in _DS_SPACES])
+    def test_dehn_sommerville_family(self, name, make, d):
+        self._check(make(), (d,))
 
 
 # (constructor, dimension) of small spheres: void, two points, cycles, cross
