@@ -5,11 +5,19 @@ exceeded (also on MemoryError, RecursionError and a result with more digits
 than the interpreter converts to text), 3 input error, a usage error
 included.  Every run is fully determined by its flags; with ``--json`` all
 reports are machine readable JSON, one object per line.
+
+``main(argv)`` may be called many times in one process.  Each subcommand's
+parser, and the full parser, are built on first use and kept for later calls
+(``functools.cache``; ``cache_clear()`` drops them); a parser holds no input,
+so nothing read by one call reaches the next.  ``main`` looks up the handler
+``cmd_<subcommand>`` when it dispatches, so a handler replaced in the module
+is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,7 +29,7 @@ from .errors import HigherCharError, InputError, ResourceBudgetError, charge
 from .files import check_simplex_count, format_facets, load_complex
 from .generators import GeneratorSpec, SplitMix64, generate
 from .product import POINT, product_simplex_count, topological_product
-from .topology import OpenSet, barycentric, core, open_hull
+from .topology import OpenSet, _open_hull_of_masks, barycentric, core, open_hull
 
 VERIFY_SUITES = (
     "energy",
@@ -98,7 +106,8 @@ def random_open_set(g: Complex, rng: SplitMix64) -> OpenSet:
     for i in range(t):
         j = i + rng.below(n - i)
         idx[i], idx[j] = idx[j], idx[i]
-    return open_hull(g, (g.simplices[i] for i in idx[:t]))
+    masks = g.masks
+    return _open_hull_of_masks(g, {masks[i] for i in idx[:t]})
 
 
 def cmd_info(args) -> int:
@@ -440,13 +449,16 @@ COMMANDS = {
 def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     for flags, kwargs in COMMANDS[name][1]:
         p.add_argument(*flags, **kwargs)
-    # looked up when the parser is built, so that a patched handler is called
-    p.set_defaults(fn=globals()[f"cmd_{name}"])
+    # ``fn`` is the handler as the parser was built, kept for callers of
+    # parse_args; main dispatches on ``command`` to the module's cmd_<name>
+    p.set_defaults(fn=globals()[f"cmd_{name}"], command=name)
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand."""
+    """The parser of every subcommand, built on the first call and returned
+    by the later ones; do not modify it."""
     p = _Parser(
         prog="higherchar",
         description="Higher characteristics of finite simplicial complexes",
@@ -457,17 +469,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of subcommand ``name`` alone, with the prog, usage, help and
-    errors of its subparser in ``build_parser()``."""
+    errors of its subparser in ``build_parser()``.  Built on the first call
+    for ``name`` and returned by the later ones; do not modify it."""
     return _add_command(_Parser(prog=f"higherchar {name}"), name)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the parser of the subcommand it names alone, built
-    in a fraction of the time of every subcommand's.  Anything else (no
-    subcommand, ``-h``, an unknown name) and arguments that subcommand does
-    not recognise go to the full parser, whose messages name ``higherchar``."""
+    in a fraction of the time of every subcommand's and only once per process.
+    Anything else (no subcommand, ``-h``, an unknown name) and arguments that
+    subcommand does not recognise go to the full parser, whose messages name
+    ``higherchar``.  The Namespace names the subcommand in ``command``."""
     if argv and argv[0] in COMMANDS:
         args, unknown = build_command_parser(argv[0]).parse_known_args(argv[1:])
         if not unknown:
@@ -478,7 +493,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ResourceBudgetError as exc:
         note = f" (partial: {exc.partial})" if exc.partial is not None else ""
         print(f"resource budget exceeded: {exc}{note}", file=sys.stderr)

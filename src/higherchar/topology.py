@@ -77,7 +77,11 @@ def open_hull(g: Complex, xs) -> OpenSet:
     One pass over g by size, faces before cofaces: y is kept when it is one of
     xs or when one of its codimension-one faces was kept.
     """
-    kept = {_require_member(g, x).bits for x in xs}
+    return _open_hull_of_masks(g, {_require_member(g, x).bits for x in xs})
+
+
+def _open_hull_of_masks(g: Complex, kept: set[int]) -> OpenSet:
+    """open_hull of the members of g whose masks are ``kept``, a set it fills."""
     for yb in sorted(g.member_bits, key=int.bit_count):
         if yb in kept:
             continue

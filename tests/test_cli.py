@@ -764,12 +764,9 @@ class TestParser:
         if argv[0] == "verify":
             assert "{" + ",".join(VERIFY_SUITES) + "}" in out
 
-    @pytest.mark.parametrize("argv,built", [
-        (["info", "{f}", "--json"], ["higherchar info"]),
-        (["info", "{f}", "--bogus"], ["higherchar info", "higherchar"] +
-         [f"higherchar {name}" for name in COMMANDS]),
-    ])
-    def test_parsers_built_per_call(self, capsys, monkeypatch, octa_file, argv, built):
+    @staticmethod
+    def count_parsers(monkeypatch):
+        """The prog of every ArgumentParser constructed from now on."""
         seen = []
         init = argparse.ArgumentParser.__init__
 
@@ -778,11 +775,63 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        try:
-            main([a.format(f=octa_file) for a in argv])
-        except SystemExit:
-            pass
-        assert seen == built
+        return seen
+
+    @staticmethod
+    def clear_parsers():
+        build_parser.cache_clear()
+        build_command_parser.cache_clear()
+
+    @pytest.mark.parametrize("argv,built", [
+        (["info", "{f}", "--json"], ["higherchar info"]),
+        (["info", "{f}", "--bogus"], ["higherchar info", "higherchar"] +
+         [f"higherchar {name}" for name in COMMANDS]),
+    ])
+    def test_parsers_built_once_then_none(self, capsys, monkeypatch, octa_file, argv, built):
+        seen = self.count_parsers(monkeypatch)
+        argv = [a.format(f=octa_file) for a in argv]
+        # cold, warm, and cold again after cache_clear()
+        for clear, want in ((True, built), (False, []), (True, built)):
+            if clear:
+                self.clear_parsers()
+            del seen[:]
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert seen == want
+
+    def test_handler_patched_after_memo_is_called(self, capsys, monkeypatch, octa_file):
+        import higherchar.cli as cli
+
+        assert main(["info", octa_file]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_info", lambda args: calls.append(args.complex) or 1)
+        assert main(["info", octa_file]) == 1
+        assert calls == [octa_file]
+
+    @pytest.mark.parametrize("first,second,want", [
+        (["verify", "energy", "g.facets", "-m", "3", "-k", "2"],
+         ["verify", "energy", "g.facets"], {"m": 1, "k": 1}),
+        (["betti", "g.facets", "--relative"], ["betti", "g.facets"], {"relative": False}),
+    ])
+    def test_nothing_leaks_between_calls(self, first, second, want):
+        parse_args(first)
+        args = parse_args(second)
+        assert {k: getattr(args, k) for k in want} == want
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS + HELP_ARGV, ids=" ".join)
+    def test_warm_parser_output_is_identical(self, capsys, argv):
+        def once():
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            cap = capsys.readouterr()
+            return exc.value.code, cap.out, cap.err
+
+        self.clear_parsers()
+        cold = once()
+        assert once() == cold
+        assert once() == cold
 
 
 class TestSetTokens:
