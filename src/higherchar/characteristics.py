@@ -15,14 +15,16 @@ the tuples whose intersection is exactly p, and summing over p in A gives
     w_m(A) = sum over faces q of members of A of  c(q) * N(q)^m,
     c(q)   = sum over p in A with p ⊆ q of  (-1)^(|q|-|p|).
 
-N and c do not depend on m, so ``_face_terms_of`` computes them once per
-set, in two passes over the faces of the members, and keeps them grouped by
-N as (N, Σc) pairs; w_m for any m is then one short sum.  It serves
-arbitrary subsets only.  A complex G is closed, so c(q) = w(q) there, and
-w_m(G) = sum of w(z) * N(z)^m with the star weights N(z) = sum of w(y) over
-the y ⊇ z in G, from a superset sum with one pass per vertex (Σ|y| updates,
-not the Σ 2^|y| of a subset pass).  The per-simplex star, ball and sphere
-tables need N alone:
+N and c do not depend on m.  ``_subset_terms`` takes both by the zeta
+transforms of the face poset of a complex C ⊇ A, one vertex v at a time
+(Rota): from n = s = w * [q in A], n[x - v] += n[x] and s[x] += s[x - v]
+over the pairs (x, x - v) of C's ``_face_table``; then n = N and
+c(q) = w(q) * s(q), in 2 Σ|y| updates over C, whatever A is.  Grouped by N
+as (N, Σc) pairs, they give w_m for any m as one short sum.  A complex G is
+closed, so c(q) = w(q) there, and w_m(G) = sum of w(z) * N(z)^m with the
+star weights N(z) = sum of w(y) over the y ⊇ z in G, from a superset sum
+with one pass per vertex (Σ|y| updates, not the Σ 2^|y| of a subset pass).
+The per-simplex star, ball and sphere tables need N alone:
 
     w_m(U(z)) = N(z)^m,
     w_m(B(z)) = T_m(z) = sum over y ⊇ z of  w(y) * N(y)^m,
@@ -72,11 +74,12 @@ import itertools
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from .complexes import (Complex, Simplex, SimplexSubset, _join_bits, _mask, _masks_of,
+from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
                         _vertex_mask, _vertex_stars)
 from .errors import DomainError, InputError, charge, charge_tuples
 from .topology import configuration, config_weight, star_intersection
@@ -106,36 +109,6 @@ DEFAULT_OP_BUDGET = 10**9
 
 def _weight_of_bits(b: int) -> int:
     return 1 if b.bit_count() & 1 else -1
-
-
-def _face_terms_of(member_bits: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """The m-independent face terms of a collection of distinct bit masks.
-
-    Returns (N, C) pairs with w_m = sum of C * N**m for every m >= 1, where
-    C sums c(q) over the faces q with N(q) = N (see the module docstring).
-    Faces with N(q) = 0 are left out, since they add 0 for every m >= 1.
-    """
-    weights = {b: 1 if b.bit_count() & 1 else -1 for b in member_bits}
-    counts: dict[int, int] = {}
-    for b, w in weights.items():
-        sub = b
-        while sub:
-            counts[sub] = counts.get(sub, 0) + w
-            sub = (sub - 1) & b
-    get = weights.get
-    grouped: dict[int, int] = {}
-    for q, n in counts.items():
-        if not n:
-            continue
-        # (-1)^(|q|-|p|) = weight(q) * weight(p)
-        t = 0
-        sub = q
-        while sub:
-            t += get(sub, 0)
-            sub = (sub - 1) & q
-        if t:
-            grouped[n] = grouped.get(n, 0) + (t if q.bit_count() & 1 else -t)
-    return tuple((n, c) for n, c in grouped.items() if c)
 
 
 def _powers(values: Iterable[int], m: int, op_budget: int | None) -> dict[int, int]:
@@ -185,15 +158,52 @@ def _star_weights(g: Complex) -> dict[int, int]:
     return out
 
 
+# a closed complex's masks, their weights and, per vertex v, the index pairs
+# (x, x - v) over the x ∋ v with another vertex; tuples only, as it is shared
+_FaceTable = namedtuple("_FaceTable", "masks weights vertices passes")
+
+
+def _build_face_table(masks: Sequence[int]) -> _FaceTable:
+    """The face table of the closed complex with these masks, in their order."""
+    index = {b: i for i, b in enumerate(masks)}
+    stars = _vertex_stars([b for b in masks if b & (b - 1)])
+    return _FaceTable(tuple(masks), tuple([1 if b.bit_count() & 1 else -1 for b in masks]),
+                      tuple(stars), tuple([tuple([(index[x], index[x ^ v]) for x in xs])
+                                           for v, xs in stars.items()]))
+
+
+def _subset_terms(table: _FaceTable, members: AbstractSet[int]) -> tuple[tuple[int, int], ...]:
+    """(N, C) pairs with w_m = sum of C * N**m (m >= 1) of a subset of the
+    table's complex; C sums c(q) over the q with N(q) = N != 0.  A vertex no
+    member holds is skipped: its x have n[x] = 0, and s[x] feeds only x' ⊇ x."""
+    masks, weights, vertices, passes = table
+    n = [w if b in members else 0 for b, w in zip(masks, weights)]
+    s = n[:]
+    span = _vertex_mask(members)
+    for v, pairs in zip(vertices, passes):
+        if v & span:
+            for x, face in pairs:
+                n[face] += n[x]
+                s[x] += s[face]
+    grouped: dict[int, int] = {}
+    for nq, sq, w in zip(n, s, weights):
+        if nq and sq:
+            grouped[nq] = grouped.get(nq, 0) + (sq if w > 0 else -sq)
+    return tuple([(nq, c) for nq, c in grouped.items() if c])
+
+
 def _terms(a) -> tuple[tuple[int, int], ...]:
     """(N, C) pairs with w_m(a) = sum of C * N**m for every m >= 1.
 
     On a complex they are the star weights N(z) grouped with the summed
-    w(z), from one ``_star_weights`` pass; on any other collection, the face
-    terms of ``_face_terms_of``.
-    """
+    w(z), from one ``_star_weights`` pass; on a simplex subset, the
+    ``_subset_terms`` over its ambient's cached face table, and on an
+    iterable, over the table of its closure, built for the call alone."""
+    if isinstance(a, SimplexSubset):
+        return _subset_terms(_face_table(a.ambient), a.member_bits)
     if not isinstance(a, Complex):
-        return _face_terms_of(_masks_of(a))
+        masks = _masks_of(a)
+        return _subset_terms(_build_face_table(tuple(_close(masks).member_bits)), set(masks))
     grouped: dict[int, int] = {}
     for z, n in _star_weights(a).items():
         if n:
@@ -202,12 +212,13 @@ def _terms(a) -> tuple[tuple[int, int], ...]:
 
 
 def w_m(a, m: int, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:
-    """Exact m'th characteristic of a complex or an arbitrary simplex subset.
+    """Exact m'th characteristic of a complex or an arbitrary simplex subset;
+    an iterable that lists a simplex twice is refused (``InputError``).
 
     On a complex it is the sum of w(z) * N(z)^m, computed afresh on every call:
-    a cached table would keep every transient complex (products, refinements,
-    local-valuation closures) alive.  The powers are charged against
-    ``op_budget`` before they are raised (``_powers``).
+    a cached table would keep every transient complex (products, refinements)
+    alive; a subset takes the face terms of ``_terms``.  The powers are
+    charged against ``op_budget`` before they are raised (``_powers``).
     """
     if m < 1:
         raise InputError("the arity m must be at least 1")
@@ -247,8 +258,8 @@ def w_m_naive(
     """Literal tuple enumeration of w_m; the reference for every faster path.
 
     With ``assume_closed`` the membership test of the intersection reduces to
-    nonemptiness, which is equivalent for closed families.
-    """
+    nonemptiness, which is equivalent for closed families.  A simplex listed
+    twice is refused, as in ``w_m``."""
     if m < 1:
         raise InputError("the arity m must be at least 1")
     members = list(_masks_of(a))
@@ -312,19 +323,22 @@ def w_m_energized(a, h: InteractionFunction, *, op_budget: int | None = DEFAULT_
     """w_m with the default weight product replaced by an arbitrary interaction.
 
     ``a`` is a complex, a simplex subset or an iterable of ``Simplex``
-    objects; the tuples are walked in the order the members are given, as
-    the sum does not depend on it.  The n**m tuples are charged against
-    ``op_budget``, and a lone member's one tuple its m entries.
+    objects, none listed twice (as in ``w_m``); the tuples are walked in the
+    order the members are given, as the sum does not depend on it.  The n**m
+    tuples are charged against ``op_budget``, and a lone member's one tuple
+    its m entries.
     """
     members = tuple(a)
     n = len(members)
+    mset = frozenset(s.bits for s in members)
+    if len(mset) < n:
+        raise InputError("a simplex is listed twice")
     m = h.arity
     charge_tuples(f"energized w_{m} of {n} simplices", n, m, op_budget, "tuples")
     if n == 0:
         return 0
     if n == 1:  # one tuple, free above, but it holds m entries
         charge(f"energized w_{m} of 1 simplex", m, op_budget, "tuple entries")
-    mset = frozenset(s.bits for s in members)
     total = 0
     for X in itertools.product(members, repeat=m):
         p = X[0].bits
@@ -383,6 +397,12 @@ def _stars_of(g: Complex) -> dict[int, tuple[int, ...]]:
                 lst.append(yb)
             sub = (sub - 1) & yb
     return {b: tuple(v) for b, v in out.items()}
+
+
+@lru_cache(maxsize=512)
+def _face_table(g: Complex) -> _FaceTable:
+    """The face table of g in canonical order, read by ``linalg._face_passes`` too."""
+    return _build_face_table(g.masks)
 
 
 def _join_at(z: int, star: Iterable[int], proper: bool) -> list[int]:
@@ -708,16 +728,17 @@ def valuation_check(
 
 def _local_at(g: Complex, z: int, m: int) -> tuple[int, int]:
     """(w_m(B(z)), w_m(U(z)) - (-1)^m * w_m(S(z))) for the union z of a
-    configuration: B(z) and S(z) are the joins of the star list U(z), each
-    evaluated as a closed complex, and U(z) goes through ``_face_terms_of``.
-    If z is not in g all three sets are empty, though a join with the empty
-    link would be z̄, so both sides are 0."""
+    configuration: B(z) and S(z) are the joins of the star list U(z), and
+    the three are evaluated as subsets of B(z) over one face table of it,
+    built for the call.  If z is not in g all three sets are empty, though a
+    join with the empty link would be z̄, so both sides are 0."""
     star = _stars_of(g).get(z)
     if star is None:
         return 0, 0
-    ball = w_m(Complex._of_bits(_join_at(z, star, False)), m)
-    sphere = w_m(Complex._of_bits(_join_at(z, star, True)), m)
-    return ball, _eval_terms(_face_terms_of(star), m, DEFAULT_OP_BUDGET) - (-1) ** m * sphere
+    table = _build_face_table(ball := _join_at(z, star, False))
+    wb, wu, ws = (_eval_terms(_subset_terms(table, frozenset(a)), m, DEFAULT_OP_BUDGET)
+                  for a in (ball, star, _join_at(z, star, True)))
+    return wb, wu - (-1) ** m * ws
 
 
 def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:

@@ -151,8 +151,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
             a = parse_set_token(g, args.set_a)
             b = parse_set_token(g, args.set_b)
             return [ch.valuation_check(a, b, m, allow_closed=args.allow_closed)]
-        # each pair runs four face passes (``_face_terms_of``) over subsets
-        # of G, and each pass takes at most 2 * sum of 2^|y| subset steps
+        # 8 * sum 2^|y| per pair bounds its four subsets, each evaluated by
+        # two passes of sum |y| updates over G's face table (``_subset_terms``)
         steps = 8 * sum(1 << y.bit_count() for y in g.member_bits)
         charge(f"valuation of {args.pairs} random open pairs on {len(g)} simplices",
                steps * args.pairs, args.budget, "subset steps")

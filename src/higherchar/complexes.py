@@ -19,7 +19,7 @@ canonical order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import DomainError, InputError, charge
 
@@ -427,12 +427,15 @@ class SimplexSubset:
             raise DomainError("subsets live in different ambient complexes")
 
 
-def _masks_of(a) -> Iterable[int]:
+def _masks_of(a) -> Collection[int]:
     """The member masks of a complex or a simplex subset, or the masks of an
-    iterable of simplices, repeats kept; in no particular order."""
+    iterable of simplices, which must list none twice; in no particular order."""
     if isinstance(a, (Complex, SimplexSubset)):
         return a.member_bits
-    return [*map(_mask, a)]
+    masks = [*map(_mask, a)]
+    if len(set(masks)) < len(masks):
+        raise InputError("a simplex is listed twice")
+    return masks
 
 
 def _members(a: SimplexSubset) -> tuple[Simplex, ...]:

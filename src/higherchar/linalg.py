@@ -528,14 +528,10 @@ def rank(mat) -> int:
 # -- the face-poset route: M = K^-1 A K^-T, K(x, z) = [z ⊆ x] -------------
 
 
-def _face_passes(g: Complex) -> list[list[tuple[int, int]]]:
-    """One list per vertex v of the index pairs (x, x minus v), over the
-    simplices x that hold v and at least one other vertex.  The vertices
-    lead the canonical order, so the members after them are those x."""
-    masks = g.masks
-    index = {b: i for i, b in enumerate(masks)}
-    stars = _vertex_stars(masks[sum(1 for b in masks if not b & (b - 1)):])
-    return [[(index[x], index[x ^ v]) for x in xs] for v, xs in stars.items()]
+def _face_passes(g: Complex) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex v, the index pairs (x, x minus v) over the simplices x ∋ v
+    with another vertex, in canonical order: the cached face table's passes."""
+    return characteristics._face_table(g).passes
 
 
 def _add_scaled(target: dict[int, int], src: dict[int, int], f: int) -> None:

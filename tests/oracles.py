@@ -63,8 +63,36 @@ def dual_sphere_total_by_walk(sph, ws, m, k):
         for c in Counter(combo).values():
             mult //= math.factorial(c)
         w = math.prod(ws[i] for i in combo)
-        total += mult * w * characteristics._eval_terms(characteristics._face_terms_of(inter), m)
+        total += mult * w * characteristics._eval_terms(face_terms_by_subset_walk(inter), m)
     return total
+
+
+def face_terms_by_subset_walk(member_bits):
+    """The (N, C) face terms of a collection of distinct masks, with
+    w_m = sum of C * N**m for every m >= 1, by walking the subsets of each
+    member: N(q) sums w(b) over the members b ⊇ q, c(q) sums
+    (-1)^(|q|-|p|) = w(q) * w(p) over the members p ⊆ q, and C sums c(q)
+    over the faces q with N(q) = N != 0.  Two walks of 2^|b| steps per
+    member b, nothing assumed of the collection."""
+    weights = {b: 1 if b.bit_count() & 1 else -1 for b in member_bits}
+    counts = {}
+    for b, w in weights.items():
+        sub = b
+        while sub:
+            counts[sub] = counts.get(sub, 0) + w
+            sub = (sub - 1) & b
+    grouped = {}
+    for q, n in counts.items():
+        if not n:
+            continue
+        t = 0
+        sub = q
+        while sub:
+            t += weights.get(sub, 0)
+            sub = (sub - 1) & q
+        if t:
+            grouped[n] = grouped.get(n, 0) + (t if q.bit_count() & 1 else -t)
+    return tuple((n, c) for n, c in grouped.items() if c)
 
 
 def generate_topology(g, budget=DEFAULT_TOPOLOGY_BUDGET):

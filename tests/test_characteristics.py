@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higherchar import characteristics as ch
+from higherchar import linalg
 from higherchar.characteristics import (
     InteractionFunction,
     _ball_members_of,
@@ -16,13 +17,13 @@ from higherchar.characteristics import (
     _dual_sphere_total,
     _energized_wm,
     _eval_terms,
-    _face_terms_of,
     _sphere_sets,
     _sphere_wm,
     _star_weight_table,
     _star_weights,
     _star_wm,
     _stars_of,
+    _terms,
     _union_count,
     curvature_profile,
     dual_sphere_sum,
@@ -40,7 +41,7 @@ from higherchar.characteristics import (
     w_m_naive,
 )
 from higherchar.cli import main
-from higherchar.complexes import Complex, Simplex, SimplexSubset, closure
+from higherchar.complexes import Complex, Simplex, SimplexSubset, _masks_of, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import save_complex
 from higherchar.generators import cycle, path3, random_whitney
@@ -51,6 +52,7 @@ from oracles import (
     configuration_sum_by_walk,
     dual_sphere,
     dual_sphere_total_by_walk,
+    face_terms_by_subset_walk,
     local_valuation_by_walk,
     star_intersection_by_scan,
     star_weights_by_subsets,
@@ -110,7 +112,7 @@ class TestWm:
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_face_terms_and_naive(self, g):
         # on a complex w_m is the sum of w(z) * N(z)^m, not the face terms
-        terms = _face_terms_of(s.bits for s in g.simplices)
+        terms = face_terms_by_subset_walk(g.member_bits)
         for m in (1, 2, 3, 4, 5):
             assert w_m(g, m) == _eval_terms(terms, m) == w_m_naive(g, m, assume_closed=True)
 
@@ -180,6 +182,79 @@ class TestStarWeights:
             w_m(Complex._of_bits(masks), 2)
 
 
+class TestSubsetTerms:
+    """The two passes over a face table against the subset walk and the
+    tuple sum, on any subset: open, closed, neither, empty or whole."""
+
+    @staticmethod
+    def _check(a, ms=(1, 2, 3)):
+        # the terms as a dict: equal groups in any order
+        want = dict(face_terms_by_subset_walk(_masks_of(a)))
+        assert dict(_terms(a)) == want
+        for m in ms:
+            assert w_m(a, m) == _eval_terms(tuple(want.items()), m) == w_m_naive(a, m)
+
+    @given(random_complexes(max_vertices=6, max_edges=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_and_subset_walk(self, g, data):
+        mask = data.draw(st.integers(min_value=0, max_value=2 ** len(g) - 1))
+        drawn = [s for i, s in enumerate(g.simplices) if mask >> i & 1]
+        subsets = [drawn, [], g.simplices, *([s] for s in g.simplices[:3])]
+        for members in subsets:
+            self._check(SimplexSubset(g, members))
+            # a plain list is read over the table of its closure, in any order
+            self._check(data.draw(st.permutations(members)))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_product_subsets_match(self, seed, data):
+        # the vertices of a product are its face pairs, here at least 10 * 8
+        g = topological_product(random_whitney(5, 5, seed), cycle(4))
+        mask = data.draw(st.integers(min_value=0, max_value=2 ** len(g) - 1))
+        a = SimplexSubset._of_bits(g, [b for i, b in enumerate(g.masks) if mask >> i & 1])
+        assert max(g.member_bits).bit_length() > 64
+        self._check(a, ms=(1, 2))
+
+    def test_neither_open_nor_closed(self, octa):
+        a = SimplexSubset(octa, [{1}, {1, 3, 5}, {2, 4}])
+        assert not a.is_open_set() and not a.is_closed_set()
+        self._check(a, ms=(1, 2, 3, 4))
+
+    def test_table_built_once_per_complex(self, monkeypatch, octa):
+        calls = []
+        build = ch._build_face_table
+        monkeypatch.setattr(ch, "_build_face_table", lambda masks: calls.append(1) or build(masks))
+        ch._face_table.cache_clear()
+        u, v = star(octa, {1}), star(octa, {2, 3})
+        for m in (1, 2, 3):
+            valuation_check(u, v, m)
+        green(octa, [Simplex([1])], 2)
+        linalg.det_via_faces(octa, linalg.connection_matrix(octa))
+        assert len(calls) == 1
+        table = ch._face_table(octa)
+        assert table.masks == octa.masks and linalg._face_passes(octa) is table.passes
+        assert all(isinstance(p, tuple) for p in table.passes)
+        # a plain list builds the table of its closure on each call, kept by no cache
+        w_m([Simplex([1])], 2)
+        w_m([Simplex([1])], 2)
+        assert len(calls) == 3 and ch._face_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("fn", [w_m, w_m_naive,
+                                    lambda a, m: w_m_energized(a, InteractionFunction.default(m))],
+                             ids=["w_m", "w_m_naive", "w_m_energized"])
+    def test_repeated_simplex_refused(self, fn):
+        # counted once, 0; counted twice, 1: neither is the w_1 of a collection
+        with pytest.raises(InputError, match="listed twice"):
+            fn([Simplex([1]), Simplex([1]), Simplex([1, 2])], 1)
+        assert fn([Simplex([1]), Simplex([1, 2])], 1) == 0
+
+    def test_repeated_simplex_refused_by_fermi(self):
+        # fermi reads the same member masks as w_m and w_m_naive
+        with pytest.raises(InputError, match="listed twice"):
+            fermi([Simplex([1]), Simplex([1])])
+        assert fermi([Simplex([1]), Simplex([1, 2])]) == -1
+
+
 class TestFaceTermTables:
     """The cached per-complex tables against w_m_naive of U(z), B(z) and S(z)
     built through topology, and the union lemma against a pairwise fold."""
@@ -212,8 +287,8 @@ class TestFaceTermTables:
             for z in g.simplices:
                 b = ball(g, [z]).member_bits
                 s = unit_sphere(g, z.bits).member_bits
-                assert balls[z.bits] == _eval_terms(_face_terms_of(b), m)
-                assert spheres[z.bits] == _eval_terms(_face_terms_of(s), m)
+                assert balls[z.bits] == _eval_terms(face_terms_by_subset_walk(b), m)
+                assert spheres[z.bits] == _eval_terms(face_terms_by_subset_walk(s), m)
 
     @given(random_complexes())
     @settings(max_examples=30, deadline=None)

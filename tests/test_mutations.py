@@ -22,6 +22,7 @@ import higherchar.linalg as la
 import higherchar.recognizers as rec
 import higherchar.topology as top
 from higherchar.cli import main
+from higherchar.complexes import SimplexSubset
 from higherchar.files import save_complex
 from higherchar.generators import cross_polytope, random_whitney, simplex_complex
 
@@ -261,7 +262,7 @@ def _face_passes_without_a_pair():
     passes_of = la._face_passes
 
     def wrong(g):
-        passes = passes_of(g)
+        passes = list(passes_of(g))
         i = next(i for i, pairs in enumerate(passes) if pairs)
         passes[i] = passes[i][1:]
         return passes
@@ -277,6 +278,32 @@ def test_face_pass_without_a_pair(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(*_face_passes_without_a_pair())
     rc, d = _cli_json(capsys, argv)
     assert rc == 1 and d["pass"] is False
+
+
+def _face_table_without_a_pair():
+    """The shared face table with the first pair (x, x minus v) of its
+    first pass dropped; the subset passes and the duality passes read it."""
+    table_of = ch._face_table
+
+    def wrong(g):
+        table = table_of(g)
+        passes = list(table.passes)
+        i = next(i for i, pairs in enumerate(passes) if pairs)
+        passes[i] = passes[i][1:]
+        return table._replace(passes=tuple(passes))
+
+    return ch, "_face_table", wrong
+
+
+def test_face_table_without_a_pair(monkeypatch):
+    # verify valuation still passes, as the wrong terms of the four sets of
+    # a pair balance; TestSubsetTerms.test_matches_naive_and_subset_walk sees
+    # it, and so does the whole octahedron read as a subset of itself, whose
+    # w_2 is the closed form's 2
+    whole = SimplexSubset(OCTA, OCTA.simplices)
+    assert ch.w_m(whole, 2) == ch.w_m(OCTA, 2) == 2
+    monkeypatch.setattr(*_face_table_without_a_pair())
+    assert ch.w_m(whole, 2) != 2
 
 
 def _sparse_eliminate_without_its_scalings():
