@@ -24,6 +24,9 @@ as (N, Σc) pairs, they give w_m for any m as one short sum.  A complex G is
 closed, so c(q) = w(q) there, and w_m(G) = sum of w(z) * N(z)^m with the
 star weights N(z) = sum of w(y) over the y ⊇ z in G, from a superset sum
 with one pass per vertex (Σ|y| updates, not the Σ 2^|y| of a subset pass).
+Both kinds of pass find each member's vertices by bit position, from the top
+(``complexes._position_stars``): a product's masks are |G|·|H| bits wide, and
+that takes one new int per (member, vertex) with a small-int key.
 The per-simplex star, ball and sphere tables need N alone:
 
     w_m(U(z)) = N(z)^m,
@@ -80,7 +83,7 @@ from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
-                        _vertex_mask, _vertex_stars)
+                        _position_stars, _vertex_mask)
 from .errors import DomainError, InputError, charge, charge_tuples
 from .topology import configuration, config_weight, star_intersection
 
@@ -137,20 +140,24 @@ def _star_weights(g: Complex) -> dict[int, int]:
     superset sum with one pass per vertex: Σ|y| updates, not Σ 2^|y|.
 
     The pass of v adds out[y] to out[y - v] for every member y ∋ v, read
-    from the vertex stars of ``_vertex_stars``; after the passes of
-    v_1..v_i, out[z] sums w(y) over the members y ⊇ z with y - z inside
-    {v_1..v_i}.  y - v is a member, as g is closed, or the empty set for
+    from the stars of ``_position_stars``, grouped by the position of v
+    rather than by its bit, so a product's wide masks are taken apart at
+    one new int per vertex; after the passes of v_1..v_i, out[z] sums w(y)
+    over the members y ⊇ z with y - z inside {v_1..v_i}, in any order of
+    the vertices.  y - v is a member, as g is closed, or the empty set for
     y = {v}, whose sum goes to a sink out[0] that is dropped.  A non-member
     needs no entry: no member contains it, so its sum stays 0 and adds
-    nothing.  A member list that is not closed (``Complex._of_bits`` checks
-    nothing) lacks some y - v, which is refused with a ``DomainError``.
+    nothing.  The keys stay the masks, in the order of ``g.member_bits``.
+    A member list that is not closed (``Complex._of_bits`` checks nothing)
+    lacks some y - v, which is refused with a ``DomainError``.
     """
     out = {y: 1 if y.bit_count() & 1 else -1 for y in g.member_bits}
     out[0] = 0
     try:
-        for v, ys in _vertex_stars(g.member_bits).items():
+        for p, ys in _position_stars(g.member_bits).items():
+            v = 1 << (p - 1)
             for y in ys:
-                out[y ^ v] += out[y]
+                out[y - v] += out[y]
     except KeyError as exc:
         raise DomainError(f"not closed under subsets: {Simplex.from_bits(exc.args[0])!r},"
                           " a face of a member, is missing") from None
@@ -164,12 +171,17 @@ _FaceTable = namedtuple("_FaceTable", "masks weights vertices passes")
 
 
 def _build_face_table(masks: Sequence[int]) -> _FaceTable:
-    """The face table of the closed complex with these masks, in their order."""
+    """The face table of the closed complex with these masks, in their order;
+    the vertices are grouped by position (``_position_stars``), in the order
+    of their first appearance, each mask's highest vertex first."""
     index = {b: i for i, b in enumerate(masks)}
-    stars = _vertex_stars([b for b in masks if b & (b - 1)])
+    vertices, passes = [], []
+    for p, xs in _position_stars([b for b in masks if b & (b - 1)]).items():
+        v = 1 << (p - 1)
+        vertices.append(v)
+        passes.append(tuple([(index[x], index[x - v]) for x in xs]))
     return _FaceTable(tuple(masks), tuple([1 if b.bit_count() & 1 else -1 for b in masks]),
-                      tuple(stars), tuple([tuple([(index[x], index[x ^ v]) for x in xs])
-                                           for v, xs in stars.items()]))
+                      tuple(vertices), tuple(passes))
 
 
 def _subset_terms(table: _FaceTable, members: AbstractSet[int]) -> tuple[tuple[int, int], ...]:
@@ -193,7 +205,8 @@ def _subset_terms(table: _FaceTable, members: AbstractSet[int]) -> tuple[tuple[i
 
 
 def _terms(a) -> tuple[tuple[int, int], ...]:
-    """(N, C) pairs with w_m(a) = sum of C * N**m for every m >= 1.
+    """(N, C) pairs with w_m(a) = sum of C * N**m for every m >= 1, N and C
+    nonzero, so both routes give one set of pairs.
 
     On a complex they are the star weights N(z) grouped with the summed
     w(z), from one ``_star_weights`` pass; on a simplex subset, the
@@ -207,8 +220,8 @@ def _terms(a) -> tuple[tuple[int, int], ...]:
     grouped: dict[int, int] = {}
     for z, n in _star_weights(a).items():
         if n:
-            grouped[n] = grouped.get(n, 0) + _weight_of_bits(z)
-    return tuple(grouped.items())
+            grouped[n] = grouped.get(n, 0) + (1 if z.bit_count() & 1 else -1)
+    return tuple([(n, c) for n, c in grouped.items() if c])
 
 
 def w_m(a, m: int, *, op_budget: int | None = DEFAULT_OP_BUDGET) -> int:

@@ -219,6 +219,8 @@ class Complex:
             return False
 
     def __eq__(self, other):
+        if other is self:  # subsets of one ambient compare it with itself
+            return True
         if isinstance(other, Complex):
             return self.member_bits == other.member_bits
         return NotImplemented
@@ -264,7 +266,11 @@ class Complex:
 
 def _vertex_stars(masks: Iterable[int]) -> dict[int, list[int]]:
     """Each vertex bit -> the masks that hold it, in the order given; the
-    vertices come in the order of their first appearance."""
+    vertices come in the order of their first appearance, each mask's lowest
+    vertex first.  Keyed by the bit, for the lookups by vertex of the
+    recognizers' small sub-complexes and of the connection rows; the passes
+    over every vertex of a whole complex group by position
+    (``_position_stars``)."""
     st: dict[int, list[int]] = {}
     for b in masks:
         r = b
@@ -276,6 +282,33 @@ def _vertex_stars(masks: Iterable[int]) -> dict[int, list[int]]:
             else:
                 lst.append(b)
             r ^= low
+    return st
+
+
+def _position_stars(masks: Iterable[int]) -> dict[int, list[int]]:
+    """Each vertex position p -> the masks that hold the vertex bit
+    1 << (p - 1), in the order given; the positions come in the order of
+    their first appearance, each mask's highest vertex first.
+
+    A mask is taken apart from the top: p = r.bit_length(), then r -= the
+    bit, which heads p's list while it is built, so a (mask, vertex) step
+    makes one new int where ``r & -r`` and ``r ^ low`` make three, and the
+    key is a small int however wide the mask is.  For the passes over every
+    vertex of a whole complex; ``_vertex_stars``, keyed by the bit, serves
+    the lookups by vertex, where mapping positions back to bits would cost
+    more on the recognizers' 2-30-member links than it saves."""
+    st: dict[int, list[int]] = {}
+    for b in masks:
+        r = b
+        while r:
+            p = r.bit_length()
+            lst = st.get(p)
+            if lst is None:
+                st[p] = lst = [1 << (p - 1)]
+            lst.append(b)
+            r -= lst[0]
+    for lst in st.values():
+        del lst[0]
     return st
 
 

@@ -131,12 +131,14 @@ def vertices_by_popcount(g):
     return sorted(count, key=lambda vb: (count[vb], vb))
 
 
-def vertex_stars_by_filter(masks):
-    """Each vertex bit, in the order of its first appearance in masks, and
-    the masks that hold it, filtered from masks once per vertex."""
+def vertex_stars_by_filter(masks, highest_first=False):
+    """Each vertex bit, in the order of its first appearance in masks, each
+    mask's lowest vertex first (highest, with ``highest_first``), and the
+    masks that hold it, filtered from masks once per vertex."""
     vertices = []
     for b in masks:
-        for i in range(b.bit_length()):
+        bits = range(b.bit_length())
+        for i in reversed(bits) if highest_first else bits:
             if b >> i & 1 and 1 << i not in vertices:
                 vertices.append(1 << i)
     return [(v, [b for b in masks if b & v]) for v in vertices]

@@ -44,7 +44,7 @@ from higherchar.cli import main
 from higherchar.complexes import Complex, Simplex, SimplexSubset, _masks_of, closure
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
 from higherchar.files import save_complex
-from higherchar.generators import cycle, path3, random_whitney
+from higherchar.generators import cross_polytope, cycle, path3, random_whitney
 from higherchar.product import topological_product
 from higherchar.topology import ball, barycentric, star, unit_sphere
 
@@ -52,12 +52,13 @@ from oracles import (
     configuration_sum_by_walk,
     dual_sphere,
     dual_sphere_total_by_walk,
+    face_passes_by_scan,
     face_terms_by_subset_walk,
     local_valuation_by_walk,
     star_intersection_by_scan,
     star_weights_by_subsets,
 )
-from strategies import random_complexes
+from strategies import random_complexes, wide_complexes
 
 
 def _union_weights_by_pairwise_fold(g, k):
@@ -180,6 +181,64 @@ class TestStarWeights:
         # Complex._of_bits checks nothing; the pass meets the missing face
         with pytest.raises(DomainError, match="not closed"):
             w_m(Complex._of_bits(masks), 2)
+
+
+class TestWideMasks:
+    """The vertex passes on masks several hundred bits wide, as a product's
+    are, with the vertex ids sparse and in shuffled order."""
+
+    @given(wide_complexes(max_vertices=9, max_edges=24))
+    @settings(max_examples=60, deadline=None)
+    def test_star_weights_match_subset_pass(self, g):
+        assert max(g.member_bits).bit_length() > 300
+        got, want = _star_weights(g), star_weights_by_subsets(g)
+        assert list(got.items()) == list(want.items())
+
+    @given(wide_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_face_table_matches_pair_listing(self, g):
+        # each pass lists its pairs (x, x - v) in the order of the masks
+        masks = g.masks
+        table = ch._build_face_table(masks)
+        assert table.masks == masks
+        assert table.weights == tuple(s.weight for s in g.simplices)
+        by_vertex = {}
+        for v, pairs in zip(table.vertices, table.passes, strict=True):
+            assert all(masks[x] - v == masks[face] for x, face in pairs)
+            assert [x for x, _ in pairs] == sorted(x for x, _ in pairs)
+            by_vertex[v] = set(pairs)
+        assert len(by_vertex) == len(table.vertices)
+        assert by_vertex == face_passes_by_scan(g)
+
+
+def _n_routes_agree(g):
+    """The face-table route of ``_subset_terms``, read on the whole complex,
+    gives the (N, C) pairs of the star-weight route of ``_terms``."""
+    return dict(ch._subset_terms(ch._face_table(g), g.member_bits)) == dict(_terms(g))
+
+
+class TestNRoutes:
+    """A standing cross-check of the two routes to N: ``verify valuation``
+    cannot see a wrong face table, whose errors balance over a pair."""
+
+    @given(st.one_of(random_complexes(max_vertices=9, max_edges=24), wide_complexes()))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, g):
+        assert _n_routes_agree(g)
+
+    def test_routes_agree_on_a_product(self):
+        g = topological_product(random_whitney(12, 30, 1), path3())
+        assert max(g.member_bits).bit_length() > 300
+        assert _n_routes_agree(g)
+
+    def test_routes_agree_on_a_refinement(self):
+        assert _n_routes_agree(barycentric(random_whitney(12, 30, 1)))
+
+    def test_zero_groups_dropped(self):
+        # N = -1 has C = 0 on cp(3); neither route lists it
+        g = cross_polytope(3)
+        assert all(n and c for n, c in _terms(g))
+        assert -1 not in dict(_terms(g)) and _n_routes_agree(g)
 
 
 class TestSubsetTerms:

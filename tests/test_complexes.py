@@ -14,6 +14,7 @@ from higherchar.complexes import (
     whitney,
     _join_bits,
     _mask_key,
+    _position_stars,
     _vertex_stars,
 )
 from higherchar.errors import DomainError, InputError, ResourceBudgetError
@@ -34,7 +35,7 @@ from oracles import (
     refinement_by_flags,
     vertex_stars_by_filter,
 )
-from strategies import random_complexes
+from strategies import random_complexes, wide_complexes
 
 
 @st.composite
@@ -136,6 +137,18 @@ class TestComplex:
     def test_facets(self):
         g = closure([{1, 2}, {2, 3}])
         assert sorted(s.vertices for s in g.facets()) == [(1, 2), (2, 3)]
+
+    def test_equality(self):
+        g = closure([{1, 2}, {2, 3}])
+        assert g == g and not g != g
+        assert g == closure([{2, 3}, {1, 2}]) and g is not closure([{2, 3}, {1, 2}])
+        assert g != closure([{1, 2}]) and not g == closure([{1, 2}])
+        assert Complex.empty() == Complex.empty() != g
+        # a foreign type is left to the other side, which has no equality either
+        for other in (g.member_bits, list(g.simplices), None, 0):
+            assert g.__eq__(other) is NotImplemented
+            assert g != other and not g == other
+        assert SimplexSubset(g, [{1}]) == SimplexSubset(g, [{1}]) != SimplexSubset(g, [{2}])
 
     def test_is_complex(self):
         assert is_complex([{1}, {2}, {1, 2}])
@@ -374,20 +387,32 @@ class TestMaskStorage:
 
 
 @st.composite
-def ordered_masks(draw, max_vertices=7, max_edges=12):
+def ordered_masks(draw, max_vertices=7, max_edges=12, complexes=random_complexes):
     """The masks of a random complex, in canonical order or shuffled."""
-    masks = draw(random_complexes(max_vertices=max_vertices, max_edges=max_edges)).masks
+    masks = draw(complexes(max_vertices=max_vertices, max_edges=max_edges)).masks
     return list(masks) if draw(st.booleans()) else draw(st.permutations(masks))
 
 
 class TestStarAndJoinBuilders:
     """The shared per-vertex star and join builders against their literal
-    versions, on masks in canonical and in shuffled order."""
+    versions, on masks in canonical and in shuffled order, and on masks
+    several hundred bits wide."""
 
     @given(ordered_masks())
     @settings(max_examples=80, deadline=None)
     def test_vertex_stars_match_filter(self, masks):
         assert list(_vertex_stars(masks).items()) == vertex_stars_by_filter(masks)
+
+    @given(ordered_masks(complexes=wide_complexes))
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_stars_match_filter_on_wide_masks(self, masks):
+        assert list(_vertex_stars(masks).items()) == vertex_stars_by_filter(masks)
+
+    @given(st.one_of(ordered_masks(), ordered_masks(complexes=wide_complexes)))
+    @settings(max_examples=80, deadline=None)
+    def test_position_stars_match_filter(self, masks):
+        stars = [(1 << (p - 1), ys) for p, ys in _position_stars(masks).items()]
+        assert stars == vertex_stars_by_filter(masks, highest_first=True)
 
     @given(ordered_masks(max_vertices=5, max_edges=7), ordered_masks(max_vertices=4, max_edges=5))
     @settings(max_examples=80, deadline=None)
