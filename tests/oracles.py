@@ -161,6 +161,17 @@ def face_passes_by_scan(g):
     return out
 
 
+def star_weights_by_face_table(table):
+    """N(z) of every mask z of a face table's whole complex, from the table's
+    passes alone: the n pass, each pair (x, x minus v) adding n[x] to
+    n[x minus v], run literally over the masks' weights."""
+    n = list(table.weights)
+    for pairs in table.passes:
+        for x, face in pairs:
+            n[face] += n[x]
+    return dict(zip(table.masks, n))
+
+
 def char_poly_by_faddeev_leverrier(mat):
     """Coefficients of det(lambda*I - M), descending powers, leading 1, by
     the Faddeev-LeVerrier recurrence over the integers: M_1 = M and

@@ -56,6 +56,7 @@ from oracles import (
     face_terms_by_subset_walk,
     local_valuation_by_walk,
     star_intersection_by_scan,
+    star_weights_by_face_table,
     star_weights_by_subsets,
 )
 from strategies import random_complexes, wide_complexes
@@ -175,12 +176,20 @@ class TestStarWeights:
         assert _star_weights(Complex.empty()) == {}
         assert _star_weights(closure([[4]])) == {1 << 4: 1}
 
-    @pytest.mark.parametrize("masks", [[0b1, 0b10, 0b111], [0b1, 0b11], [0b11]],
-                             ids=["edges missing", "vertex missing", "no vertices"])
-    def test_non_closed_member_list_refused(self, masks):
-        # Complex._of_bits checks nothing; the pass meets the missing face
-        with pytest.raises(DomainError, match="not closed"):
+    @pytest.mark.parametrize("masks,face", [
+        ([0b1, 0b10, 0b111], "Simplex(1,2)"), ([0b1, 0b11], "Simplex(1)"),
+        ([0b11], "Simplex(0)"), ([0b1, 0b10, 0b100, 0b110, 0b111], "Simplex(0,2)"),
+        ([0b111, 0b11, 0b101, 0b1, 0b10], "Simplex(2)")],
+        ids=["edges missing", "vertex missing", "no vertices", "two edges missing",
+             "out of order"])
+    def test_non_closed_member_list_refused(self, masks, face):
+        # Complex._of_bits checks nothing; the pass meets the missing face.
+        # Where several are missing, the first met is named: the passes take
+        # each member's highest vertex first, so {0, 1} lacks {0} first
+        with pytest.raises(DomainError) as exc:
             w_m(Complex._of_bits(masks), 2)
+        assert str(exc.value) == (f"not closed under subsets: {face},"
+                                  " a face of a member, is missing")
 
 
 class TestWideMasks:
@@ -212,14 +221,18 @@ class TestWideMasks:
 
 
 def _n_routes_agree(g):
-    """The face-table route of ``_subset_terms``, read on the whole complex,
-    gives the (N, C) pairs of the star-weight route of ``_terms``."""
-    return dict(ch._subset_terms(ch._face_table(g), g.member_bits)) == dict(_terms(g))
+    """The two routes to N agree on the whole complex: face by face, the n
+    pass over the face table gives ``_star_weights``; grouped, the
+    ``_subset_terms`` of the table give the (N, C) pairs of ``_terms``."""
+    table = ch._face_table(g)
+    return (star_weights_by_face_table(table) == _star_weights(g)
+            and dict(ch._subset_terms(table, g.member_bits)) == dict(_terms(g)))
 
 
 class TestNRoutes:
     """A standing cross-check of the two routes to N: ``verify valuation``
-    cannot see a wrong face table, whose errors balance over a pair."""
+    cannot see a wrong face table, whose errors balance over a pair, and
+    the grouped pairs can hide one too, so the faces are compared first."""
 
     @given(st.one_of(random_complexes(max_vertices=9, max_edges=24), wide_complexes()))
     @settings(max_examples=60, deadline=None)

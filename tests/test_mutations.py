@@ -24,7 +24,10 @@ import higherchar.topology as top
 from higherchar.cli import main
 from higherchar.complexes import SimplexSubset
 from higherchar.files import save_complex
-from higherchar.generators import cross_polytope, random_whitney, simplex_complex
+from higherchar.generators import cross_polytope, path3, random_whitney, simplex_complex
+from higherchar.product import topological_product
+
+from oracles import star_weights_by_face_table
 
 OCTA = cross_polytope(2)
 
@@ -307,13 +310,16 @@ def test_face_table_without_a_pair(monkeypatch):
 
 
 def test_face_table_without_a_pair_splits_the_n_routes(monkeypatch):
-    # the cross-check of TestNRoutes: the face-table route read on a whole
-    # complex no longer gives the pairs of the star-weight route.  On
-    # rw:12:30:1 and cp(3) the grouped pairs hide this dropped pair
-    gs = (OCTA, random_whitney(12, 30, 2))
+    # the cross-check of TestNRoutes, face by face: the n pass over the
+    # table no longer gives the star weights.  The grouped (N, C) pairs see
+    # it on the octahedron and rw:12:30:2 alone; on the other four they
+    # balance, so those are the ones this check must see it on
+    rw = random_whitney(12, 30, 1)
+    gs = (OCTA, random_whitney(12, 30, 2), rw, cross_polytope(3), top.barycentric(rw),
+          topological_product(rw, path3()))
 
     def agree(g):
-        return dict(ch._subset_terms(ch._face_table(g), g.member_bits)) == dict(ch._terms(g))
+        return star_weights_by_face_table(ch._face_table(g)) == ch._star_weights(g)
 
     assert all(map(agree, gs))
     monkeypatch.setattr(*_face_table_without_a_pair())

@@ -577,12 +577,8 @@ class TestChiRefutation:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(recognizers, "_chi_refutes", lambda g, chi: False)
             slow = _verdicts(g, dims)
-        # a search the check does not end may spend the whole budget and say
-        # unknown where the check decides; every other verdict is the same
-        spent = [v.status.value == "unknown" and v.calls_used > recognizers.DEFAULT_BUDGET
-                 for v in slow]
-        assert [(v.status, v.certificate) for v, s in zip(fast, spent) if not s] == [
-            (v.status, v.certificate) for v, s in zip(slow, spent) if not s]
+        assert [(v.status, v.certificate) for v in fast] == [
+            (v.status, v.certificate) for v in slow]
         assert all(a.calls_used <= b.calls_used for a, b in zip(fast, slow))
         return sum(v.calls_used for v in fast), sum(v.calls_used for v in slow)
 
@@ -590,15 +586,6 @@ class TestChiRefutation:
     @settings(max_examples=60, deadline=None)
     def test_random_complexes(self, g):
         self._check(g, range(max(g.dim - 1, -1), g.dim + 2))
-
-    def test_spent_budget_without_the_check(self):
-        # a cone over bary(cp(2)) less one open facet has chi = 2: the check
-        # says no in 1 call, the search without it spends the whole budget
-        g = join(barycentric(cross_polytope(2)), closure([[0]]), relabel=True)
-        g = _puncture(g, g.masks[-1])
-        _, slow_calls = self._check(g, (g.dim,))
-        assert is_contractible(g).status.value == "no"
-        assert slow_calls > recognizers.DEFAULT_BUDGET
 
     @pytest.mark.parametrize("name", list(PINNED_COMPLEXES))
     def test_pinned_complexes(self, name):
