@@ -84,7 +84,7 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
                         _position_stars, _vertex_mask)
-from .errors import DomainError, InputError, charge, charge_tuples
+from .errors import DEFAULT_OP_BUDGET, DomainError, InputError, charge, charge_tuples
 from .topology import configuration, config_weight, star_intersection
 
 __all__ = [
@@ -106,8 +106,6 @@ __all__ = [
     "local_valuation_check",
     "local_valuation_sum",
 ]
-
-DEFAULT_OP_BUDGET = 10**9
 
 
 def _weight_of_bits(b: int) -> int:

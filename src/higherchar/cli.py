@@ -25,7 +25,8 @@ import time
 from . import characteristics as ch
 from . import cohomology, linalg, recognizers
 from .complexes import Complex, Simplex, SimplexSubset
-from .errors import HigherCharError, InputError, ResourceBudgetError, charge
+from .errors import (DEFAULT_CALL_BUDGET, DEFAULT_OP_BUDGET, HigherCharError, InputError,
+                     ResourceBudgetError, charge)
 from .files import check_simplex_count, format_facets, load_complex
 from .generators import GeneratorSpec, SplitMix64, generate
 from .product import POINT, product_simplex_count, topological_product
@@ -337,7 +338,7 @@ def cmd_matrix(args) -> int:
         # about n^3 per prime
         n = len(g)
         charge(f"{which} of {n} simplices", (2 if which == "isospectral" else 1) * n**4,
-               ch.DEFAULT_OP_BUDGET)
+               DEFAULT_OP_BUDGET)
     # L and g are printed from their sparse rows; the charpoly kinds need
     # the dense matrices of the public functions
     if which == "connection":
@@ -394,14 +395,14 @@ COMMANDS = {
              help="evaluate the valuation identity on non-open sets"),
         _arg("--right", default=None, help="second complex for the product suite"),
         _arg("--threads", type=int, default=1, help="accepted for compatibility and ignored"),
-        _arg("--budget", type=int, default=ch.DEFAULT_OP_BUDGET,
+        _arg("--budget", type=int, default=DEFAULT_OP_BUDGET,
              help="operation budget; a suite whose cost is over it exits 2"),
         _JSON,
     )),
     "bench": ("naive global sum vs local star sums", (
         _COMPLEX,
         _arg("-m", type=int, choices=(2, 3), required=True),
-        _arg("--budget", type=int, default=ch.DEFAULT_OP_BUDGET,
+        _arg("--budget", type=int, default=DEFAULT_OP_BUDGET,
              help="operation budget; a path whose tuple count is over it exits 2"),
         _JSON,
     )),
@@ -433,7 +434,7 @@ COMMANDS = {
              choices=("contractible", "sphere", "ball", "manifold",
                       "manifold-with-boundary", "dehn-sommerville")),
         _arg("--d", type=int, default=0),
-        _arg("--budget", type=int, default=recognizers.DEFAULT_BUDGET),
+        _arg("--budget", type=int, default=DEFAULT_CALL_BUDGET),
         _JSON,
     )),
     "matrix": ("dump exact matrices as JSON", (

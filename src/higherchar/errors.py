@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the default work budgets shared across the package."""
 
 
 class HigherCharError(Exception):
@@ -25,6 +25,13 @@ class ResourceBudgetError(HigherCharError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+# The default budgets live here, so the CLI's parser reads them without loading
+# the modules that spend them; characteristics re-exports DEFAULT_OP_BUDGET, and
+# recognizers DEFAULT_CALL_BUDGET as DEFAULT_BUDGET.
+DEFAULT_OP_BUDGET = 10**9  # steps of one characteristics operation
+DEFAULT_CALL_BUDGET = 100_000  # calls of one recognizer query
 
 
 def charge(stage: str, cost: int, budget: int | None, unit: str = "steps", partial=None) -> None:

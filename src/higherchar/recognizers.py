@@ -224,7 +224,7 @@ from enum import Enum
 from itertools import takewhile
 
 from .complexes import Complex, _join_bits, _vertex_stars, vertices_of
-from .errors import DomainError, InputError
+from .errors import DEFAULT_CALL_BUDGET as DEFAULT_BUDGET, DomainError, InputError
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -238,8 +238,6 @@ __all__ = [
     "manifold_boundary",
     "is_dehn_sommerville",
 ]
-
-DEFAULT_BUDGET = 100_000
 
 
 class Status(str, Enum):

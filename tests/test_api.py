@@ -4,6 +4,7 @@ each module, and the names the benchmark scripts import from the package."""
 import ast
 import importlib
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
@@ -31,9 +32,15 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(higherchar.__path__, "high
 
 
 def test_top_level_names():
+    # a top-level name enters vars() when it is first read
+    for name in dir(higherchar):
+        value = getattr(higherchar, name)
+        if name in TOP_LEVEL:
+            assert getattr(sys.modules[value.__module__], name) is value
     public = sorted(name for name, value in vars(higherchar).items()
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == sorted(TOP_LEVEL) and len(public) == 55
+    assert sorted(higherchar.__all__) == sorted(TOP_LEVEL)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "higherchar.__main__"])
