@@ -23,14 +23,11 @@ import sys
 import time
 
 from . import characteristics as ch
-from . import cohomology, linalg, recognizers
+from . import cohomology, generators, linalg, product, recognizers, topology
 from .complexes import Complex, Simplex, SimplexSubset
 from .errors import (DEFAULT_CALL_BUDGET, DEFAULT_OP_BUDGET, HigherCharError, InputError,
                      ResourceBudgetError, charge)
 from .files import check_simplex_count, format_facets, load_complex
-from .generators import GeneratorSpec, SplitMix64, generate
-from .product import POINT, product_simplex_count, topological_product
-from .topology import OpenSet, _open_hull_of_masks, barycentric, core, open_hull
 
 VERIFY_SUITES = (
     "energy",
@@ -90,16 +87,16 @@ def parse_set_token(g: Complex, token: str) -> SimplexSubset:
     if token == "none":
         return SimplexSubset._of_bits(g, ())
     if token.startswith("star:"):
-        return open_hull(g, map(_parse_simplex_token, token[5:].split(",")))
+        return topology.open_hull(g, map(_parse_simplex_token, token[5:].split(",")))
     if token.startswith("core:"):
         bits: set[int] = set()
         for tok in token[5:].split(","):
-            bits |= core(g, _parse_simplex_token(tok)).member_bits
+            bits |= topology.core(g, _parse_simplex_token(tok)).member_bits
         return SimplexSubset._of_bits(g, bits)
     raise InputError(f"bad set token {token!r}; expected all, none, star:... or core:...")
 
 
-def random_open_set(g: Complex, rng: SplitMix64) -> OpenSet:
+def random_open_set(g: Complex, rng: generators.SplitMix64) -> topology.OpenSet:
     """Union of the stars of a random sub-collection of simplices."""
     n = len(g)
     idx = list(range(n))
@@ -108,7 +105,7 @@ def random_open_set(g: Complex, rng: SplitMix64) -> OpenSet:
         j = i + rng.below(n - i)
         idx[i], idx[j] = idx[j], idx[i]
     masks = g.masks
-    return _open_hull_of_masks(g, {masks[i] for i in idx[:t]})
+    return topology._open_hull_of_masks(g, {masks[i] for i in idx[:t]})
 
 
 def cmd_info(args) -> int:
@@ -130,7 +127,7 @@ def cmd_info(args) -> int:
 def _check_refinement(g: Complex) -> None:
     """Refuse a refinement over the cap before building it; G * 1 is its size."""
     check_simplex_count("the simplex count of the refinement",
-                        product_simplex_count(g, POINT))
+                        product.product_simplex_count(g, product.POINT))
 
 
 def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
@@ -157,7 +154,7 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         steps = 8 * sum(1 << y.bit_count() for y in g.member_bits)
         charge(f"valuation of {args.pairs} random open pairs on {len(g)} simplices",
                steps * args.pairs, args.budget, "subset steps")
-        rng = SplitMix64(args.seed)
+        rng = generators.SplitMix64(args.seed)
         t0 = time.perf_counter()
         passed = 0
         for _ in range(args.pairs):
@@ -193,16 +190,16 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         _check_refinement(g)
         t0 = time.perf_counter()
         lhs = ch.w_m(g, m, op_budget=args.budget)
-        rhs = ch.w_m(barycentric(g), m, op_budget=args.budget)
+        rhs = ch.w_m(topology.barycentric(g), m, op_budget=args.budget)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("barycentric", m, k, lhs, rhs, lhs == rhs, len(g), elapsed)]
     if suite == "product":
-        right = load_complex(args.right) if args.right else generate(GeneratorSpec("path3"))
+        right = load_complex(args.right) if args.right else generators.path3()
         check_simplex_count("the simplex count of the product",
-                            product_simplex_count(g, right))
+                            product.product_simplex_count(g, right))
         _check_refinement(g)
         t0 = time.perf_counter()
-        gh = topological_product(g, right)
+        gh = product.topological_product(g, right)
         wg = ch.w_m(g, m, op_budget=args.budget)
         lhs = ch.w_m(gh, m, op_budget=args.budget)
         rhs = wg * ch.w_m(right, m, op_budget=args.budget)
@@ -210,7 +207,7 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         rep1 = ch.EnergyReport("product", m, k, lhs, rhs, lhs == rhs, len(gh), elapsed)
         # the refinement G * 1 keeps w_m: lhs is w_m(G) from above
         t0 = time.perf_counter()
-        gdot1 = topological_product(g, POINT)
+        gdot1 = product.topological_product(g, product.POINT)
         rhs2 = ch.w_m(gdot1, m, op_budget=args.budget)
         elapsed = (time.perf_counter() - t0) * 1000.0
         rep2 = ch.EnergyReport("product-refinement", m, k, wg, rhs2, wg == rhs2,
@@ -273,16 +270,17 @@ def _write_facets(g: Complex, output) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = GeneratorSpec(kind=args.kind, n=args.n, edges=args.edges, d=args.d,
-                         seed=args.seed)
-    return _write_facets(generate(spec), args.output)
+    spec = generators.GeneratorSpec(kind=args.kind, n=args.n, edges=args.edges, d=args.d,
+                                    seed=args.seed)
+    return _write_facets(generators.generate(spec), args.output)
 
 
 def cmd_product(args) -> int:
     left = load_complex(args.left)
     right = load_complex(args.right)
-    check_simplex_count("the simplex count of the product", product_simplex_count(left, right))
-    return _write_facets(topological_product(left, right), args.output)
+    check_simplex_count("the simplex count of the product",
+                        product.product_simplex_count(left, right))
+    return _write_facets(product.topological_product(left, right), args.output)
 
 
 def cmd_betti(args) -> int:
@@ -394,7 +392,6 @@ COMMANDS = {
         _arg("--allow-closed", action="store_true",
              help="evaluate the valuation identity on non-open sets"),
         _arg("--right", default=None, help="second complex for the product suite"),
-        _arg("--threads", type=int, default=1, help="accepted for compatibility and ignored"),
         _arg("--budget", type=int, default=DEFAULT_OP_BUDGET,
              help="operation budget; a suite whose cost is over it exits 2"),
         _JSON,

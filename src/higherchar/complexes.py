@@ -151,6 +151,15 @@ def _mask(s) -> int:
     return b
 
 
+def _holds(member_bits: Collection[int], s) -> bool:
+    """Whether s, a Simplex or an iterable of vertex ids, is among the
+    masks; any other value, a negative id or no id included, is not."""
+    try:
+        return _mask(s) in member_bits
+    except (TypeError, InputError):
+        return False
+
+
 class Complex:
     """An immutable simplicial complex, stored as the frozenset ``member_bits``
     of its members' vertex masks.
@@ -211,12 +220,7 @@ class Complex:
         return iter(self.simplices)
 
     def __contains__(self, s) -> bool:
-        if isinstance(s, Simplex):
-            return s.bits in self.member_bits
-        try:
-            return bits_of(s) in self.member_bits
-        except TypeError:
-            return False
+        return _holds(self.member_bits, s)
 
     def __eq__(self, other):
         if other is self:  # subsets of one ambient compare it with itself
@@ -264,43 +268,18 @@ class Complex:
         return tuple(map(Simplex.from_bits, top))
 
 
-def _vertex_stars(masks: Iterable[int]) -> dict[int, list[int]]:
-    """Each vertex bit -> the masks that hold it, in the order given; the
-    vertices come in the order of their first appearance, each mask's lowest
-    vertex first.  Keyed by the bit, for the lookups by vertex of the
-    recognizers' small sub-complexes and of the connection rows; the passes
-    over every vertex of a whole complex group by position
-    (``_position_stars``)."""
-    st: dict[int, list[int]] = {}
-    for b in masks:
-        r = b
-        while r:
-            low = r & -r
-            lst = st.get(low)
-            if lst is None:
-                st[low] = [b]
-            else:
-                lst.append(b)
-            r ^= low
-    return st
-
-
 def _position_stars(masks: Iterable[int]) -> dict[int, list[int]]:
     """Each vertex position p -> the masks that hold the vertex bit
     1 << (p - 1), in the order given; the positions come in the order of
-    their first appearance, each mask's highest vertex first.
+    their first appearance, each mask's highest vertex first: ascending on a
+    canonical tuple, whose vertices lead.  The one grouping of masks by
+    vertex: the N(z) pass and the face tables, the recognizers' star index
+    and the connection rows all read it.
 
     A mask is taken apart from the top: p = r.bit_length(), then r -= the
     bit, which heads p's list while it is built, so a (mask, vertex) step
     makes one new int where ``r & -r`` and ``r ^ low`` make three, and the
-    key is a small int however wide the mask is.  For the passes over every
-    vertex of a whole complex; ``_vertex_stars``, keyed by the bit, serves
-    the lookups by vertex, where mapping positions back to bits would cost
-    more on the recognizers' 2-30-member links than it saves.  On narrow
-    masks this loop is no faster than ``_vertex_stars``: the small face
-    tables of ``_local_at`` take some 0.2 µs more each (cycle(8) 3.64 ->
-    3.88 µs), so the split between the two follows the callers, not the
-    mask width."""
+    key is a small int however wide the mask is."""
     st: dict[int, list[int]] = {}
     for b in masks:
         r = b
@@ -413,12 +392,7 @@ class SimplexSubset:
         return iter(_members(self))
 
     def __contains__(self, s) -> bool:
-        if isinstance(s, Simplex):
-            return s.bits in self.member_bits
-        try:
-            return bits_of(s) in self.member_bits
-        except TypeError:
-            return False
+        return _holds(self.member_bits, s)
 
     def __eq__(self, other):
         if isinstance(other, SimplexSubset):

@@ -48,7 +48,7 @@ from math import comb, gcd, isqrt
 from operator import mul
 
 from . import characteristics
-from .complexes import Complex, _vertex_stars
+from .complexes import Complex, _position_stars
 from .errors import DomainError, ResourceBudgetError, SingularMatrixError, charge
 
 __all__ = [
@@ -118,12 +118,13 @@ def _connection_rows(g: Complex) -> list[dict[int, int]]:
     In canonical order x minus its lowest vertex v comes first, so row x is
     that row joined with the star of v."""
     index = _simplex_index(g, "connection")
-    stars = {v: dict.fromkeys([index[y] for y in ys], 1)
-             for v, ys in _vertex_stars(index).items()}
+    stars = {p: dict.fromkeys([index[y] for y in ys], 1)
+             for p, ys in _position_stars(index).items()}
     rows: dict[int, dict[int, int]] = {}
     for x in index:
         v = x & -x
-        rows[x] = stars[v] if x == v else rows[x ^ v] | stars[v]
+        star = stars[v.bit_length()]
+        rows[x] = star if x == v else rows[x ^ v] | star
     return list(rows.values())
 
 

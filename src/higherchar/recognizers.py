@@ -24,7 +24,8 @@ returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
 A sub-complex g is the tuple of its members' bit masks in canonical order
 (by size, then by vertex list).  Each step is passed g's star index: g and
-its stars, st[v] holding the members that contain v, in g's order.  Unit
+its stars, st[v] holding the members that contain v, in g's order, keyed by
+the position of v's bit as ``complexes._position_stars`` groups them.  Unit
 spheres are read from these stars, never from a scan of g.  An index builds
 its stars the first time a body reads them, so a memo hit builds nothing,
 and the bodies that run on one sub-complex share its index because they are
@@ -223,7 +224,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 
-from .complexes import Complex, _join_bits, _vertex_stars, vertices_of
+from .complexes import Complex, _join_bits, _position_stars, vertices_of
 from .errors import DEFAULT_CALL_BUDGET as DEFAULT_BUDGET, DomainError, InputError
 
 __all__ = [
@@ -349,11 +350,12 @@ def _nonnegative(g: tuple[int, ...], d: int):
 
 
 class _StarIndex:
-    """A sub-complex g and its stars st: for each vertex bit, the members of
-    g that contain it, in g's order.  Unit spheres and the order of vertex
-    candidates are read from here.  The stars are built the first time they
-    are read: from the parent's stars for a vertex puncture made by
-    ``punctured``, which then drops the parent, and from g otherwise."""
+    """A sub-complex g and its stars st: for each vertex position p, the
+    members of g that contain the vertex bit 1 << (p - 1), in g's order.
+    Unit spheres and the order of vertex candidates are read from here.  The
+    stars are built the first time they are read: from the parent's stars
+    for a vertex puncture made by ``punctured``, which then drops the
+    parent, and from g otherwise."""
 
     __slots__ = ("g", "_st", "_parent", "_rank")
 
@@ -371,22 +373,23 @@ class _StarIndex:
     def _stars(self) -> dict[int, list[int]]:
         parent = self._parent
         if parent is None:
-            st = _vertex_stars(self.g)
+            st = _position_stars(self.g)
         else:
             # g = parent - U(v): only the vertices u of lk(v) lose members,
             # those that hold v; every other star is shared as it is
             idx, vb = parent
             pst = idx.st
+            p = vb.bit_length()
             near = 0
-            for y in pst[vb]:
+            for y in pst[p]:
                 near |= y
             near ^= vb
             st = dict(pst)
-            del st[vb]
+            del st[p]
             while near:
-                u = near & -near
-                st[u] = [y for y in pst[u] if not y & vb]
-                near ^= u
+                q = near.bit_length()
+                st[q] = [y for y in pst[q] if not y & vb]
+                near -= 1 << (q - 1)
             self._parent = None
         self._st = st
         return st
@@ -399,24 +402,25 @@ class _StarIndex:
         return idx
 
     def vertices_by_star_size(self) -> list[int]:
+        """The vertex bits by (star size, bit)."""
         st = self.st
-        return sorted(st, key=lambda vb: (len(st[vb]), vb))
+        return [1 << (p - 1) for p in sorted(st, key=lambda p: (len(st[p]), p))]
 
     def unit_sphere(self, xb: int) -> tuple[int, ...]:
         """S(x), canonical: lk(v) for a vertex, dx * lk(x) otherwise."""
         st = self._st  # the slot, not the property: this is the hot path
         if st is None:
             st = self._stars()
-        if not xb & (xb - 1):
-            return tuple([y ^ xb for y in st[xb] if y != xb])
-        low = xb & -xb
-        smallest = st[low]
-        r = xb ^ low
+        p = xb.bit_length()
+        smallest = st[p]
+        r = xb - (1 << (p - 1))
+        if not r:
+            return tuple([y ^ xb for y in smallest if y != xb])
         while r:
-            low = r & -r
-            if len(st[low]) < len(smallest):
-                smallest = st[low]
-            r ^= low
+            p = r.bit_length()
+            if len(st[p]) < len(smallest):
+                smallest = st[p]
+            r -= 1 << (p - 1)
         # x comes first among the members that contain it, so link[0] is 0
         link = [y ^ xb for y in smallest if y & xb == xb]
         faces = []

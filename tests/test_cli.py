@@ -137,9 +137,11 @@ class TestVerify:
         assert rc == 3
 
     def test_threads_flag(self, capsys, octa_file):
-        rc, out = run(capsys, ["verify", "energy", octa_file, "-m", "1", "-k", "2",
-                               "--threads", "3", "--json"])
-        assert rc == 0
+        # verify has no --threads option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "energy", octa_file, "-m", "1", "--threads", "2"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_resource_exit_2(self, capsys, octa_file):
         rc = main(["verify", "dual-sphere", octa_file, "-m", "1", "-k", "3",
@@ -294,18 +296,18 @@ class TestVerify:
                                                   corrupt):
         # Drop one maximal chain from G * H or from G * 1 alone: the Euler
         # characteristic w_1 of that complex moves by one, and only its report fails.
-        import higherchar.cli as cli
+        from higherchar import product
         from higherchar.complexes import Complex
 
-        build = cli.topological_product
+        build = product.topological_product
 
         def dropped(g, h):
             gh = build(g, h)
-            if (h is cli.POINT) != (corrupt == "product-refinement"):
+            if (h is product.POINT) != (corrupt == "product-refinement"):
                 return gh
             return Complex._of_bits(gh.member_bits - {gh.facets()[-1].bits})
 
-        monkeypatch.setattr(cli, "topological_product", dropped)
+        monkeypatch.setattr(product, "topological_product", dropped)
         rc, out = run(capsys, ["verify", "product", octa_file, "-m", "1", "--json"])
         passed = {d["suite"]: d["pass"] for d in map(json.loads, out.splitlines())}
         assert passed == {"product": corrupt != "product",
@@ -330,8 +332,9 @@ class TestVerify:
         def unreached(*args):
             raise AssertionError("complex-sized work before the argument check")
 
-        for name in ("topological_product", "random_open_set", "barycentric"):
-            monkeypatch.setattr(cli, name, unreached)
+        for owner, name in ((cli.product, "topological_product"), (cli, "random_open_set"),
+                            (cli.topology, "barycentric")):
+            monkeypatch.setattr(owner, name, unreached)
         cp3 = tmp_path / "cp3.facets"
         save_complex(cross_polytope(3), cp3)
         files = {"octa": octa_file, "cp3": str(cp3)}
@@ -689,7 +692,7 @@ VALID_ARGV = [
     ["info", "--", "g.facets"],
     ["verify", "energy", "g.facets", "-m", "2", "-k3", "--bud", "7", "--json"],
     ["verify", "valuation", "g.facets", "--set-a", "star:1", "--set-b", "core:2",
-     "--allow-closed", "--pairs", "5", "--seed", "4", "--threads", "2"],
+     "--allow-closed", "--pairs", "5", "--seed", "4"],
     ["verify", "product", "g.facets", "--right", "h.facets"],
     ["bench", "g.facets", "-m", "3"],
     ["generate", "--kind", "random_whitney", "--n", "9", "--edges", "12", "--seed", "1",

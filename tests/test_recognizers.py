@@ -12,6 +12,7 @@ from higherchar.errors import DomainError
 from higherchar.generators import (
     cross_polytope,
     cycle,
+    path3,
     random_whitney,
     simplex_complex,
     star_complex,
@@ -35,6 +36,7 @@ from oracles import (
     manifold_by_every_link,
     sphere_by_every_link,
     unit_sphere_by_scan,
+    vertex_stars_by_filter,
     vertices_by_popcount,
 )
 from strategies import random_complexes
@@ -334,11 +336,13 @@ class TestPinnedVerdicts:
 
 
 class TestStarIndex:
-    """Links read from the star index equal the literal scan, order included."""
+    """Stars and links read from the star index equal the literal filter and
+    scan, order included."""
 
     @staticmethod
     def _check(g):
         idx = recognizers._StarIndex(g)
+        assert [(1 << (p - 1), ys) for p, ys in idx.st.items()] == vertex_stars_by_filter(g)
         assert idx.vertices_by_star_size() == vertices_by_popcount(g)
         members = set(g)
         for xb in g:
@@ -358,6 +362,15 @@ class TestStarIndex:
     def test_links_match_scan_on_refinement(self):
         self._check(tuple(s.bits for s in barycentric(cross_polytope(3)).simplices))
 
+    @given(st.one_of(random_complexes(max_vertices=8, max_edges=18),
+                     st.just(barycentric(cross_polytope(2))),
+                     random_complexes(max_vertices=4, max_edges=4).map(
+                         lambda g: topological_product(g, path3()))))
+    @settings(max_examples=40, deadline=None)
+    def test_stars_and_links_match_oracles(self, g):
+        # a product's masks are |G|·|H| bits wide
+        self._check(g.masks)
+
 
 class TestDerivedStarIndex:
     """The index of a vertex puncture p = g - U(v), derived from g's, equals
@@ -368,7 +381,7 @@ class TestDerivedStarIndex:
     def _check_chain(g, data):
         idx = recognizers._StarIndex(g)
         for _ in range(data.draw(st.integers(min_value=1, max_value=len(idx.st)))):
-            vb = data.draw(st.sampled_from(sorted(idx.st)))
+            vb = 1 << (data.draw(st.sampled_from(sorted(idx.st))) - 1)
             p = tuple(b for b in idx.g if not b & vb)
             idx = idx.punctured(vb, p)
             fresh = recognizers._StarIndex(p)
