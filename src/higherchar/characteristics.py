@@ -82,10 +82,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
+from . import topology
 from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
                         _position_stars, _vertex_mask)
 from .errors import DEFAULT_OP_BUDGET, DomainError, InputError, charge, charge_tuples
-from .topology import configuration, config_weight, star_intersection
 
 __all__ = [
     "DEFAULT_OP_BUDGET",
@@ -302,7 +302,7 @@ class InteractionFunction:
 
     @staticmethod
     def default(arity: int) -> "InteractionFunction":
-        return InteractionFunction(arity, config_weight)
+        return InteractionFunction(arity, topology.config_weight)
 
     @staticmethod
     def delta(target: Sequence[Simplex], value: int = 1) -> "InteractionFunction":
@@ -755,7 +755,7 @@ def _local_at(g: Complex, z: int, m: int) -> tuple[int, int]:
 def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
     """Check w_m(B(X)) = w_m(U(X)) - (-1)^m * w_m(S(X)) for a configuration:
     the three sets are those of its union (``_local_at``)."""
-    X = configuration(g, xs)
+    X = topology.configuration(g, xs)
     if m < 1:
         raise InputError("the arity m must be at least 1")
     t0 = time.perf_counter()
@@ -832,15 +832,15 @@ def green(
     h: InteractionFunction | None = None,
 ) -> int:
     """The k-point potential weight(X) * w_m(U(X)); zero when U(X) is empty."""
-    X = configuration(g, xs)
-    u = star_intersection(g, X)
+    X = topology.configuration(g, xs)
+    u = topology.star_intersection(g, X)
     if h is None:
         if m is None:
             raise InputError("green needs either m or an interaction function")
         val = w_m(u, m)
     else:
         val = w_m_energized(u, h)
-    return config_weight(X) * val
+    return topology.config_weight(X) * val
 
 
 def curvature_profile(g: Complex, m: int) -> tuple[tuple[Simplex, int], ...]:

@@ -151,11 +151,13 @@ def _mask(s) -> int:
     return b
 
 
-def _holds(member_bits: Collection[int], s) -> bool:
-    """Whether s, a Simplex or an iterable of vertex ids, is among the
-    masks; any other value, a negative id or no id included, is not."""
+def _holds(member_bits: Collection[int], bound: int, s) -> bool:
+    """Whether s, a Simplex or an iterable of vertex ids, is among the masks,
+    whose ids lie below bound; any other value, a negative id, an id at or
+    above the bound or no id included, is not, and no bit is built for it."""
     try:
-        return _mask(s) in member_bits
+        ids = tuple(s)
+        return all(0 <= v < bound for v in ids) and _mask(ids) in member_bits
     except (TypeError, InputError):
         return False
 
@@ -170,7 +172,7 @@ class Complex:
     first use.  Construction verifies closure under taking nonempty subsets.
     """
 
-    __slots__ = ("member_bits", "_masks", "_simplices")
+    __slots__ = ("member_bits", "_masks", "_simplices", "_bound")
 
     def __init__(self, simplices: Iterable = ()):
         bs = frozenset(map(_mask, simplices))
@@ -185,6 +187,7 @@ class Complex:
         self.member_bits: frozenset[int] = bs
         self._masks: tuple[int, ...] | None = masks
         self._simplices: tuple[Simplex, ...] | None = None
+        self._bound: int | None = None
 
     @classmethod
     def _of_bits(cls, masks: Iterable[int]) -> "Complex":
@@ -192,7 +195,7 @@ class Complex:
         is checked."""
         g = object.__new__(cls)
         g.member_bits = frozenset(masks)
-        g._masks = g._simplices = None
+        g._masks = g._simplices = g._bound = None
         return g
 
     @staticmethod
@@ -219,8 +222,15 @@ class Complex:
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices)
 
+    def _id_bound(self) -> int:
+        """One more than the highest vertex id, found once: the top bit of
+        the largest mask."""
+        if self._bound is None:
+            self._bound = max(self.member_bits, default=0).bit_length()
+        return self._bound
+
     def __contains__(self, s) -> bool:
-        return _holds(self.member_bits, s)
+        return _holds(self.member_bits, self._id_bound(), s)
 
     def __eq__(self, other):
         if other is self:  # subsets of one ambient compare it with itself
@@ -392,7 +402,7 @@ class SimplexSubset:
         return iter(_members(self))
 
     def __contains__(self, s) -> bool:
-        return _holds(self.member_bits, s)
+        return _holds(self.member_bits, self.ambient._id_bound(), s)
 
     def __eq__(self, other):
         if isinstance(other, SimplexSubset):

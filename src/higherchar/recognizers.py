@@ -1,5 +1,5 @@
-"""Budgeted recursive recognizers for contractibility, spheres, balls,
-manifolds and Dehn-Sommerville spaces.
+"""Budgeted recognizers for contractibility, spheres, balls, manifolds and
+Dehn-Sommerville spaces.
 
 The definitions are mutually recursive in the dimension: the void complex is
 the (-1)-sphere and the one-point complex is the smallest contractible
@@ -22,6 +22,15 @@ tests answer NO on any other chi before they build a link or a puncture.
 These are semi-decision procedures: YES and NO are sound, and UNKNOWN is
 returned only when the call budget runs out before the search is exhausted;
 a spent budget ends the whole search at once.
+
+The recursion of the definitions runs on one explicit stack (Ganz,
+Friedman and Wand, "Trampolined style", ICFP 1999).  A step body is a
+generator: it yields each sub-query as (step, index, *args) and is sent
+back its (status, certificate).  The driver ``_run`` runs a sub-query's
+base case, looks up the memo, charges one call and pushes the new body; a
+body's result is memoized and sent to the body below.  The query order is
+a recursive call's, and no recursion limit bounds the depth.
+
 A sub-complex g is the tuple of its members' bit masks in canonical order
 (by size, then by vertex list).  Each step is passed g's star index: g and
 its stars, st[v] holding the members that contain v, in g's order, keyed by
@@ -33,7 +42,7 @@ passed the same one: _sphere and its _manifold; _ball, its
 _manifold_with_boundary and its _contractible; the _sphere and the _ball of
 one unit sphere.  The index of a vertex puncture
 p = g - U(v), which _contractible and the vertex candidates of _sphere
-recurse on, is derived from g's: v's star is dropped, the stars of the
+query, is derived from g's: v's star is dropped, the stars of the
 vertices of lk(v) keep their members without v, and every other star holds
 no member with v and is shared as it is.  A filter keeps g's order and p is
 a filter of g, so each list is the one a scan of p would build: the
@@ -218,11 +227,11 @@ ended it, NO: no YES, NO or certificate changes, only the number of calls.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
+from typing import Generator
 
 from .complexes import Complex, _join_bits, _position_stars, vertices_of
 from .errors import DEFAULT_CALL_BUDGET as DEFAULT_BUDGET, DomainError, InputError
@@ -239,6 +248,9 @@ __all__ = [
     "manifold_boundary",
     "is_dehn_sommerville",
 ]
+
+# a step body: yields sub-queries, is sent and returns (status, certificate)
+_Body = Generator[tuple, tuple, tuple]
 
 
 class Status(str, Enum):
@@ -269,51 +281,13 @@ class Verdict:
         return self.status is UNKNOWN
 
 
-class _OutOfBudget(Exception):
-    """The call budget of one query is spent."""
-
-
-class _Ctx:
-    __slots__ = ("budget", "used", "memo")
-
-    def __init__(self, budget: int):
-        if budget < 1:
-            raise InputError("recognizer budget must be positive")
-        self.budget = budget
-        self.used = 0
-        self.memo: dict = {}
-
-    def charge(self) -> None:
-        self.used += 1
-        if self.used > self.budget:
-            raise _OutOfBudget
-
-
 def _step(base):
-    """Make a recognizer body one budgeted, memoized step.
-
-    The step takes the star index s of a sub-complex; ``base(s.g, *args)``
-    settles trivial cases free of charge and returns None otherwise.  Each
-    evaluation of the body costs one call, and its YES or NO is memoized on
-    s.g, the canonical tuple of member bit masks, so a memo hit reads no
-    star of s.
-    """
+    """Attach ``base(g, *args)`` to a step body: it settles trivial cases of
+    the sub-complex g free of charge, and returns None otherwise."""
 
     def wrap(body):
-        def step(ctx: _Ctx, s: _StarIndex, *args) -> tuple[Status, tuple]:
-            g = s.g
-            res = base(g, *args)
-            if res is not None:
-                return res
-            key = (body, g, *args)
-            hit = ctx.memo.get(key)
-            if hit is not None:
-                return hit
-            ctx.charge()
-            res = ctx.memo[key] = body(ctx, s, *args)
-            return res
-
-        return step
+        body.base = base
+        return body
 
     return wrap
 
@@ -436,31 +410,31 @@ class _StarIndex:
         return tuple(joins)
 
 
-def _every_link(ctx: _Ctx, s: _StarIndex, d: int, test) -> tuple[Status, tuple]:
-    """YES when ``test(ctx, S(v), d - 1)`` is YES for every vertex v of s.g,
-    the leading members of size 1."""
+def _every_link(s: _StarIndex, d: int, test) -> _Body:
+    """YES when the sub-query (test, S(v), d - 1) is YES for every vertex v
+    of s.g, the leading members of size 1."""
     for xb in takewhile(lambda b: not b & (b - 1), s.g):
-        if test(ctx, _StarIndex(s.unit_sphere(xb)), d - 1)[0] is NO:
+        if (yield test, _StarIndex(s.unit_sphere(xb)), d - 1)[0] is NO:
             return NO, ()
     return YES, ()
 
 
 @_step(lambda g: ((YES if g else NO), ()) if len(g) <= 1 else None)
-def _contractible(ctx: _Ctx, s: _StarIndex) -> tuple[Status, tuple]:
+def _contractible(s: _StarIndex) -> _Body:
     if _chi_refutes(s.g, 1):
         return NO, ()
     for vbit in s.vertices_by_star_size():
-        if _contractible(ctx, _StarIndex(s.unit_sphere(vbit)))[0] is not YES:
+        if (yield _contractible, _StarIndex(s.unit_sphere(vbit)))[0] is not YES:
             continue
-        s2, cert2 = _contractible(ctx, s.punctured(vbit, _minus_star(s.g, vbit)))
+        s2, cert2 = yield _contractible, s.punctured(vbit, _minus_star(s.g, vbit))
         if s2 is YES:
             return YES, (vbit.bit_length() - 1,) + cert2
     return NO, ()
 
 
 @_step(_void_sphere)
-def _sphere(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
-    if _chi_refutes(s.g, 1 + (-1) ** d) or _manifold(ctx, s, d)[0] is NO:
+def _sphere(s: _StarIndex, d: int) -> _Body:
+    if _chi_refutes(s.g, 1 + (-1) ** d) or (yield _manifold, s, d)[0] is NO:
         return NO, ()
     # puncture candidates: vertices with small stars first, then everything else
     g = s.g
@@ -468,72 +442,86 @@ def _sphere(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
     candidates.extend(b for b in g if b & (b - 1))
     for xb in candidates:
         p = _minus_star(g, xb)
-        st, cert = _contractible(ctx, _StarIndex(p) if xb & (xb - 1) else s.punctured(xb, p))
+        st, cert = yield _contractible, (_StarIndex(p) if xb & (xb - 1) else s.punctured(xb, p))
         if st is YES:
             return YES, vertices_of(xb) + cert
     return NO, ()
 
 
 @_step(_nonnegative)
-def _manifold(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+def _manifold(s: _StarIndex, d: int) -> _Body:
     # vertex unit spheres suffice, by (E) of the module docstring
-    return _every_link(ctx, s, d, _sphere)
+    return (yield from _every_link(s, d, _sphere))
 
 
 @_step(_nonnegative)
-def _manifold_with_boundary(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+def _manifold_with_boundary(s: _StarIndex, d: int) -> _Body:
     """YES with the boundary, the members whose unit sphere is a (d-1)-ball
     and not a (d-1)-sphere, when every unit sphere is one or the other."""
     boundary = []
     for xb in s.g:
         h = _StarIndex(s.unit_sphere(xb))
-        if _sphere(ctx, h, d - 1)[0] is YES:
+        if (yield _sphere, h, d - 1)[0] is YES:
             continue
-        if _ball(ctx, h, d - 1)[0] is NO:
+        if (yield _ball, h, d - 1)[0] is NO:
             return NO, ()
         boundary.append(xb)
     return YES, tuple(boundary)
 
 
 @_step(lambda g, d: (NO, ()) if d < 0 else None)
-def _ball(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+def _ball(s: _StarIndex, d: int) -> _Body:
     if _chi_refutes(s.g, 1):
         return NO, ()
-    mb, boundary = _manifold_with_boundary(ctx, s, d)
+    mb, boundary = yield _manifold_with_boundary, s, d
     if mb is NO:
         return NO, ()
-    ct, cert = _contractible(ctx, s)
+    ct, cert = yield _contractible, s
     if ct is NO:
         return NO, ()
-    sb, _ = _sphere(ctx, _StarIndex(boundary), d - 1)
+    sb, _ = yield _sphere, _StarIndex(boundary), d - 1
     return sb, (cert if sb is YES else ())
 
 
 @_step(_void_sphere)
-def _dehn_sommerville(ctx: _Ctx, s: _StarIndex, d: int) -> tuple[Status, tuple]:
+def _dehn_sommerville(s: _StarIndex, d: int) -> _Body:
     if _chi_refutes(s.g, 1 + (-1) ** d):
         return NO, ()
     # vertex unit spheres suffice, by (F) of the module docstring
-    return _every_link(ctx, s, d, _dehn_sommerville)
+    return (yield from _every_link(s, d, _dehn_sommerville))
 
 
-def _deep(fn, *args):
-    """fn(*args) with room for the recursion; the caller's limit is restored."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20000))
-    try:
-        return fn(*args)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _run(fn, g: Complex, *args, budget: int) -> Verdict:
-    ctx = _Ctx(budget)
-    try:
-        status, cert = _deep(fn, ctx, _StarIndex(g.masks), *args)
-    except _OutOfBudget:
-        return Verdict(UNKNOWN, (), ctx.used)
-    return Verdict(status, cert, ctx.used)
+def _run(step, g: Complex, *args, budget: int) -> Verdict:
+    """Answer the query (step, g, *args) on one stack of step bodies; the
+    body on top is sent the answer to its last sub-query, or None to start."""
+    if budget < 1:
+        raise InputError("recognizer budget must be positive")
+    memo: dict = {}
+    stack: list = []
+    recall, push = memo.get, stack.append
+    used = 0
+    query = (step, _StarIndex(g.masks)) + args
+    while True:
+        step, s, args = query[0], query[1], query[2:]
+        res = step.base(s.g, *args)
+        if res is None:
+            key = (step, s.g) + args
+            res = recall(key)
+            if res is None:
+                used += 1
+                if used > budget:
+                    return Verdict(UNKNOWN, (), used)
+                push((step(s, *args), key))
+        while stack:
+            body, key = stack[-1]
+            try:
+                query = body.send(res)
+                break
+            except StopIteration as done:
+                res = memo[key] = done.value
+                stack.pop()
+        else:
+            return Verdict(res[0], res[1], used)
 
 
 def is_contractible(g: Complex, budget: int = DEFAULT_BUDGET) -> Verdict:

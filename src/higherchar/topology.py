@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import product
 from .complexes import (Complex, Simplex, SimplexSubset, _close, _coerce_simplex, _vertex_mask,
                         closure)
 from .errors import DomainError, InputError
-from .product import POINT, topological_product
 
 __all__ = [
     "OpenSet",
@@ -144,7 +144,7 @@ def unit_sphere(g: Complex, xb: int) -> Complex:
 def barycentric(g: Complex) -> Complex:
     """The refinement of g, G * 1: the complex of chains of its face poset,
     the i-th simplex of g in canonical order being vertex i."""
-    return topological_product(g, POINT)
+    return product.topological_product(g, product.POINT)
 
 
 def open_refinement(g: Complex, u: SimplexSubset) -> OpenSet:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,18 @@ class TestComplex:
         g = closure([[1, 2]])
         assert (value in g) is member
         assert (value in SimplexSubset(g, g.simplices)) is member
+
+    def test_huge_id_answers_before_its_bit_is_built(self):
+        # a mask holding vertex 2**26 takes 8 MB; every id of g is below 3
+        g = closure([[1, 2]])
+        tracemalloc.start()
+        try:
+            assert [2**26] not in g and [1, 2**26] not in SimplexSubset(g, g.simplices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert [2**26] not in Complex.empty()
 
     def test_is_complex(self):
         assert is_complex([{1}, {2}, {1, 2}])

@@ -118,8 +118,9 @@ def _boundary_without_its_last_member():
     a top member of it, so the rest is still closed."""
     step = rec._manifold_with_boundary
 
-    def wrong(ctx, s, d):
-        status, boundary = step(ctx, s, d)
+    @rec._step(step.base)
+    def wrong(s, d):
+        status, boundary = yield from step(s, d)
         return status, boundary[:-1]
 
     return rec, "_manifold_with_boundary", wrong

@@ -433,15 +433,19 @@ class TestIndexBuilds:
         assert query().calls_used == calls
         assert (builds["fresh"], builds["derived"]) == (fresh, derived)
 
-    def test_memo_hit_builds_nothing(self, builds):
-        ctx = recognizers._Ctx(100)
-        g = cross_polytope(2).masks
-        assert recognizers._sphere(ctx, recognizers._StarIndex(g), 2)[0] is recognizers.YES
-        before = dict(builds), ctx.used
-        again = recognizers._StarIndex(g)
-        assert recognizers._sphere(ctx, again, 2)[0] is recognizers.YES
-        assert (dict(builds), ctx.used) == before
-        assert again._st is None
+    def test_memo_hit_builds_nothing(self, builds, monkeypatch):
+        # the antipodal vertices 1 and 2 of cp(2) have one link, a 4-cycle,
+        # so the second sub-query on it is a memo hit inside one query
+        g = cross_polytope(2)
+        link = unit_sphere_by_scan(g.masks, g.member_bits, 1 << 1)
+        assert unit_sphere_by_scan(g.masks, g.member_bits, 1 << 2) == link
+        built = []
+        counting = recognizers._StarIndex._stars
+        monkeypatch.setattr(recognizers._StarIndex, "_stars",
+                            lambda i: built.append(i.g) or counting(i))
+        assert is_manifold(g, 2).calls_used == 19
+        assert built.count(link) == 1
+        assert (builds["fresh"], builds["derived"]) == (7, 6)
 
 
 def _puncture(g, xb):
@@ -676,13 +680,16 @@ class TestJoinLemma:
 
 
 class TestProcessState:
-    def test_recursion_limit_restored(self, tetra):
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(1500)  # below what the recognizers ask for
-        try:
-            assert is_sphere(cross_polytope(2), 2).is_yes
-            assert sys.getrecursionlimit() == 1500
-            manifold_boundary(tetra, 3)
-            assert sys.getrecursionlimit() == 1500
-        finally:
-            sys.setrecursionlimit(old)
+    """A query runs on its own stack, so it never touches the interpreter's
+    recursion limit, and a search deeper than that limit still ends."""
+
+    def test_no_recursion_limit_needed(self, tetra, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("sys.setrecursionlimit called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        v = is_contractible(closure([i, i + 1] for i in range(n - 1)))
+        assert (v.status, v.calls_used) == (Status.YES, n - 1)
+        assert manifold_boundary(tetra, 3) == closure(combinations(range(1, 5), 3))
