@@ -41,9 +41,10 @@ unless a = z; for q ⊇ z, N_B(q) = N(q).  S(z) = ∂z ∗ lk(z) then follows
 from the local identity w_m(B) = w_m(U) - (-1)^m * w_m(S).  T_m is one
 superset-sum pass per m, and each distinct N(z) is raised to the m'th power
 once.  The member lists of B(z) and S(z) are the joins of z's faces with
-the link {y ^ z : y in U(z), y != z} of the star list (``_join_at``); the
-dual-sphere walk, the energized tables and the local-valuation check, which
-evaluates w_m of U(z), B(z) and S(z) literally (``_local_at``), read them.
+the link {y ^ z : y in U(z), y != z} of the star list, built on each use by
+``complexes._join_at``; the dual-sphere walk, the energized ball table and
+the local-valuation check, which evaluates w_m of U(z), B(z) and S(z)
+literally (``_local_at``), read them.
 
 The k-point configuration sums rest on one lemma: in a closed complex the
 weighted count of the k-tuples of simplices whose union is exactly z is
@@ -66,7 +67,7 @@ over X and Y gives
 
 so the walk runs over the m-tuples of simplices that share a unit sphere,
 not over the k-tuples of configurations; p in S(x) is tested, so no closure
-of the sets is assumed.  At k = 1, D(x) = S(x) and the sum is read off the
+of the sets is assumed; the walk adds one entry of Y per step, on a stack.  At k = 1, D(x) = S(x) and the sum is read off the
 sphere table.  ``w_m_naive`` keeps the literal definition; it is the oracle
 in tests and the global path of the benchmark.
 """
@@ -83,7 +84,7 @@ from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from . import topology
-from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_bits, _mask, _masks_of,
+from .complexes import (Complex, Simplex, SimplexSubset, _close, _join_at, _mask, _masks_of,
                         _position_stars, _vertex_mask)
 from .errors import DEFAULT_OP_BUDGET, DomainError, InputError, charge, charge_tuples
 
@@ -119,12 +120,13 @@ def _powers(values: Iterable[int], m: int, op_budget: int | None) -> dict[int, i
     N**m has at most m * bit_length(|N|) bits, d digits of 30 bits, and
     CPython squares d digits by Karatsuba in about 3^log2(d) digit products;
     each N with |N| >= 2 is charged 3 ** d.bit_length(), an upper bound on
-    that count.  The powers of 0, 1 and -1 are free.
+    that count.  The powers of 0, 1 and -1 are free and never refused.
     """
     vs = set(values)
     cost = sum(3 ** (m * abs(v).bit_length() // 30 + 1).bit_length()
                for v in vs if not -1 <= v <= 1)
-    charge(f"raising {len(vs)} values to the power {m}", cost, op_budget)
+    if cost:
+        charge(f"raising {len(vs)} values to the power {m}", cost, op_budget)
     return {v: v**m for v in vs}
 
 
@@ -416,32 +418,6 @@ def _face_table(g: Complex) -> _FaceTable:
     return _build_face_table(g.masks)
 
 
-def _join_at(z: int, star: Iterable[int], proper: bool) -> list[int]:
-    """Member bits of z̄ ∗ lk(z) = B(z), or with ``proper`` of ∂z ∗ lk(z) = S(z),
-    from the star list U(z): the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y
-    in U(z), except the empty set.  a = member & z and b = member & ~z, so
-    each member arises once."""
-    faces = []
-    sub = (z - 1) & z if proper else z
-    while sub:
-        faces.append(sub)
-        sub = (sub - 1) & z
-    return _join_bits(faces, [y ^ z for y in star if y != z])
-
-
-@lru_cache(maxsize=512)
-def _ball_members_of(g: Complex) -> dict[int, list[int]]:
-    """Member bits of B(z) = closure(U(z)) for every z of g."""
-    return {z: _join_at(z, star, False) for z, star in _stars_of(g).items()}
-
-
-@lru_cache(maxsize=512)
-def _sphere_sets(g: Complex) -> tuple[list[int], ...]:
-    """Member bits of S(z) = B(z) minus U(z) for every z of g, in canonical order."""
-    stars = _stars_of(g)
-    return tuple(_join_at(z, stars[z], True) for z in g.masks)
-
-
 @lru_cache(maxsize=512)
 def _star_weight_table(g: Complex) -> dict[int, int]:
     """``_star_weights(g)``, kept per complex."""
@@ -575,7 +551,8 @@ def energy_sum(
         if h.arity != m:
             raise InputError(f"interaction arity {h.arity} does not match m={m}")
         lhs = w_m_energized(g, h, op_budget=op_budget)
-        sets = _stars_of(g) if variant == "star" else _ball_members_of(g)
+        sets = {z: star if variant == "star" else _join_at(z, star, False)
+                for z, star in _stars_of(g).items()}
         table = _energized_wm(g, sets, h)
     rhs = _fold(g, table, op_budget)
     suite = "energy" if variant == "star" else "energy-ball"
@@ -603,29 +580,24 @@ def sphere_sum(
     return EnergyReport("sphere", m, k, 0, rhs, rhs == 0, len(g), elapsed)
 
 
-def _dual_sphere_total(
-    sph: Sequence[Iterable[int]],
-    ws: Sequence[int],
-    m: int,
-    k: int,
-    op_budget: int | None = None,
-) -> int:
+def _dual_sphere_total(sph: Sequence[Iterable[int]], ws: Sequence[int], m: int, k: int,
+                       op_budget: int | None = None) -> int:
     """The exchanged dual-sphere sum (module docstring) over the sphere sets
-    ``sph`` and the weights ``ws`` of the simplices x, indexed alike.
+    ``sph`` and the weights ``ws`` of the simplices x, indexed alike, in any
+    order of the x.
 
     I(y) = {x : y in S(x)} is a bitset over the indices of x, so F(Y) is a
     weighted popcount of M = I(y_1) & ... & I(y_m) & I(p).  Y runs over the
     nondecreasing m-tuples of the L simplices that lie in some S(x), with
-    multiplicity m! / prod(c!) over the runs of equal entries.  The walk
-    takes each simplex with a run length c >= 1 and recurses once per simplex,
-    not per entry, so its depth is at most L + 1; the multiplicity gains the
-    factor C(j+c, c) over the j entries before the run.  A prefix is dropped
-    once its intersection or its mask is empty, and since both depend on the
-    simplex and not on c, so is every longer run of it.  The walk visits at
-    most C(L+m, m) - 1 prefixes.  The w(Y) are
-    summed per value of F(Y), and each of the at most 2|G| nonzero values is
-    raised to the k'th power once, charged k as its bit length grows with k.
-    No closure or sphere property of the sets is used.
+    multiplicity m! / prod(c!) over the runs of equal entries.  The walk is
+    one explicit stack of prefixes, each step adding one entry: an entry
+    that makes a run of length r at position j multiplies the multiplicity
+    by j / r.  A repeated entry keeps the intersection and the mask; a new
+    one drops the prefix once either is empty.  The walk visits at most
+    C(L+m, m) - 1 prefixes.  The w(Y) are summed per value of F(Y), and each
+    of the at most 2|G| nonzero values is raised to the k'th power once,
+    charged k as its bit length grows with k.  No closure or sphere property
+    of the sets is used.
     """
     inc: dict[int, int] = {}
     odd = 0
@@ -640,28 +612,30 @@ def _dual_sphere_total(
     n = len(items)
     get = inc.get
     by_f: dict[int, int] = {}
-
-    def walk(lo: int, j: int, p: int, mask: int, w: int, mult: int):
-        # j entries are chosen; mult = j! / prod(c!) over their runs
-        for i in range(lo, n):
+    # a prefix: its last index, intersection, mask, weight, entry count j,
+    # mult = j! / prod(c!) over its runs, and its last index's run (0: none)
+    stack = [(0, -1, -1, 1, 0, 1, 0)]
+    while stack:
+        last, p, mask, w, j, mult, run = stack.pop()
+        j += 1
+        for i in range(last, n):
             y, iy, wy = items[i]
-            q = p & y
-            if not q:
-                continue
-            mq = mask & iy
-            if not mq:
+            if i == last and run:
+                q, mq, r = p, mask, run + 1
+            else:
+                q = p & y
+                mq = mask & iy if q else 0
+                if not mq:
+                    continue
+                r = 1
+            ways = mult * j // r
+            if j < m:
+                stack.append((i, q, mq, w * wy, j, ways, r))
                 continue
             full = mq & get(q, 0)
             f = 2 * (full & odd).bit_count() - full.bit_count()
-            ways, wc = mult, w
-            for c in range(1, m - j):
-                ways = ways * (j + c) // c
-                wc *= wy
-                walk(i + 1, j + c, q, mq, wc, ways)
             if f:
-                by_f[f] = by_f.get(f, 0) + ways * m // (m - j) * wc * wy
-
-    walk(0, 0, -1, -1, 1, 1)
+                by_f[f] = by_f.get(f, 0) + ways * w * wy
     return sum(c * f**k for f, c in by_f.items())
 
 
@@ -693,17 +667,19 @@ def dual_sphere_sum(
     if k == 1:
         total = _fold(g, _sphere_wm(g, m, op_budget), op_budget)
     else:
-        ws = [_weight_of_bits(b) for b in g.masks]
-        total = _dual_sphere_total(_sphere_sets(g), ws, m, k, op_budget)
+        stars = _stars_of(g)
+        sph = [_join_at(z, star, True) for z, star in stars.items()]
+        total = _dual_sphere_total(sph, list(map(_weight_of_bits, stars)), m, k, op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("dual-sphere", m, k, 0, total, total == 0, len(g), elapsed)
 
 
-def valuation_values(a: SimplexSubset, b: SimplexSubset, m: int) -> tuple[int, int]:
-    """(w_m(A) + w_m(B), w_m(A∪B) + w_m(A∩B)) for arbitrary subsets of one complex."""
-    lhs = w_m(a, m) + w_m(b, m)
-    rhs = w_m(a.union(b), m) + w_m(a.intersection(b), m)
-    return lhs, rhs
+def valuation_values(a: SimplexSubset, b: SimplexSubset, m: int, *,
+                     op_budget: int | None = DEFAULT_OP_BUDGET) -> tuple[int, int]:
+    """(w_m(A) + w_m(B), w_m(A∪B) + w_m(A∩B)) for arbitrary subsets of one
+    complex; the powers of each w_m are charged against ``op_budget``."""
+    return tuple(sum(w_m(s, m, op_budget=op_budget) for s in pair)
+                 for pair in ((a, b), (a.union(b), a.intersection(b))))
 
 
 def valuation_check(
@@ -712,11 +688,13 @@ def valuation_check(
     m: int,
     *,
     allow_closed: bool = False,
+    op_budget: int | None = DEFAULT_OP_BUDGET,
 ) -> EnergyReport:
     """Check w_m(U) + w_m(V) = w_m(U∪V) + w_m(U∩V) for open sets.
 
     The identity genuinely needs open sets once m > 1; closed inputs are
     rejected unless ``allow_closed`` is set (used to demonstrate the failure).
+    The powers are charged against ``op_budget`` (``valuation_values``).
     """
     if m < 1:
         raise InputError("the arity m must be at least 1")
@@ -730,24 +708,24 @@ def valuation_check(
                     "for open sets (pass allow_closed=True to evaluate anyway)"
                 )
     t0 = time.perf_counter()
-    lhs, rhs = valuation_values(u, v, m)
+    lhs, rhs = valuation_values(u, v, m, op_budget=op_budget)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(
         "valuation", m, 2, lhs, rhs, lhs == rhs, len(u.ambient), elapsed
     )
 
 
-def _local_at(g: Complex, z: int, m: int) -> tuple[int, int]:
+def _local_at(g: Complex, z: int, m: int, op_budget: int | None) -> tuple[int, int]:
     """(w_m(B(z)), w_m(U(z)) - (-1)^m * w_m(S(z))) for the union z of a
-    configuration: B(z) and S(z) are the joins of the star list U(z), and
-    the three are evaluated as subsets of B(z) over one face table of it,
-    built for the call.  If z is not in g all three sets are empty, though a
-    join with the empty link would be z̄, so both sides are 0."""
+    configuration, the three sets evaluated from the joins of the star list
+    U(z) as subsets of B(z) over one face table of it, built for the call,
+    their powers charged against ``op_budget``.  If z is not in g all three
+    are empty, though a join with the empty link would be z̄: both are 0."""
     star = _stars_of(g).get(z)
     if star is None:
         return 0, 0
     table = _build_face_table(ball := _join_at(z, star, False))
-    wb, wu, ws = (_eval_terms(_subset_terms(table, frozenset(a)), m, DEFAULT_OP_BUDGET)
+    wb, wu, ws = (_eval_terms(_subset_terms(table, frozenset(a)), m, op_budget)
                   for a in (ball, star, _join_at(z, star, True)))
     return wb, wu - (-1) ** m * ws
 
@@ -759,7 +737,7 @@ def local_valuation_check(g: Complex, xs, m: int) -> EnergyReport:
     if m < 1:
         raise InputError("the arity m must be at least 1")
     t0 = time.perf_counter()
-    lhs, rhs = _local_at(g, _vertex_mask(x.bits for x in X), m)
+    lhs, rhs = _local_at(g, _vertex_mask(x.bits for x in X), m, DEFAULT_OP_BUDGET)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport(
         "local-valuation", m, len(X), lhs, rhs, lhs == rhs, len(g), elapsed
@@ -819,7 +797,7 @@ def local_valuation_sum(
         counts[_vertex_mask(g.member_bits)] = outside
     passed = 0
     for z, cz in counts.items():
-        lhs, rhs = _local_at(g, z, m)
+        lhs, rhs = _local_at(g, z, m, op_budget)
         passed += cz if lhs == rhs else 0
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnergyReport("local-valuation", m, k, total, passed, total == passed, n, elapsed)

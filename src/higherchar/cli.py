@@ -148,7 +148,8 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         if args.set_a is not None:
             a = parse_set_token(g, args.set_a)
             b = parse_set_token(g, args.set_b)
-            return [ch.valuation_check(a, b, m, allow_closed=args.allow_closed)]
+            return [ch.valuation_check(a, b, m, allow_closed=args.allow_closed,
+                                       op_budget=args.budget)]
         # 8 * sum 2^|y| per pair bounds its four subsets, each evaluated by
         # two passes of sum |y| updates over G's face table (``_subset_terms``)
         steps = 8 * sum(1 << y.bit_count() for y in g.member_bits)
@@ -160,7 +161,7 @@ def _verify_reports(args, g: Complex) -> list[ch.EnergyReport]:
         for _ in range(args.pairs):
             u = random_open_set(g, rng)
             v = random_open_set(g, rng)
-            if ch.valuation_check(u, v, m).passed:
+            if ch.valuation_check(u, v, m, op_budget=args.budget).passed:
                 passed += 1
         elapsed = (time.perf_counter() - t0) * 1000.0
         return [ch.EnergyReport("valuation", m, 2, args.pairs, passed,

@@ -14,7 +14,8 @@ built on its first use and then kept.  A sum that does not depend on the
 order of the members (the characteristics, the energy and sphere sums, the
 f-vector) never sorts and never builds a ``Simplex``; matrix rows, facet
 output, refinement vertex numbers and recognizer searches follow the
-canonical order.
+canonical order.  The unit ball B(z) = z̄ ∗ lk(z) and the unit sphere
+S(z) = ∂z ∗ lk(z) of a member z are built from its star list by ``_join_at``.
 """
 
 from __future__ import annotations
@@ -309,6 +310,19 @@ def _join_bits(a, b) -> list[int]:
     """The masks of the join A * B of two collections on disjoint vertex sets:
     those of a, those of b, then every x | y with x in a and y in b."""
     return [*a, *b, *[x | y for x in a for y in b]]
+
+
+def _join_at(z: int, star: Iterable[int], proper: bool) -> list[int]:
+    """Member bits of z̄ ∗ lk(z) = B(z), or with ``proper`` of ∂z ∗ lk(z) = S(z),
+    from the star list U(z): the a | b with a ⊆ z (a ⊊ z) and b = y ^ z for y
+    in U(z), except the empty set.  a = member & z and b = member & ~z, so
+    each member arises once.  The one builder of balls and unit spheres."""
+    faces = []
+    sub = (z - 1) & z if proper else z
+    while sub:
+        faces.append(sub)
+        sub = (sub - 1) & z
+    return _join_bits(faces, [y ^ z for y in star if y != z])
 
 
 def _vertex_mask(masks: Iterable[int]) -> int:

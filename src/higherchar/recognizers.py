@@ -52,10 +52,9 @@ S(v) = {y - v : y in st[v], y != v} is already canonical: two members of
 equal size are ordered by which holds the smallest vertex of their symmetric
 difference, and taking v out of two members that both hold v shrinks both by
 one and leaves that difference as it was.  For a larger simplex x,
-S(x) = dx * lk(x): the joins a | b, with a a proper face of x or empty and
-b in lk(x) or empty, except the empty join.  The link
-lk(x) = {y - x : y in st[v], x < y} is read from the smallest star st[v]
-among the vertices v of x, and the joins are sorted by their position in g.
+S(x) = dx * lk(x) is ``complexes._join_at`` of U(x), the members of the
+smallest star st[v] among the vertices v of x that contain x, sorted by
+their position in g.
 A puncture is a filter of g, so it stays canonical unsorted.  Results are
 memoized on the tuple, the exact labeled complex (no isomorphism
 canonicalization), so repeated sub-complexes are checked once per query.
@@ -233,7 +232,7 @@ from enum import Enum
 from itertools import takewhile
 from typing import Generator
 
-from .complexes import Complex, _join_bits, _position_stars, vertices_of
+from .complexes import Complex, _join_at, _position_stars, vertices_of
 from .errors import DEFAULT_CALL_BUDGET as DEFAULT_BUDGET, DomainError, InputError
 
 __all__ = [
@@ -375,10 +374,14 @@ class _StarIndex:
         idx._parent = (self, vb)
         return idx
 
+    def positions_by_star_size(self) -> list[int]:
+        """The vertex positions, the keys of st, by (star size, position)."""
+        st = self.st
+        return sorted(st, key=lambda p: (len(st[p]), p))
+
     def vertices_by_star_size(self) -> list[int]:
         """The vertex bits by (star size, bit)."""
-        st = self.st
-        return [1 << (p - 1) for p in sorted(st, key=lambda p: (len(st[p]), p))]
+        return [1 << (p - 1) for p in self.positions_by_star_size()]
 
     def unit_sphere(self, xb: int) -> tuple[int, ...]:
         """S(x), canonical: lk(v) for a vertex, dx * lk(x) otherwise."""
@@ -395,17 +398,10 @@ class _StarIndex:
             if len(st[p]) < len(smallest):
                 smallest = st[p]
             r -= 1 << (p - 1)
-        # x comes first among the members that contain it, so link[0] is 0
-        link = [y ^ xb for y in smallest if y & xb == xb]
-        faces = []
-        a = (xb - 1) & xb
-        while a:
-            faces.append(a)
-            a = (a - 1) & xb
+        joins = _join_at(xb, [y for y in smallest if y & xb == xb], True)
         rank = self._rank
         if rank is None:
             rank = self._rank = {b: i for i, b in enumerate(self.g)}
-        joins = _join_bits(faces, link[1:])
         joins.sort(key=rank.__getitem__)
         return tuple(joins)
 
@@ -423,12 +419,13 @@ def _every_link(s: _StarIndex, d: int, test) -> _Body:
 def _contractible(s: _StarIndex) -> _Body:
     if _chi_refutes(s.g, 1):
         return NO, ()
-    for vbit in s.vertices_by_star_size():
+    for p in s.positions_by_star_size():
+        vbit = 1 << (p - 1)  # made when tried, not held for every candidate
         if (yield _contractible, _StarIndex(s.unit_sphere(vbit)))[0] is not YES:
             continue
         s2, cert2 = yield _contractible, s.punctured(vbit, _minus_star(s.g, vbit))
         if s2 is YES:
-            return YES, (vbit.bit_length() - 1,) + cert2
+            return YES, (p - 1,) + cert2
     return NO, ()
 
 

@@ -392,6 +392,22 @@ class TestVerify:
                      "--budget", "1000"]) == 2
         assert "over the budget 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,budget", [
+        (["local-valuation", "-m", "20000", "-k", "1"], "100000"),
+        (["valuation", "-m", "20000", "--pairs", "2"], "100000"),
+        (["valuation", "-m", "2000", "--set-a", "all", "--set-b", "star:1"], "10000"),
+    ])
+    def test_valuation_powers_charged_against_the_budget_flag(self, capsys, tmp_path, argv,
+                                                              budget):
+        # the per-union check and every w_m of the pairs charge their powers
+        # against --budget, and answer as before at the default
+        p = tmp_path / "rw.facets"
+        save_complex(random_whitney(12, 30, seed=1), p)
+        argv = ["verify", argv[0], str(p), *argv[1:]]
+        assert main(argv + ["--budget", budget]) == 2
+        assert f"over the budget {budget}" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_value_under_digit_limit_printed(self, capsys, tmp_path):
         p = tmp_path / "rw.facets"
         save_complex(random_whitney(12, 30, seed=1), p)

@@ -358,17 +358,19 @@ def test_unit_sphere_keeping_x(monkeypatch):
 
 
 def _dual_sphere_multiplicity_without_its_run_factor():
-    """The multiplicity of a nondecreasing m-tuple without the factor
-    m / (m - j) for the run that closes it."""
-    return _edited(ch, "_dual_sphere_total", "ways * m // (m - j)", "ways")
+    """The multiplicity of a nondecreasing m-tuple without the division by
+    r for an entry that makes a run of length r: every run counts r! times
+    too often."""
+    return _edited(ch, "_dual_sphere_total", "mult * j // r", "mult * j")
 
 
 def test_dual_sphere_multiplicity_without_its_run_factor(monkeypatch):
     # the dual-sphere suite still reads 0 on the octahedron, so no CLI
     # verdict sees it; TestDualSphereSum.test_corrupted_spheres does, and so
     # does one closed edge: with a single set of weight 1 the k = 2 sum is
-    # w_2 of that edge, -1
+    # w_m of that edge, (-1)^(m+1), and the mutant reads m!
     edge = [0b01, 0b10, 0b11]
-    assert ch._dual_sphere_total([edge], [1], 2, 2) == -1
+    sums = [ch._dual_sphere_total([edge], [1], m, 2) for m in (1, 2, 3, 4)]
+    assert sums == [1, -1, 1, -1]
     monkeypatch.setattr(*_dual_sphere_multiplicity_without_its_run_factor())
-    assert ch._dual_sphere_total([edge], [1], 2, 2) != -1
+    assert [ch._dual_sphere_total([edge], [1], m, 2) for m in (1, 2, 3, 4)] == [1, 2, 6, 24]

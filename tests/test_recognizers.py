@@ -693,3 +693,19 @@ class TestProcessState:
         v = is_contractible(closure([i, i + 1] for i in range(n - 1)))
         assert (v.status, v.calls_used) == (Status.YES, n - 1)
         assert manifold_boundary(tetra, 3) == closure(combinations(range(1, 5), 3))
+
+    def test_deep_path_holds_no_vertex_bits_per_level(self):
+        # each level's contractible body holds its candidates as the star
+        # dict's position keys, not as fresh big-int vertex bits: the peak
+        # was 89 MiB while every level held n bits of up to n bits each
+        import tracemalloc
+
+        g = closure([i, i + 1] for i in range(999))
+        tracemalloc.start()
+        try:
+            v = is_contractible(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.status, v.calls_used) == (Status.YES, 999)
+        assert peak < 48 * 2**20
